@@ -3,8 +3,10 @@
 A ``LinearCode`` is identified with its unique reduced row-echelon generator
 matrix (no zero rows), so two codes are equal exactly when they are the same
 subspace.  Weight distributions are computed by a Gray-code walk over the
-message space: each step flips one message bit, so each step costs one row
-XOR and one popcount.
+message space of the smaller of the code and its dual, 2^min(k, n-k) words:
+each step flips one message bit, so each step costs one row XOR and one
+popcount.  A walked dual is turned back into the code's distribution by the
+MacWilliams transform.
 """
 
 from __future__ import annotations
@@ -119,21 +121,29 @@ class LinearCode:
         return x == 0
 
     def weight_distribution(self, cap: int = DEFAULT_ENUMERATION_CAP) -> WeightEnumerator:
-        """Exact weight distribution by enumerating all 2^dimension words.
+        """Exact weight distribution, walking 2^min(k, n-k) words.
 
-        Walks the message space in Gray-code order (2^d - 1 single-row XORs).
-        Raises if the dimension exceeds ``cap``.
+        A code with 2k <= n walks its own 2^k words; otherwise its dual's
+        2^(n-k) words are walked and ``macwilliams_transform`` gives this
+        code's distribution back.  Raises if the dimension k exceeds ``cap``,
+        whichever side is walked.
         """
         d = self.dimension
         if d > cap:
             raise ValueError(
                 f"dimension {d} exceeds enumeration cap {cap}; raise the cap to proceed"
             )
+        if 2 * d > self.n:
+            return macwilliams_transform(self.dual()._gray_walk(), self.n - d)
+        return self._gray_walk()
+
+    def _gray_walk(self) -> WeightEnumerator:
+        """Distribution of the span, visited in Gray-code order (2^k - 1 row XORs)."""
         counts = [0] * (self.n + 1)
         counts[0] = 1
         rows = self.generator.row_bits()
         cur = 0
-        for m in range(1, 1 << d):
+        for m in range(1, 1 << self.dimension):
             cur ^= rows[(m & -m).bit_length() - 1]
             counts[cur.bit_count()] += 1
         return WeightEnumerator(self.n, tuple(counts))
@@ -172,13 +182,23 @@ class LinearCode:
 
 
 @lru_cache(maxsize=None)
-def _dual_weight_coefficient(n: int, j: int, i: int) -> int:
-    """Coefficient of x^(n-j) y^j in (x+y)^(n-i) (x-y)^i."""
-    lo = max(0, j - (n - i))
-    hi = min(i, j)
-    return sum(
-        (-1 if k & 1 else 1) * comb(i, k) * comb(n - i, j - k) for k in range(lo, hi + 1)
-    )
+def _krawtchouk_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    """Row i, for i = 0..n, holds the y^j coefficients of (1+y)^(n-i) (1-y)^i.
+
+    Row 0 is the binomial row; (1+y) P_{i+1} = (1-y) P_i gives each next row
+    from the previous one in O(n).
+    """
+    row = [comb(n, j) for j in range(n + 1)]
+    rows = [tuple(row)]
+    for _ in range(n):
+        prev = 0
+        nxt = []
+        for j in range(n + 1):
+            prev = row[j] - (row[j - 1] if j else 0) - prev
+            nxt.append(prev)
+        row = nxt
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def macwilliams_transform(we: WeightEnumerator, d: int) -> WeightEnumerator:
@@ -196,11 +216,9 @@ def macwilliams_transform(we: WeightEnumerator, d: int) -> WeightEnumerator:
         )
     n = we.n
     acc = [0] * (n + 1)
-    for i, a in enumerate(we.counts):
-        if a == 0:
-            continue
-        for j in range(n + 1):
-            acc[j] += a * _dual_weight_coefficient(n, j, i)
+    for a, row in zip(we.counts, _krawtchouk_rows(n)):
+        if a:
+            acc = [c + a * k for c, k in zip(acc, row)]
     out = []
     for j, c in enumerate(acc):
         if c < 0 or c % (1 << d):

@@ -41,6 +41,14 @@ def all_codewords(code: LinearCode) -> list[int]:
     return words
 
 
+def brute_distribution(code: LinearCode) -> tuple[int, ...]:
+    """Weight counts of ``all_codewords(code)``, independent of the library's walk."""
+    counts = [0] * (code.n + 1)
+    for w in all_codewords(code):
+        counts[w.bit_count()] += 1
+    return tuple(counts)
+
+
 @pytest.fixture
 def golay() -> LinearCode:
     return load_code("golay_24_12.txt")

@@ -8,6 +8,7 @@ from gf2codes.cli import run
 
 GOLAY = str(FIXTURES / "golay_24_12.txt")
 EVEN4 = str(FIXTURES / "even_weight_4.txt")
+HAMMING16 = str(FIXTURES / "hamming_16_11.txt")
 
 
 def test_analyze_human_output(capsys):
@@ -35,6 +36,20 @@ def test_analyze_json_document(capsys):
         "counts": [1, 759, 2576, 759, 1],
     }
     assert payload["profile"]["is_self_dual"] is True
+
+
+def test_analyze_high_rate_fixture(capsys):
+    assert run(["analyze", HAMMING16, "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    assert (payload["n"], payload["dimension"]) == (16, 11)
+    assert payload["weight_distribution"] == {
+        "weights": [0, 4, 6, 8, 10, 12, 16],
+        "counts": [1, 140, 448, 870, 448, 140, 1],
+    }
+    assert payload["dual_weight_distribution"] == {
+        "weights": [0, 8, 16],
+        "counts": [1, 30, 1],
+    }
 
 
 def test_output_is_byte_stable(capsys):
