@@ -122,20 +122,21 @@ def _resolve_word(code: LinearCode, word: str) -> Gf2Vector:
     return code.generator.rows[index]
 
 
+def _emit_surgery(args: argparse.Namespace, command: str, inputs: dict,
+                  code: LinearCode, result: LinearCode) -> None:
+    """Report the code a project or shorten produced from ``code``."""
+    note = f"dimension {code.dimension} -> {result.dimension}"
+    generator = _generator_payload(result)
+    payload = {"n": result.n, "dimension": result.dimension, "generator": generator,
+               "note": note}
+    human = [f"n={result.n} k={result.dimension} ({note})"] + generator
+    _emit(args, command, inputs, payload, human)
+
+
 def _cmd_project(args: argparse.Namespace) -> int:
     code = _load_code(args.path)
-    word = _resolve_word(code, args.word)
-    result = project(code, word)
-    payload = {
-        "n": result.n,
-        "dimension": result.dimension,
-        "generator": _generator_payload(result),
-        "note": f"dimension {code.dimension} -> {result.dimension}",
-    }
-    human = [
-        f"n={result.n} k={result.dimension} (dimension {code.dimension} -> {result.dimension})",
-    ] + _generator_payload(result)
-    _emit(args, "project", {"path": args.path, "word": args.word}, payload, human)
+    result = project(code, _resolve_word(code, args.word))
+    _emit_surgery(args, "project", {"path": args.path, "word": args.word}, code, result)
     return 0
 
 
@@ -143,16 +144,7 @@ def _cmd_shorten(args: argparse.Namespace) -> int:
     code = _load_code(args.path)
     coords = _parse_ints(args.coords, "--coords")
     result = shorten(code, coords)
-    payload = {
-        "n": result.n,
-        "dimension": result.dimension,
-        "generator": _generator_payload(result),
-        "note": f"dimension {code.dimension} -> {result.dimension}",
-    }
-    human = [
-        f"n={result.n} k={result.dimension} (dimension {code.dimension} -> {result.dimension})",
-    ] + _generator_payload(result)
-    _emit(args, "shorten", {"path": args.path, "coords": coords}, payload, human)
+    _emit_surgery(args, "shorten", {"path": args.path, "coords": coords}, code, result)
     return 0
 
 
@@ -204,8 +196,14 @@ def _cmd_feasibility(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.claim == "lemma-2-6":
-        report = verify_lemma_2_6(args.d, _parse_range(args.n_range))
-        inputs = {"claim": args.claim, "d": args.d, "n_range": args.n_range}
+        d = 10 if args.d is None else args.d
+        n_range = "1..128" if args.n_range is None else args.n_range
+        report = verify_lemma_2_6(d, _parse_range(n_range))
+        inputs = {"claim": args.claim, "d": d, "n_range": n_range}
+    elif args.d is not None or args.n_range is not None:
+        given = [flag for flag, value in (("--d", args.d), ("--n-range", args.n_range))
+                 if value is not None]
+        raise ValueError(f"only lemma-2-6 takes {' and '.join(given)}, not {args.claim}")
     elif args.claim == "lemma-24-32-56":
         report = verify_lemma_24_32_56()
         inputs = {"claim": args.claim}
@@ -268,9 +266,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
                         help="emit a JSON report document")
-    common.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP, metavar="K",
-                        help="refuse to enumerate codes of dimension above K "
-                             f"(default {DEFAULT_ENUMERATION_CAP})")
     parser = argparse.ArgumentParser(
         prog="gf2codes",
         description="Exact analysis of binary linear codes.",
@@ -313,9 +308,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common], help="replay a dimension-bound argument")
     p.add_argument("claim", choices=["lemma-2-6", "lemma-24-32-56", "theorem-a"])
-    p.add_argument("--d", type=int, default=10,
+    p.add_argument("--d", type=int,
                    help="dimension to replay (lemma-2-6 only, default 10)")
-    p.add_argument("--n-range", default="1..128",
+    p.add_argument("--n-range",
                    help="length range A..B to scan (lemma-2-6 only, default 1..128)")
     p.set_defaults(func=_cmd_verify)
 
@@ -326,6 +321,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--node-cap", type=int, default=DEFAULT_NODE_CAP)
     p.set_defaults(func=_cmd_search)
 
+    # Only the subcommands that enumerate codewords take a cap.
+    for name in ("analyze", "moments"):
+        sub.choices[name].add_argument(
+            "--cap", type=int, default=DEFAULT_ENUMERATION_CAP, metavar="K",
+            help="refuse to enumerate codes of dimension above K "
+                 f"(default {DEFAULT_ENUMERATION_CAP})")
     return parser
 
 

@@ -17,6 +17,7 @@ Reports serialize to stable-ordered JSON so replays are diffable.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -36,6 +37,23 @@ __all__ = [
     "verify_lemma_24_32_56",
     "verify_theorem_a",
 ]
+
+
+# Theorem A: length, the dimension refuted, and the allowed nonzero weights.
+_THEOREM_A = (66, 13, (24, 32, 40, 56))
+# The three-weight lemma: its weights, and the dimension bound it proves in
+# every ambient too short for two words of the largest weight.
+_LEMMA_WEIGHTS = (24, 32, 56)
+_LEMMA_BOUND = 10
+# The paper's a_56 at spanning lengths 65 and 66, keyed by how far the
+# projection's length exceeds twice its dimension: the form, as printed, and
+# rearranged for a2_star.  These are the claims the Theorem A replay checks.
+_STATED_A56 = {
+    1: (AffineForm(Fraction(-5, 2), Fraction(1, 2), Fraction(-1, 2)),
+        "(a2_star - a3_star - 5)/2", "2*a_56 + a3_star + 5"),
+    2: (AffineForm(Fraction(-13, 2), Fraction(1), Fraction(-1, 2)),
+        "a2_star - (a3_star + 13)/2", "a_56 + (a3_star + 13)/2"),
+}
 
 
 @dataclass(frozen=True)
@@ -129,31 +147,39 @@ def verify_remark_a56(ambient: int) -> ProofStep:
     the smallest sum weight; min_union_length(56, 56, 24) = 68 coordinates
     are then needed, so any ambient below 68 admits at most one such word.
     """
-    union = min_union_length(56, 56, 24)
-    status = union > ambient
+    low, top = min(_LEMMA_WEIGHTS), max(_LEMMA_WEIGHTS)
+    union = min_union_length(top, top, low)
+    overlap = 2 * top - union
     return ProofStep(
         id=f"a56-at-most-one-n{ambient}",
         kind="arithmetic",
         statement=(
-            "two distinct weight-56 words whose sum has weight at least 24 span "
-            f"at least {union} coordinates, more than the ambient {ambient}, "
-            "so a_56 <= 1 there"
+            f"two distinct weight-{top} words whose sum has weight at least {low} "
+            f"span at least {union} coordinates, more than the ambient {ambient}, "
+            f"so a_{top} <= 1 there"
         ),
         anchor="remark-a56 / minimum union length",
-        status=status,
+        status=union > ambient,
         data={
             "ambient": ambient,
-            "pair_weights": [56, 56],
-            "min_sum_weight": 24,
-            "max_overlap": (56 + 56 - 24) // 2,
+            "pair_weights": [top, top],
+            "min_sum_weight": low,
+            "max_overlap": overlap,
             "min_union_length": union,
             "derivation": (
-                "overlap r satisfies |v+w| = 112 - 2r >= 24, so r <= 44 and the "
-                "union 112 - r is at least 68; the union shrinks only as the sum "
-                "weight shrinks, so 24 is the extremal case"
+                f"overlap r satisfies |v+w| = {2 * top} - 2r >= {low}, so r <= "
+                f"{overlap} and the union {2 * top} - r is at least {union}; the "
+                "union shrinks only as the sum weight shrinks, so "
+                f"{low} is the extremal case"
             ),
         },
     )
+
+
+def _a56_ambient_cap() -> int:
+    """Longest ambient in which the remark allows at most one weight-56 word."""
+    low, top = min(_LEMMA_WEIGHTS), max(_LEMMA_WEIGHTS)
+    return min_union_length(top, top, low) - 1
 
 
 def a56_sharpness_construction() -> LinearCode:
@@ -300,32 +326,42 @@ def verify_lemma_2_6(d: int, n_range: tuple[int, int] = (1, 128)) -> ProofReport
     )
 
 
-def verify_lemma_24_32_56(claimed_bound: int = 10) -> ProofReport:
+def verify_lemma_24_32_56(claimed_bound: int = _LEMMA_BOUND) -> ProofReport:
     """Replay the bound: weights {24, 32, 56} in ambient <= 67 force dim <= 10.
 
     Splits on the number of weight-56 words, which the union bound caps at
     one.  ``claimed_bound`` exists so tests can check that a stricter claim
     is rejected; the argument supports exactly 10.
     """
-    remark = verify_remark_a56(67)
-    two_weight = verify_lemma_2_6(10, (1, 128))
+    top = max(_LEMMA_WEIGHTS)
+    pair_weights = [x for x in _LEMMA_WEIGHTS if x != top]
+    cap = _a56_ambient_cap()
+    # Lemma 2.6 rules out two-weight codes of dimension _LEMMA_BOUND at every
+    # length it scans, so they have dimension at most one less.
+    two_weight = verify_lemma_2_6(_LEMMA_BOUND)
+    two_weight_bound = _LEMMA_BOUND - 1
+    lo, hi = two_weight.steps[0].data["n_range"]
     case_zero = ProofStep(
         id="case-a56-zero",
         kind="cited-lemma",
         statement=(
-            "with no weight-56 word the weights lie in {24, 32}; dimension 10 is "
-            "impossible at every length, and any higher-dimensional code has a "
-            "10-dimensional subcode with the same weight constraint, so the "
-            "dimension is at most 9"
+            f"with no weight-{top} word the weights lie in {_braces(pair_weights)}; "
+            f"dimension {_LEMMA_BOUND} is impossible at every length, and any "
+            f"higher-dimensional code has a {_LEMMA_BOUND}-dimensional subcode with "
+            "the same weight constraint, so the dimension is at most "
+            f"{two_weight_bound}"
         ),
-        anchor="lemma-24-32-56 / case without a weight-56 word",
-        status=two_weight.overall and 9 <= claimed_bound,
+        anchor=f"lemma-24-32-56 / case without a weight-{top} word",
+        status=(
+            two_weight.overall and lo <= 1 and cap <= hi
+            and two_weight_bound <= claimed_bound
+        ),
         data={
             "cited": "lemma-2-6",
-            "dimension_replayed": 10,
+            "dimension_replayed": _LEMMA_BOUND,
             "scan_overall": two_weight.overall,
-            "lengths_covered": [1, 128],
-            "two_weight_bound": 9,
+            "lengths_covered": [lo, hi],
+            "two_weight_bound": two_weight_bound,
             "claimed_bound": claimed_bound,
         },
     )
@@ -333,27 +369,32 @@ def verify_lemma_24_32_56(claimed_bound: int = 10) -> ProofReport:
         id="case-a56-one",
         kind="structural",
         statement=(
-            "with exactly one weight-56 word, a hyperplane subcode avoiding it "
-            "has dimension exactly one less and weights in {24, 32}, so the "
-            "dimension is at most 1 + 9 = 10"
+            f"with exactly one weight-{top} word, a hyperplane subcode avoiding it "
+            "has dimension exactly one less and weights in "
+            f"{_braces(pair_weights)}, so the dimension is at most "
+            f"1 + {two_weight_bound} = {1 + two_weight_bound}"
         ),
-        anchor="lemma-24-32-56 / case with one weight-56 word",
-        status=two_weight.overall and 1 + 9 <= claimed_bound,
+        anchor=f"lemma-24-32-56 / case with one weight-{top} word",
+        status=two_weight.overall and 1 + two_weight_bound <= claimed_bound,
         data={
             "operation": "subcode_avoiding",
             "dimension_drop": 1,
-            "subcode_weights": [24, 32],
-            "resulting_bound": 10,
+            "subcode_weights": pair_weights,
+            "resulting_bound": 1 + two_weight_bound,
             "claimed_bound": claimed_bound,
         },
     )
     return ProofReport(
         theorem=(
-            "a binary code of length at most 67 with nonzero weights in "
-            f"{{24, 32, 56}} has dimension at most {claimed_bound}"
+            f"a binary code of length at most {cap} with nonzero weights in "
+            f"{_braces(_LEMMA_WEIGHTS)} has dimension at most {claimed_bound}"
         ),
-        steps=(remark, case_zero, case_one),
+        steps=(verify_remark_a56(cap), case_zero, case_one),
     )
+
+
+def _braces(values) -> str:
+    return "{" + ", ".join(str(v) for v in values) + "}"
 
 
 def _pair_scan(weights: tuple[int, ...], weight_w: int) -> list[list[int]]:
@@ -371,409 +412,319 @@ def verify_theorem_a() -> ProofReport:
     Assumes a 13-dimensional counterexample and refutes every admissible
     spanning length.  Higher dimensions are covered because any code of
     dimension above 13 contains a 13-dimensional subcode with the same
-    weight constraint.
+    weight constraint.  Every number is derived from ``_THEOREM_A``, the
+    three-weight lemma and the paper's stated a_56 forms.
     """
-    weights = (24, 32, 40, 56)
-    lemma = verify_lemma_24_32_56(10)
+    n_max, dim, weights = _THEOREM_A
+    low, top = min(weights), max(weights)
+    # The argument needs exactly one weight outside the lemma's set: the
+    # weight w projected along.
+    outside = sorted(set(weights) - set(_LEMMA_WEIGHTS))
+    w = outside[0]
+    lemma_weights = _braces(_LEMMA_WEIGHTS)
+    bound = _LEMMA_BOUND
+    cap = _a56_ambient_cap()
+    lemma = verify_lemma_24_32_56()
+    pdim = dim - 1
     steps: list[ProofStep] = []
 
-    steps.append(
-        ProofStep(
-            id="weight-40-exists",
-            kind="cited-lemma",
-            statement=(
-                "without a weight-40 word the weights lie in {24, 32, 56} with "
-                "ambient 66 <= 67, capping the dimension at 10 < 13, so a "
-                "counterexample contains a weight-40 word w"
-            ),
-            anchor="theorem-a / a weight-40 word must occur",
-            status=lemma.overall and 10 < 13,
-            data={
-                "cited": "lemma-24-32-56",
-                "lemma_overall": lemma.overall,
-                "bound_without_weight_40": 10,
-                "hypothetical_dimension": 13,
-                "ambient": 66,
-                "ambient_cap": 67,
-            },
+    def step(step_id: str, kind: str, statement: str, anchor: str, status: object,
+             data: dict[str, object]) -> None:
+        steps.append(
+            ProofStep(step_id, kind, statement, f"theorem-a / {anchor}", bool(status), data)
         )
-    )
 
-    steps.append(
-        ProofStep(
-            id="projection-dimension-12",
-            kind="arithmetic",
-            statement=(
-                "two disjoint nonzero codewords have weights summing to at least "
-                "24 + 24 = 48 > 40, so w is not a disjoint sum and projecting "
-                "along w drops the dimension by exactly one, to 12"
-            ),
-            anchor="theorem-a / projecting along w drops dimension exactly one",
-            status=24 + 24 > 40,
-            data={
-                "smallest_weight": 24,
-                "min_disjoint_sum": 48,
-                "weight_w": 40,
-                "projected_dimension": 12,
-            },
-        )
-    )
+    def count_solve(step_id: str, n: int, deficit: int) -> tuple[bool, str, Fraction]:
+        """Solve the moment equations at length n; check the stated a_56 form.
 
-    pair_table = _pair_scan(weights, 40)
-    kernel_pair = [40, 0, projected_weight(40, 0, 40)]
-    all_multiples_of_4 = all(row[2] % 4 == 0 for row in pair_table + [kernel_pair])
-    steps.append(
-        ProofStep(
-            id="projection-doubly-even",
-            kind="arithmetic",
-            statement=(
-                "every projected weight (|v| + |v+w| - 40)/2 over the weight set "
-                "is a multiple of 4, so the projection is doubly even and in "
-                "particular isotropic"
-            ),
-            anchor="theorem-a / projected weights are multiples of 4",
-            status=all_multiples_of_4,
-            data={
-                "weight_w": 40,
-                "pairs": pair_table + [kernel_pair],
-                "all_multiples_of_4": all_multiples_of_4,
-            },
+        Returns whether it matched, the stated rearrangement for a2_star, and
+        the least a2_star that a_56 >= 0 and a3_star >= 0 allow.
+        """
+        want, printed, rearranged = _STATED_A56[deficit]
+        sol = solve_weight_counts(n, dim, weights)
+        form = sol.expressions[top]
+        counts = {f"a{x}": str(f) for x, f in sol.expressions.items()}
+        step(
+            step_id, "arithmetic",
+            f"at spanning length {n} and dimension {dim} the four moment equations "
+            f"give a_{top} = {printed}",
+            f"n={n} / four-weight count solve",
+            form == want and sol.consistent,
+            {"n": n, "dimension": dim, **counts, "expected_a56": str(want)},
         )
-    )
+        floor = Fraction(0)
+        if form.a2_coeff > 0 >= form.a3_coeff:
+            floor = -form.const / form.a2_coeff
+        return form == want, rearranged, floor
 
-    window = [64, 65, 66]
-    steps.append(
-        ProofStep(
-            id="length-window",
-            kind="arithmetic",
-            statement=(
-                "an isotropic dimension-12 code needs ambient at least 24, so the "
-                "spanning length n satisfies n - 40 >= 24; with n <= 66 the "
-                "cases are n in {64, 65, 66}"
-            ),
-            anchor="theorem-a / isotropic dimension caps the length deficit",
-            status=(40 + 2 * 12 == 64) and window == [64, 65, 66],
-            data={
-                "isotropic_dimension": 12,
-                "min_projection_ambient": 24,
-                "length_window": window,
-            },
-        )
-    )
-
-    # Case n = 64.
-    steps.append(
-        ProofStep(
-            id="n64-projection-self-dual",
-            kind="arithmetic",
-            statement=(
-                "at n = 64 the projection is isotropic of dimension 12 in F^24, "
-                "hence self-dual; an even self-dual code contains the all-ones "
-                "word, of weight 24"
-            ),
-            anchor="theorem-a / n=64 / projection is self-dual",
-            status=(64 - 40 == 24) and (2 * 12 == 24),
-            data={
-                "projection_ambient": 24,
-                "projection_dimension": 12,
-                "all_ones_weight": 24,
-            },
-        )
-    )
-
-    small_pairs = [row for row in pair_table if row[0] <= 40 and row[1] <= 40]
-    max_small = max(row[2] for row in small_pairs)
-    remark64 = verify_remark_a56(64)
-    steps.append(
-        ProofStep(
-            id="n64-projected-weights-small",
-            kind="arithmetic",
-            statement=(
-                "words with |v| and |v+w| both at most 40 project to weight at "
-                "most 20 < 24, so the all-ones preimage involves a weight-56 word"
-            ),
-            anchor="theorem-a / n=64 / small pairs project below 24",
-            status=max_small == 20 and max_small < 24,
-            data={
-                "pairs_scanned": small_pairs,
-                "max_projected_weight": max_small,
-                "required_weight": 24,
-            },
-        )
-    )
-    steps.append(
-        ProofStep(
-            id="n64-unique-56",
-            kind="cited-lemma",
-            statement=(
-                "the union bound caps a_56 at one in ambient 64, and the all-ones "
-                "preimage forces at least one, so there is exactly one weight-56 "
-                "word"
-            ),
-            anchor="theorem-a / n=64 / exactly one weight-56 word",
-            status=remark64.status,
-            data={
-                "cited": remark64.id,
-                "min_union_length": remark64.data["min_union_length"],
-                "ambient": 64,
-                "a56": 1,
-            },
-        )
-    )
-    steps.append(
-        ProofStep(
-            id="n64-contradiction",
-            kind="structural",
-            statement=(
-                "every weight-40 word covers the 8 coordinates outside the unique "
-                "weight-56 word, so the subcode vanishing at one such coordinate "
-                "has dimension 12 and weights in {24, 32, 56}, contradicting the "
-                "dimension-10 bound"
-            ),
-            anchor="theorem-a / n=64 / coordinate-vanishing subcode",
-            status=lemma.overall and (64 - 56 == 8) and (8 > 0) and (12 > 10),
-            data={
-                "cited": "lemma-24-32-56",
-                "free_coordinates": 8,
-                "subcode_dimension": 12,
-                "subcode_weights": [24, 32, 56],
-                "cited_bound": 10,
-            },
-        )
-    )
-
-    # Case n = 65.
-    sol65 = solve_weight_counts(65, 13, weights)
-    f56_65 = sol65.expressions[56]
-    want65 = AffineForm(Fraction(-5, 2), Fraction(1, 2), Fraction(-1, 2))
-    steps.append(
-        ProofStep(
-            id="n65-count-solve",
-            kind="arithmetic",
-            statement=(
-                "at spanning length 65 and dimension 13 the four moment equations "
-                "give a_56 = (a2_star - a3_star - 5)/2"
-            ),
-            anchor="theorem-a / n=65 / four-weight count solve",
-            status=f56_65 == want65 and sol65.consistent,
-            data={
-                "n": 65,
-                "dimension": 13,
-                "a24": str(sol65.expressions[24]),
-                "a32": str(sol65.expressions[32]),
-                "a40": str(sol65.expressions[40]),
-                "a56": str(f56_65),
-                "expected_a56": str(want65),
-            },
-        )
-    )
-    identity65 = f56_65.scaled(Fraction(2)) == AffineForm(
-        Fraction(-5), Fraction(1), Fraction(-1)
-    )
-    steps.append(
-        ProofStep(
-            id="n65-dual-pair-exists",
-            kind="arithmetic",
-            statement=(
-                "rearranged, a2_star = 2*a_56 + a3_star + 5 >= 5 > 0, so the dual "
-                "contains a weight-2 word z"
-            ),
-            anchor="theorem-a / n=65 / the dual has a weight-2 word",
-            status=identity65,
-            data={
-                "a2_star_identity": "a2_star = 2*a_56 + a3_star + 5",
-                "a2_star_min": 5,
-            },
-        )
-    )
-    steps.append(
-        ProofStep(
-            id="n65-projection-has-no-dual-pair",
-            kind="arithmetic",
-            statement=(
-                "a weight-2 dual word of the projection would extend it to an "
-                "isotropic subspace of dimension 13 in F^25, impossible since "
-                "2*13 = 26 > 25; as z is orthogonal to w, its support meets "
-                "supp(w) in an even number of coordinates, so supp(z) lies "
-                "inside supp(w) for every weight-40 word w"
-            ),
-            anchor="theorem-a / n=65 / projected code admits no dual pair",
-            status=2 * 13 > 65 - 40,
-            data={
-                "projection_ambient": 25,
-                "extended_dimension": 13,
-                "isotropic_capacity_of_F25": 12,
-                "intersection_options": [0, 2],
-            },
-        )
-    )
-    steps.append(
-        ProofStep(
-            id="n65-contradiction",
-            kind="structural",
-            statement=(
-                "the subcode of words vanishing on supp(z) has dimension at least "
-                "12 (the two coordinates agree on every codeword), excludes every "
-                "weight-40 word, and keeps weights in {24, 32, 56} at ambient 63, "
-                "contradicting the dimension-10 bound"
-            ),
-            anchor="theorem-a / n=65 / shorten at the dual pair",
-            status=lemma.overall and (13 - 1 == 12) and (12 > 10) and (63 <= 67),
-            data={
-                "cited": "lemma-24-32-56",
-                "shortened_coordinates": 2,
-                "independent_constraints": 1,
-                "subcode_dimension_min": 12,
-                "ambient_after": 63,
-                "cited_bound": 10,
-            },
-        )
-    )
-
-    # Case n = 66.
-    sol66 = solve_weight_counts(66, 13, weights)
-    f56_66 = sol66.expressions[56]
-    want66 = AffineForm(Fraction(-13, 2), Fraction(1), Fraction(-1, 2))
-    steps.append(
-        ProofStep(
-            id="n66-count-solve",
-            kind="arithmetic",
-            statement=(
-                "at spanning length 66 and dimension 13 the four moment equations "
-                "give a_56 = a2_star - (a3_star + 13)/2"
-            ),
-            anchor="theorem-a / n=66 / four-weight count solve",
-            status=f56_66 == want66 and sol66.consistent,
-            data={
-                "n": 66,
-                "dimension": 13,
-                "a24": str(sol66.expressions[24]),
-                "a32": str(sol66.expressions[32]),
-                "a40": str(sol66.expressions[40]),
-                "a56": str(f56_66),
-                "expected_a56": str(want66),
-            },
-        )
-    )
-    steps.append(
-        ProofStep(
-            id="n66-dual-pairs-at-least-7",
-            kind="arithmetic",
-            statement=(
-                "rearranged, a2_star = a_56 + (a3_star + 13)/2 >= 13/2, and being "
-                "an integer a2_star >= 7; pick two distinct weight-2 dual words "
-                "z1, z2"
-            ),
-            anchor="theorem-a / n=66 / at least seven weight-2 dual words",
-            status=(f56_66 == want66) and (-(-13 // 2) == 7),
-            data={
-                "a2_star_identity": "a2_star = a_56 + (a3_star + 13)/2",
-                "a2_star_min": 7,
-            },
-        )
-    )
-    steps.append(
-        ProofStep(
-            id="n66-projected-pair-span",
-            kind="arithmetic",
-            statement=(
-                "a weight-2 dual word z' of the projection spans with it an "
-                "isotropic subspace of dimension 13 in F^26, which is self-dual "
-                "and so contains the all-ones word; all-ones has weight 26, not "
-                "a multiple of 4, so it lies outside the doubly even projection "
-                "and all-ones + z' is a projected word of weight 24"
-            ),
-            anchor="theorem-a / n=66 / dual pair of the projection forces weight 24",
-            status=(2 * 13 == 26) and (26 % 4 == 2) and (26 - 2 == 24),
-            data={
-                "span_dimension": 13,
-                "projection_ambient": 26,
-                "all_ones_weight": 26,
-                "forced_word_weight": 24,
-            },
-        )
-    )
-    sums_to_88 = sorted(
+    step(
+        "weight-40-exists", "cited-lemma",
+        f"without a weight-{w} word the weights lie in {lemma_weights} with ambient "
+        f"{n_max} <= {cap}, capping the dimension at {bound} < {dim}, so a "
+        f"counterexample contains a weight-{w} word w",
+        f"a weight-{w} word must occur",
+        lemma.overall and outside == [w] and n_max <= cap and bound < dim,
         {
-            tuple(sorted((wv, wvw)))
-            for wv in weights
-            for wvw in weights
-            if wv + wvw == 2 * 24 + 40
-        }
+            "cited": "lemma-24-32-56",
+            "lemma_overall": lemma.overall,
+            "bound_without_weight_40": bound,
+            "hypothetical_dimension": dim,
+            "ambient": n_max,
+            "ambient_cap": cap,
+        },
     )
-    remark66 = verify_remark_a56(66)
-    steps.append(
-        ProofStep(
-            id="n66-weight24-from-56",
-            kind="arithmetic",
-            statement=(
-                "a projected weight of 24 needs |v| + |v+w| = 88, realized only by "
-                "the pair {32, 56}; the fibers {v, v+w} map projected weight-24 "
-                "words injectively to weight-56 words, so a2_star(projection) <= "
-                "a_24(projection) <= a_56 <= 1 by the union bound at ambient 66"
-            ),
-            anchor="theorem-a / n=66 / projected weight 24 needs a weight-56 word",
-            status=sums_to_88 == [(32, 56)] and remark66.status,
-            data={
-                "cited": remark66.id,
-                "pair_sum_required": 88,
-                "pairs_matching": [list(p) for p in sums_to_88],
-                "a56_cap": 1,
-                "chain": "a2_star(projection) <= a24(projection) <= a56 <= 1",
-            },
-        )
-    )
-    steps.append(
-        ProofStep(
-            id="n66-contradiction",
-            kind="structural",
-            statement=(
-                "were both z1 and z2 disjoint from supp(w) they would project to "
-                "two dual pairs, exceeding the cap of 1, so every weight-40 word "
-                "meets Z = supp(z1) | supp(z2); the subcode vanishing on Z (at "
-                "most 4 coordinates, at most 2 independent constraints) has "
-                "dimension at least 11 and weights in {24, 32, 56} at ambient at "
-                "least 62, contradicting the dimension-10 bound"
-            ),
-            anchor="theorem-a / n=66 / shorten at two dual pairs",
-            status=lemma.overall and (7 >= 2) and (2 > 1) and (13 - 2 == 11) and (11 > 10),
-            data={
-                "cited": "lemma-24-32-56",
-                "dual_pairs_available": 7,
-                "dual_pairs_used": 2,
-                "projection_dual_pair_cap": 1,
-                "shortened_coordinates_max": 4,
-                "independent_constraints_max": 2,
-                "subcode_dimension_min": 11,
-                "ambient_after_min": 62,
-                "cited_bound": 10,
-            },
-        )
+    step(
+        "projection-dimension-12", "arithmetic",
+        "two disjoint nonzero codewords have weights summing to at least "
+        f"{low} + {low} = {2 * low} > {w}, so w is not a disjoint sum and "
+        f"projecting along w drops the dimension by exactly one, to {pdim}",
+        "projecting along w drops dimension exactly one",
+        2 * low > w,
+        {
+            "smallest_weight": low,
+            "min_disjoint_sum": 2 * low,
+            "weight_w": w,
+            "projected_dimension": pdim,
+        },
     )
 
-    steps.append(
-        ProofStep(
-            id="conclusion",
-            kind="structural",
-            statement=(
-                "every admissible spanning length (64, 65, 66) is refuted, so no "
-                "13-dimensional code exists; higher dimensions contain "
-                "13-dimensional subcodes with the same weights, so the dimension "
-                "is at most 12"
-            ),
-            anchor="theorem-a / all spanning lengths refuted",
-            status=all(step.status for step in steps),
-            data={
-                "cases": [64, 65, 66],
-                "dimension_bound": 12,
-            },
-        )
+    pair_table = _pair_scan(weights, w)
+    pairs = pair_table + [[w, 0, projected_weight(w, 0, w)]]
+    doubly_even = all(row[2] % 4 == 0 for row in pairs)
+    step(
+        "projection-doubly-even", "arithmetic",
+        f"every projected weight (|v| + |v+w| - {w})/2 over the weight set is a "
+        "multiple of 4, so the projection is doubly even and in particular "
+        "isotropic",
+        "projected weights are multiples of 4",
+        doubly_even,
+        {"weight_w": w, "pairs": pairs, "all_multiples_of_4": doubly_even},
     )
 
+    # A spanning length's deficit is how far its projection's length n - w
+    # exceeds 2 * pdim.  The replay refutes deficit 0 (a self-dual
+    # projection) and each deficit with a stated a_56 form.
+    base = w + 2 * pdim
+    window = list(range(base, n_max + 1))
+    handled = [0, *_STATED_A56]
+    cases = [base + deficit for deficit in handled]
+    step(
+        "length-window", "arithmetic",
+        f"an isotropic dimension-{pdim} code needs ambient at least {2 * pdim}, "
+        f"so the spanning length n satisfies n - {w} >= {2 * pdim}; with "
+        f"n <= {n_max} the cases are n in {_braces(window)}",
+        "isotropic dimension caps the length deficit",
+        [n - base for n in window] == handled,
+        {
+            "isotropic_dimension": pdim,
+            "min_projection_ambient": 2 * pdim,
+            "length_window": window,
+        },
+    )
+
+    # Deficit 0: the projection is self-dual.
+    n = cases[0]
+    ambient = n - w
+    step(
+        "n64-projection-self-dual", "arithmetic",
+        f"at n = {n} the projection is isotropic of dimension {pdim} in "
+        f"F^{ambient}, hence self-dual; an even self-dual code contains the "
+        f"all-ones word, of weight {ambient}",
+        f"n={n} / projection is self-dual",
+        doubly_even and 2 * pdim == ambient,
+        {
+            "projection_ambient": ambient,
+            "projection_dimension": pdim,
+            "all_ones_weight": ambient,
+        },
+    )
+    small_pairs = [row for row in pair_table if row[0] <= w and row[1] <= w]
+    max_small = max(row[2] for row in small_pairs)
+    step(
+        "n64-projected-weights-small", "arithmetic",
+        f"words with |v| and |v+w| both at most {w} project to weight at most "
+        f"{max_small} < {ambient}, so the all-ones preimage involves a "
+        f"weight-{top} word",
+        f"n={n} / small pairs project below {ambient}",
+        max_small < ambient and [x for x in weights if x > w] == [top],
+        {
+            "pairs_scanned": small_pairs,
+            "max_projected_weight": max_small,
+            "required_weight": ambient,
+        },
+    )
+    remark = verify_remark_a56(n)
+    step(
+        "n64-unique-56", "cited-lemma",
+        f"the union bound caps a_{top} at one in ambient {n}, and the all-ones "
+        f"preimage forces at least one, so there is exactly one weight-{top} word",
+        f"n={n} / exactly one weight-{top} word",
+        remark.status,
+        {
+            "cited": remark.id,
+            "min_union_length": remark.data["min_union_length"],
+            "ambient": n,
+            "a56": 1,
+        },
+    )
+    free = n - top
+    step(
+        "n64-contradiction", "structural",
+        f"every weight-{w} word covers the {free} coordinates outside the unique "
+        f"weight-{top} word, so the subcode vanishing at one such coordinate has "
+        f"dimension {pdim} and weights in {lemma_weights}, contradicting the "
+        f"dimension-{bound} bound",
+        f"n={n} / coordinate-vanishing subcode",
+        lemma.overall and free > 0 and pdim > bound and n <= cap,
+        {
+            "cited": "lemma-24-32-56",
+            "free_coordinates": free,
+            "subcode_dimension": pdim,
+            "subcode_weights": list(_LEMMA_WEIGHTS),
+            "cited_bound": bound,
+        },
+    )
+
+    # Deficit k = 1: one weight-2 dual word z, which the projection cannot
+    # have; shortening at it costs k dimensions and 2k coordinates.
+    k = 1
+    n = cases[k]
+    ambient = n - w
+    matched, rearranged, floor = count_solve("n65-count-solve", n, k)
+    a2_min = math.ceil(floor)
+    step(
+        "n65-dual-pair-exists", "arithmetic",
+        f"rearranged, a2_star = {rearranged} >= {floor} > 0, so the dual "
+        "contains a weight-2 word z",
+        f"n={n} / the dual has a weight-2 word",
+        matched and a2_min >= k,
+        {"a2_star_identity": f"a2_star = {rearranged}", "a2_star_min": a2_min},
+    )
+    step(
+        "n65-projection-has-no-dual-pair", "arithmetic",
+        "a weight-2 dual word of the projection would extend it to an isotropic "
+        f"subspace of dimension {pdim + 1} in F^{ambient}, impossible since "
+        f"2*{pdim + 1} = {2 * (pdim + 1)} > {ambient}; as z is orthogonal to w, its support "
+        "meets supp(w) in an even number of coordinates, so supp(z) lies inside "
+        f"supp(w) for every weight-{w} word w",
+        f"n={n} / projected code admits no dual pair",
+        2 * (pdim + 1) > ambient,
+        {
+            "projection_ambient": ambient,
+            "extended_dimension": pdim + 1,
+            f"isotropic_capacity_of_F{ambient}": ambient // 2,
+            "intersection_options": [0, 2],
+        },
+    )
+    step(
+        "n65-contradiction", "structural",
+        "the subcode of words vanishing on supp(z) has dimension at least "
+        f"{dim - k} (the two coordinates agree on every codeword), excludes every "
+        f"weight-{w} word, and keeps weights in {lemma_weights} at ambient {n - 2 * k}, "
+        f"contradicting the dimension-{bound} bound",
+        f"n={n} / shorten at the dual pair",
+        lemma.overall and a2_min >= k and dim - k > bound and n - 2 * k <= cap,
+        {
+            "cited": "lemma-24-32-56",
+            "shortened_coordinates": 2 * k,
+            "independent_constraints": k,
+            "subcode_dimension_min": dim - k,
+            "ambient_after": n - 2 * k,
+            "cited_bound": bound,
+        },
+    )
+
+    # Deficit k = 2: two weight-2 dual words z1, z2, while the projection
+    # allows at most one dual pair.
+    k = 2
+    n = cases[k]
+    ambient = n - w
+    matched, rearranged, floor = count_solve("n66-count-solve", n, k)
+    a2_min = math.ceil(floor)
+    step(
+        "n66-dual-pairs-at-least-7", "arithmetic",
+        f"rearranged, a2_star = {rearranged} >= {floor}, and being an integer "
+        f"a2_star >= {a2_min}; pick two distinct weight-2 dual words z1, z2",
+        f"n={n} / at least seven weight-2 dual words",
+        matched and a2_min >= k,
+        {"a2_star_identity": f"a2_star = {rearranged}", "a2_star_min": a2_min},
+    )
+    forced = ambient - 2
+    step(
+        "n66-projected-pair-span", "arithmetic",
+        "a weight-2 dual word z' of the projection spans with it an isotropic "
+        f"subspace of dimension {pdim + 1} in F^{ambient}, which is self-dual and "
+        f"so contains the all-ones word; all-ones has weight {ambient}, not a "
+        "multiple of 4, so it lies outside the doubly even projection and "
+        f"all-ones + z' is a projected word of weight {forced}",
+        f"n={n} / dual pair of the projection forces weight {forced}",
+        doubly_even and 2 * (pdim + 1) == ambient and ambient % 4 != 0,
+        {
+            "span_dimension": pdim + 1,
+            "projection_ambient": ambient,
+            "all_ones_weight": ambient,
+            "forced_word_weight": forced,
+        },
+    )
+    pair_sum = 2 * forced + w
+    matching = sorted(
+        {tuple(sorted((wv, wvw))) for wv in weights for wvw in weights if wv + wvw == pair_sum}
+    )
+    remark = verify_remark_a56(n)
+    step(
+        "n66-weight24-from-56", "arithmetic",
+        f"a projected weight of {forced} needs |v| + |v+w| = {pair_sum}, realized "
+        f"only by the pair {', '.join(_braces(p) for p in matching)}; the fibers "
+        f"{{v, v+w}} map projected weight-{forced} words injectively to "
+        f"weight-{top} words, so a2_star(projection) <= a_{forced}(projection) "
+        f"<= a_{top} <= 1 by the union bound at ambient {n}",
+        f"n={n} / projected weight {forced} needs a weight-{top} word",
+        matching and all(p.count(top) == 1 for p in matching) and remark.status,
+        {
+            "cited": remark.id,
+            "pair_sum_required": pair_sum,
+            "pairs_matching": [list(p) for p in matching],
+            "a56_cap": 1,
+            "chain": f"a2_star(projection) <= a{forced}(projection) <= a{top} <= 1",
+        },
+    )
+    step(
+        "n66-contradiction", "structural",
+        "were both z1 and z2 disjoint from supp(w) they would project to two dual "
+        f"pairs, exceeding the cap of 1, so every weight-{w} word meets "
+        f"Z = supp(z1) | supp(z2); the subcode vanishing on Z (at most {2 * k} "
+        f"coordinates, at most {k} independent constraints) has dimension at "
+        f"least {dim - k} and weights in {lemma_weights} at ambient at least {n - 2 * k}, "
+        f"contradicting the dimension-{bound} bound",
+        f"n={n} / shorten at two dual pairs",
+        lemma.overall and a2_min >= k and dim - k > bound and n - 2 * k <= cap,
+        {
+            "cited": "lemma-24-32-56",
+            "dual_pairs_available": a2_min,
+            "dual_pairs_used": k,
+            "projection_dual_pair_cap": 1,
+            "shortened_coordinates_max": 2 * k,
+            "independent_constraints_max": k,
+            "subcode_dimension_min": dim - k,
+            "ambient_after_min": n - 2 * k,
+            "cited_bound": bound,
+        },
+    )
+
+    step(
+        "conclusion", "structural",
+        f"every admissible spanning length ({', '.join(map(str, cases))}) is "
+        f"refuted, so no {dim}-dimensional code exists; higher dimensions contain "
+        f"{dim}-dimensional subcodes with the same weights, so the dimension is "
+        f"at most {dim - 1}",
+        "all spanning lengths refuted",
+        all(s.status for s in steps),
+        {"cases": cases, "dimension_bound": dim - 1},
+    )
     return ProofReport(
         theorem=(
-            "a binary linear code of length 66 whose nonzero weights lie in "
-            "{24, 32, 40, 56} has dimension at most 12"
+            f"a binary linear code of length {n_max} whose nonzero weights lie in "
+            f"{_braces(weights)} has dimension at most {dim - 1}"
         ),
         steps=tuple(steps),
     )

@@ -52,9 +52,10 @@ def _delete_coords(bits: int, keep: tuple[int, ...]) -> int:
     return out
 
 
-def _restrict(code: LinearCode, keep: tuple[int, ...]) -> LinearCode:
-    rows = [_delete_coords(r, keep) for r in code.generator.row_bits()]
-    return LinearCode.from_rows(Gf2Matrix.from_ints(rows, len(keep)))
+def _restrict(rows: Iterable[int], keep: tuple[int, ...]) -> LinearCode:
+    """Code spanned by bit-packed rows cut down to the coordinates in keep."""
+    restricted = [_delete_coords(r, keep) for r in rows]
+    return LinearCode.from_rows(Gf2Matrix.from_ints(restricted, len(keep)))
 
 
 def project(code: LinearCode, w: Gf2Vector) -> LinearCode:
@@ -69,7 +70,7 @@ def project(code: LinearCode, w: Gf2Vector) -> LinearCode:
     if not code.contains(w):
         raise ValueError("projection word is not a codeword")
     keep = tuple(i for i in range(code.n) if not (w.bits >> i) & 1)
-    return _restrict(code, keep)
+    return _restrict(code.generator.row_bits(), keep)
 
 
 def shorten(code: LinearCode, coords: Iterable[int]) -> LinearCode:
@@ -96,9 +97,9 @@ def shorten(code: LinearCode, coords: Iterable[int]) -> LinearCode:
             if (msg >> i) & 1:
                 word ^= rows[i]
         sub_rows.append(word)
-    keep = tuple(i for i in range(code.n) if i not in set(coord_set))
-    restricted = [_delete_coords(r, keep) for r in sub_rows]
-    return LinearCode.from_rows(Gf2Matrix.from_ints(restricted, len(keep)))
+    dropped = set(coord_set)
+    keep = tuple(i for i in range(code.n) if i not in dropped)
+    return _restrict(sub_rows, keep)
 
 
 def subcode_avoiding(code: LinearCode, v: Gf2Vector) -> LinearCode:
@@ -136,4 +137,4 @@ def spanning_form(code: LinearCode) -> LinearCode:
     for r in code.generator.row_bits():
         union |= r
     keep = tuple(i for i in range(code.n) if (union >> i) & 1)
-    return _restrict(code, keep)
+    return _restrict(code.generator.row_bits(), keep)

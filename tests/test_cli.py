@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -154,6 +155,29 @@ def test_verify_bad_range(capsys):
     assert "expects A..B" in capsys.readouterr().err
 
 
+# SHA-256 of stdout for each replay, pinned so that rewriting a verifier
+# cannot change a byte of its statements, anchors or data.
+VERIFY_DIGESTS = [
+    (["verify", "theorem-a"], 0,
+     "616879454c870e35e8691427213312018ab2554f3117e1dfe6f9a52277cdbdf5"),
+    (["verify", "theorem-a", "--json"], 0,
+     "e0521b22e7eb4453b0c0f9644c048d180545ef7ee1427f0e8c5c736b54e1dd58"),
+    (["verify", "lemma-24-32-56"], 0,
+     "3d51681eb7d0d34ec647614393cc25237e624c3ce51f47a7ed4242e730a99f32"),
+    (["verify", "lemma-24-32-56", "--json"], 0,
+     "22f78b3dc7894e544aa4f77e67d4a035bb9e6cd4373caf81ddf084c6d2d59bc1"),
+    (["verify", "lemma-2-6", "--d", "9", "--json"], 1,
+     "b145662509f2bc4b572a9b45e97e64718ed8f3e15188a9eb9261f0927bc6093e"),
+]
+
+
+def test_verify_output_matches_golden_digests(capsys):
+    for argv, code, digest in VERIFY_DIGESTS:
+        assert run(argv) == code, argv
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
 def test_search_cli(capsys):
     assert run(["search", "--n", "3", "--weights", "2"]) == 0
     out = capsys.readouterr().out.splitlines()
@@ -198,6 +222,24 @@ def test_usage_and_input_errors(capsys, tmp_path):
     capsys.readouterr()
     assert run(["verify", "no-such-claim"]) == 2
     capsys.readouterr()
+    # --cap belongs to the subcommands that enumerate codewords only.
+    for argv in (
+        ["search", "--n", "3", "--weights", "2"],
+        ["dual", EVEN4],
+        ["project", EVEN4, "--word", "0"],
+        ["shorten", EVEN4, "--coords", "0"],
+        ["feasibility", "--n", "3", "--d", "2", "--weights", "2"],
+        ["verify", "theorem-a"],
+    ):
+        assert run(argv + ["--cap", "1"]) == 2, argv
+        assert "unrecognized arguments: --cap 1" in capsys.readouterr().err
+    # --d and --n-range belong to lemma-2-6 only.
+    assert run(["verify", "theorem-a", "--d", "3", "--n-range", "5..6"]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "--d and --n-range" in err
+    assert run(["verify", "lemma-24-32-56", "--n-range", "1..128"]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "--n-range" in err
 
 
 def test_module_entry_point():

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from gf2codes import prover
 from gf2codes import (
     Gf2Matrix,
     LinearCode,
@@ -261,3 +262,21 @@ def test_reports_serialize_deterministically():
     assert len(doc["steps"]) == 18
     lemma = json.loads(verify_lemma_2_6(10).to_json())
     assert json.dumps(lemma)  # already plain JSON types
+
+
+@pytest.mark.parametrize(
+    "claim, failed_step",
+    [
+        ((67, 13, (24, 32, 40, 56)), "length-window"),
+        ((66, 12, (24, 32, 40, 56)), "length-window"),
+        ((66, 13, (24, 32, 48, 56)), "projection-dimension-12"),
+    ],
+    ids=["length-67", "dimension-12", "weight-48"],
+)
+def test_dimension_bound_theorem_rejects_mutated_claim(monkeypatch, claim, failed_step):
+    monkeypatch.setattr(prover, "_THEOREM_A", claim)
+    report = verify_theorem_a()
+    assert not report.overall
+    by_id = {s.id: s for s in report.steps}
+    assert not by_id[failed_step].status
+    assert not by_id["conclusion"].status
