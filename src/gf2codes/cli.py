@@ -25,7 +25,7 @@ from .codes import (
 from .gf2core import Gf2Vector
 from .moments import feasibility_check, moment_identities_check
 from .prover import verify_lemma_2_6, verify_lemma_24_32_56, verify_theorem_a
-from .search import DEFAULT_NODE_CAP, max_dimension_exhaustive
+from .search import DEFAULT_NODE_CAP, MAX_SEARCH_LENGTH, max_dimension_exhaustive
 from .transforms import project, shorten
 
 __all__ = ["run", "main"]
@@ -316,7 +316,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", parents=[common],
                        help="exhaustive maximum dimension for a weight set")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, required=True,
+                   help=f"code length, at most {MAX_SEARCH_LENGTH}")
     p.add_argument("--weights", required=True)
     p.add_argument("--node-cap", type=int, default=DEFAULT_NODE_CAP)
     p.set_defaults(func=_cmd_search)

@@ -398,12 +398,15 @@ def _braces(values) -> str:
 
 
 def _pair_scan(weights: tuple[int, ...], weight_w: int) -> list[list[int]]:
-    """Projected weight of every ordered weight pair (|v|, |v+w|)."""
-    return [
-        [wv, wvw, projected_weight(wv, wvw, weight_w)]
-        for wv in weights
-        for wvw in weights
-    ]
+    """Projected weight of every realizable ordered weight pair (|v|, |v+w|)."""
+    table = []
+    for wv in weights:
+        for wvw in weights:
+            try:
+                table.append([wv, wvw, projected_weight(wv, wvw, weight_w)])
+            except ValueError:
+                continue  # no word v has these two weights
+    return table
 
 
 def verify_theorem_a() -> ProofReport:
@@ -420,7 +423,6 @@ def verify_theorem_a() -> ProofReport:
     # The argument needs exactly one weight outside the lemma's set: the
     # weight w projected along.
     outside = sorted(set(weights) - set(_LEMMA_WEIGHTS))
-    w = outside[0]
     lemma_weights = _braces(_LEMMA_WEIGHTS)
     bound = _LEMMA_BOUND
     cap = _a56_ambient_cap()
@@ -433,6 +435,22 @@ def verify_theorem_a() -> ProofReport:
         steps.append(
             ProofStep(step_id, kind, statement, f"theorem-a / {anchor}", bool(status), data)
         )
+
+    theorem = (
+        f"a binary linear code of length {n_max} whose nonzero weights lie in "
+        f"{_braces(weights)} has dimension at most {dim - 1}"
+    )
+    if not outside:
+        step(
+            "weight-40-exists", "cited-lemma",
+            f"no weight of {_braces(weights)} lies outside {lemma_weights}, so "
+            "there is no weight to project along",
+            "a weight outside the lemma's set must occur",
+            False,
+            {"weights": list(weights), "lemma_weights": list(_LEMMA_WEIGHTS)},
+        )
+        return ProofReport(theorem=theorem, steps=tuple(steps))
+    w = outside[0]
 
     def count_solve(step_id: str, n: int, deficit: int) -> tuple[bool, str, Fraction]:
         """Solve the moment equations at length n; check the stated a_56 form.
@@ -539,7 +557,7 @@ def verify_theorem_a() -> ProofReport:
         },
     )
     small_pairs = [row for row in pair_table if row[0] <= w and row[1] <= w]
-    max_small = max(row[2] for row in small_pairs)
+    max_small = max((row[2] for row in small_pairs), default=0)
     step(
         "n64-projected-weights-small", "arithmetic",
         f"words with |v| and |v+w| both at most {w} project to weight at most "
@@ -721,10 +739,4 @@ def verify_theorem_a() -> ProofReport:
         all(s.status for s in steps),
         {"cases": cases, "dimension_bound": dim - 1},
     )
-    return ProofReport(
-        theorem=(
-            f"a binary linear code of length {n_max} whose nonzero weights lie in "
-            f"{_braces(weights)} has dimension at most {dim - 1}"
-        ),
-        steps=tuple(steps),
-    )
+    return ProofReport(theorem=theorem, steps=tuple(steps))

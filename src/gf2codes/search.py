@@ -2,16 +2,32 @@
 
 Every subspace of F_2^n has a unique reduced row-echelon generator, so a
 depth-first search over such generators visits each candidate code exactly
-once: rows are added with strictly increasing pivots, free bits enumerated
-in increasing numeric order, and a row is accepted only when every new
-codeword it creates (its sums with the words found so far) stays in the
-weight set.  Complements feasibility_check from the other side: search is
-exact but exponential, feasibility is fast but only necessary.
+once: rows are added with strictly increasing pivots (lowest set bits) and,
+at each pivot, tried in increasing numeric order.  Complements
+feasibility_check from the other side: search is exact but exponential,
+feasibility is fast but only necessary.
+
+The search is a branch-and-bound over admissible sets.  For the current
+code C, A(C) holds the nonzero words v whose whole coset v + C has weights
+in W; it is a 2^n-bit int with bit v set iff v is admissible.  A({0}) is
+the words of weight in W, a new row r must lie in A(C), and
+A(C + <r>) = A(C) & (A(C) translated by r).  Every word the finished code
+adds to C is admissible and has its lowest bit on a free pivot still ahead,
+so before each pivot the rows still to come number at most the nonempty
+free buckets left and at most floor(log2(1 + admissible words in them)); a
+branch that cannot beat the best code found so far is cut.  A cut branch
+never strictly improves on the incumbent, so the first witness found is the
+one the unpruned search finds.
+
+``nodes_explored`` counts the admissible candidate rows tried.  The sets
+take 2^n bits each, so lengths above ``MAX_SEARCH_LENGTH`` (20, where a
+set is 128 KiB) are refused.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable
 
@@ -22,12 +38,14 @@ from .transforms import spanning_form
 
 __all__ = [
     "DEFAULT_NODE_CAP",
+    "MAX_SEARCH_LENGTH",
     "SearchResult",
     "max_dimension_exhaustive",
     "cross_validate",
 ]
 
 DEFAULT_NODE_CAP = 10**8
+MAX_SEARCH_LENGTH = 20
 
 
 @dataclass(frozen=True)
@@ -46,6 +64,34 @@ class _NodeBudgetExceeded(Exception):
     pass
 
 
+@lru_cache(maxsize=None)  # one entry per length, at most MAX_SEARCH_LENGTH + 1
+def _word_tables(n: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """Bit sets over the 2^n words of F_2^n, bit v standing for word v.
+
+    Returns ``keep`` (keep[j]: the words with bit j clear), ``lowest``
+    (lowest[q]: the words whose lowest set bit is q) and ``by_weight``
+    (by_weight[w]: the words of weight w), each built by doubling.
+    """
+    size = 1 << n
+
+    def tile(pattern: int, period: int) -> int:
+        while period < size:
+            pattern |= pattern << period
+            period <<= 1
+        return pattern
+
+    keep = tuple(tile((1 << (1 << j)) - 1, 2 << j) for j in range(n))
+    lowest = tuple(tile(1 << (1 << q), 2 << q) for q in range(n))
+    by_weight = [1]
+    for m in range(n):
+        # Words below 2^m keep their weight; 2^m + u has weight |u| + 1.
+        by_weight = [
+            (by_weight[w] if w <= m else 0) | (by_weight[w - 1] << (1 << m) if w else 0)
+            for w in range(m + 2)
+        ]
+    return keep, lowest, tuple(by_weight)
+
+
 def max_dimension_exhaustive(
     n: int,
     weights: Iterable[int],
@@ -53,48 +99,62 @@ def max_dimension_exhaustive(
 ) -> SearchResult:
     """Exact maximum dimension of a code in F_2^n with weights inside the set.
 
-    Explores canonical generators only; ``node_cap`` bounds the number of
-    candidate rows examined, and an exhausted budget is reported through
-    ``complete=False`` (the result is then only a lower bound).
+    Explores canonical generators only, cutting branches that cannot beat
+    the best code found so far; ``node_cap`` bounds the number of admissible
+    candidate rows tried, and an exhausted budget is reported through
+    ``complete=False`` (the result is then only a lower bound).  Lengths
+    above ``MAX_SEARCH_LENGTH`` raise ValueError.
     """
     if n < 0:
         raise ValueError(f"negative length {n}")
+    if n > MAX_SEARCH_LENGTH:
+        raise ValueError(f"search supports lengths up to {MAX_SEARCH_LENGTH}, got {n}")
     wset = frozenset(weights)
     if any(w <= 0 or w > n for w in wset):
         raise ValueError(f"weights must lie in [1, {n}], got {sorted(wset)}")
 
+    keep, lowest, by_weight = _word_tables(n)
     best_rows: list[int] = []
     rows: list[int] = []
-    words: list[int] = []
     nodes = 0
 
-    def extend(last_pivot: int, union: int) -> None:
+    def extend(last_pivot: int, union: int, admissible: int) -> None:
         nonlocal nodes, best_rows
-        for pivot in range(last_pivot + 1, n):
-            if (union >> pivot) & 1:
-                continue
-            for mask in range(1 << (n - pivot - 1)):
+        free = [q for q in range(last_pivot + 1, n) if not (union >> q) & 1]
+        buckets = [admissible & lowest[q] for q in free]
+        counts = [bucket.bit_count() for bucket in buckets]
+        words_left = sum(counts)
+        buckets_left = sum(1 for count in counts if count)
+        for pivot, bucket, count in zip(free, buckets, counts):
+            bound = min(buckets_left, (1 + words_left).bit_length() - 1)
+            if len(rows) + bound <= len(best_rows):
+                return
+            words_left -= count
+            buckets_left -= count > 0
+            while bucket:
+                low = bucket & -bucket
+                bucket ^= low
                 nodes += 1
                 if nodes > node_cap:
                     raise _NodeBudgetExceeded
-                candidate = (1 << pivot) | (mask << (pivot + 1))
-                if candidate.bit_count() not in wset:
-                    continue
-                new_words = [candidate ^ x for x in words]
-                if any(x.bit_count() not in wset for x in new_words):
-                    continue
-                rows.append(candidate)
-                words.append(candidate)
-                words.extend(new_words)
+                row = low.bit_length() - 1
+                shifted = admissible
+                for j in range(pivot, n):
+                    if (row >> j) & 1:
+                        step = 1 << j
+                        shifted = ((shifted & keep[j]) << step) | ((shifted >> step) & keep[j])
+                rows.append(row)
                 if len(rows) > len(best_rows):
                     best_rows = list(rows)
-                extend(pivot, union | candidate)
-                del words[-(len(new_words) + 1):]
+                extend(pivot, union | row, admissible & shifted)
                 rows.pop()
 
+    root = 0
+    for w in wset:
+        root |= by_weight[w]
     complete = True
     try:
-        extend(-1, 0)
+        extend(-1, 0, root)
     except _NodeBudgetExceeded:
         complete = False
 

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from gf2codes import Gf2Matrix, LinearCode, parse_generator_text
+from gf2codes import Gf2Matrix, LinearCode, SearchResult, parse_generator_text
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -47,6 +47,52 @@ def brute_distribution(code: LinearCode) -> tuple[int, ...]:
     for w in all_codewords(code):
         counts[w.bit_count()] += 1
     return tuple(counts)
+
+
+def rref_dfs_reference(n: int, weights) -> SearchResult:
+    """The unpruned RREF depth-first search, kept as the search's oracle.
+
+    Tries every row with a free pivot in increasing numeric order and keeps
+    the codewords spanned so far in a list; ``nodes_explored`` counts every
+    row tried, admissible or not.  It has no node cap, so it always completes.
+    """
+    wset = frozenset(weights)
+    best_rows: list[int] = []
+    rows: list[int] = []
+    words: list[int] = []
+    nodes = 0
+
+    def extend(last_pivot: int, union: int) -> None:
+        nonlocal nodes, best_rows
+        for pivot in range(last_pivot + 1, n):
+            if (union >> pivot) & 1:
+                continue
+            for mask in range(1 << (n - pivot - 1)):
+                nodes += 1
+                candidate = (1 << pivot) | (mask << (pivot + 1))
+                if candidate.bit_count() not in wset:
+                    continue
+                new_words = [candidate ^ x for x in words]
+                if any(x.bit_count() not in wset for x in new_words):
+                    continue
+                rows.append(candidate)
+                words.append(candidate)
+                words.extend(new_words)
+                if len(rows) > len(best_rows):
+                    best_rows = list(rows)
+                extend(pivot, union | candidate)
+                del words[-(len(new_words) + 1):]
+                rows.pop()
+
+    extend(-1, 0)
+    return SearchResult(
+        n=n,
+        weights=tuple(sorted(wset)),
+        max_dimension=len(best_rows),
+        witness=Gf2Matrix.from_ints(best_rows, n) if best_rows else None,
+        nodes_explored=nodes,
+        complete=True,
+    )
 
 
 @pytest.fixture

@@ -185,6 +185,10 @@ def test_search_cli(capsys):
     assert run(["search", "--n", "6", "--weights", "2,4", "--node-cap", "5"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert "(INCOMPLETE: node cap reached)" in out[0]
+    assert run(["search", "--n", "21", "--weights", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: search supports lengths up to 20, got 21" in captured.err
 
 
 def test_every_subcommand_emits_schema_json(capsys):

@@ -280,3 +280,23 @@ def test_dimension_bound_theorem_rejects_mutated_claim(monkeypatch, claim, faile
     by_id = {s.id: s for s in report.steps}
     assert not by_id[failed_step].status
     assert not by_id["conclusion"].status
+
+
+@pytest.mark.parametrize(
+    "claim, failed_step",
+    [
+        ((66, 13, (24, 32, 41, 56)), "length-window"),
+        ((66, 13, (24, 32, 50, 56)), "projection-dimension-12"),
+        ((66, 13, (11, 24, 32, 56)), "length-window"),
+        ((66, 13, (24, 32, 56)), "weight-40-exists"),
+    ],
+    ids=["odd-weight-41", "weight-50", "odd-weight-11", "no-weight-outside-lemma"],
+)
+def test_unrealizable_or_missing_weight_fails_a_step(monkeypatch, claim, failed_step):
+    # Pairs (|v|, |v+w|) no word realizes are skipped by the scan (for weight
+    # 11 no pair with both weights at most 11 is left), and a claim with no
+    # weight to project along stops at its first step.
+    monkeypatch.setattr(prover, "_THEOREM_A", claim)
+    report = verify_theorem_a()
+    assert not report.overall
+    assert not {s.id: s for s in report.steps}[failed_step].status

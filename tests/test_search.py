@@ -1,12 +1,15 @@
+from itertools import combinations
+
 import pytest
 
-from conftest import all_codewords
+from conftest import all_codewords, rref_dfs_reference
 from gf2codes import (
     Gf2Matrix,
     LinearCode,
     cross_validate,
     max_dimension_exhaustive,
 )
+from gf2codes.search import MAX_SEARCH_LENGTH
 
 
 def naive_max_dimension(n: int, wset: frozenset[int]) -> int:
@@ -45,7 +48,9 @@ def test_spot_values():
 
 def test_first_witness_is_deterministic():
     result = max_dimension_exhaustive(3, {2})
-    assert result.nodes_explored == 10
+    # Admissible candidates tried: 011, 101, then 110 under 101; the
+    # top-level pivot-1 bucket {110} is cut, it cannot beat dimension 2.
+    assert result.nodes_explored == 3
     assert result.complete
     assert result.witness == Gf2Matrix.from_ints([5, 6], 3)
     code = LinearCode.from_rows(result.witness)
@@ -98,6 +103,45 @@ def test_matches_naive_subspace_enumeration():
     for n, ws in cases:
         expected = naive_max_dimension(n, frozenset(ws))
         assert max_dimension_exhaustive(n, ws).max_dimension == expected, (n, ws)
+
+
+def _assert_matches_reference(n, ws):
+    got = max_dimension_exhaustive(n, ws)
+    want = rref_dfs_reference(n, ws)
+    assert got.max_dimension == want.max_dimension, (n, ws)
+    assert got.complete == want.complete, (n, ws)
+    rows = got.witness.row_bits() if got.witness is not None else None
+    want_rows = want.witness.row_bits() if want.witness is not None else None
+    assert rows == want_rows, (n, ws)
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_matches_unpruned_search_on_every_weight_set(n):
+    for r in range(n + 1):
+        for ws in combinations(range(1, n + 1), r):
+            _assert_matches_reference(n, ws)
+
+
+def test_matches_unpruned_search_on_small_weight_sets_at_length_8():
+    for r in range(4):
+        for ws in combinations(range(1, 9), r):
+            _assert_matches_reference(8, ws)
+
+
+def test_length_11_weights_4_6_8_completes():
+    result = max_dimension_exhaustive(11, {4, 6, 8})
+    assert result.complete
+    assert result.max_dimension == 6
+    code = LinearCode.from_rows(result.witness)
+    assert code.dimension == 6
+    assert {w.bit_count() for w in all_codewords(code) if w} <= {4, 6, 8}
+
+
+def test_length_guard():
+    assert MAX_SEARCH_LENGTH == 20
+    with pytest.raises(ValueError, match="lengths up to 20, got 21"):
+        max_dimension_exhaustive(MAX_SEARCH_LENGTH + 1, {2})
+    assert max_dimension_exhaustive(MAX_SEARCH_LENGTH, {20}).max_dimension == 1
 
 
 def test_empty_weight_set_and_zero_length():
