@@ -19,7 +19,6 @@ from .codes import (
 from .gf2core import Gf2Matrix, Gf2Vector, RrefResult, nullspace_basis, rref
 from .moments import (
     AffineForm,
-    DualCountBounds,
     FEASIBLE,
     FeasibilityVerdict,
     INFEASIBLE,
@@ -59,7 +58,6 @@ __all__ = [
     "FEASIBLE",
     "INFEASIBLE",
     "AffineForm",
-    "DualCountBounds",
     "FeasibilityVerdict",
     "Gf2Matrix",
     "Gf2Vector",

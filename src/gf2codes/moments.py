@@ -27,7 +27,6 @@ __all__ = [
     "AffineForm",
     "MomentReport",
     "LinearCountSolution",
-    "DualCountBounds",
     "FeasibilityVerdict",
     "FEASIBLE",
     "INFEASIBLE",
@@ -45,6 +44,9 @@ REASON_NEGATIVE = "negative count"
 REASON_NON_INTEGER = "non-integer count"
 REASON_DIVISIBILITY = "divisibility contradiction"
 REASON_INCONSISTENT = "inconsistent system"
+
+# (reason, certificate) of a failed check.
+Failure = tuple[str, str]
 
 
 @dataclass(frozen=True)
@@ -115,16 +117,6 @@ class LinearCountSolution:
     residuals: Mapping[int, AffineForm]
     consistent: bool
     note: str = ""
-
-
-@dataclass(frozen=True)
-class DualCountBounds:
-    """Optional box constraints on (a2_star, a3_star) for feasibility search."""
-
-    a2_min: int = 0
-    a2_max: int | None = None
-    a3_min: int = 0
-    a3_max: int | None = None
 
 
 @dataclass(frozen=True)
@@ -279,170 +271,119 @@ def _crt_merge(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int] | None:
     return (r1 + m1 * k) % l, l
 
 
-def _solve_pinned(form: AffineForm, fixed_a2: int | None) -> Fraction:
-    """Value forced on the remaining parameter by a vanishing residual."""
-    if fixed_a2 is None:
-        return -form.const / form.a2_coeff
-    return -(form.const + form.a2_coeff * fixed_a2) / form.a3_coeff
-
-
-def feasibility_check(
-    n: int,
-    d: int,
-    weights: Iterable[int],
-    bounds: DualCountBounds | None = None,
-) -> FeasibilityVerdict:
+def feasibility_check(n: int, d: int, weights: Iterable[int]) -> FeasibilityVerdict:
     """Search for (a2_star, a3_star) making all counts nonnegative integers.
 
     A necessary-condition check: Infeasible rules out any spanning code of
-    length n and dimension d with nonzero weights inside the given set;
-    Feasible only reports a consistent assignment.  The search box defaults
-    to 0 <= a2_star <= C(n,2), 0 <= a3_star <= C(n,3).
+    length n and dimension d with nonzero weights inside the given set, which
+    must lie in [1, n]; Feasible only reports a consistent assignment.  The
+    box is 0 <= a2_star <= C(n,2), 0 <= a3_star <= C(n,3), scanned by
+    increasing a2_star, in one of three regimes for m weights:
+
+    * m <= 2: the counts are constants, and equations 3 and 4 force a2_star
+      and a3_star, so one a2_star is scanned;
+    * m = 3: no count involves a3_star, and equation 4 forces it;
+    * m = 4: the a3_star coefficient of every count is
+      -3*2^(d-2) / prod_{i != j}(w_j - w_i) (last column of the inverse
+      Vandermonde matrix), nonzero, and the least a3_star making every count
+      a nonnegative integer is taken.
+
+    The witness is the lexicographically least (a2_star, a3_star).  Every
+    a2_star scanned without one yields a failure, so unless the system, a
+    constant count or a forced a2_star fails first, the certificate is the
+    failure at the first a2_star scanned.
     """
     if n < 1 or d < 1:
         raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
     sol = solve_weight_counts(n, d, weights)
+    if sol.weights[-1] > n:
+        raise ValueError(f"weights must lie in [1, {n}], got {list(sol.weights)}")
     if not sol.consistent:
-        return FeasibilityVerdict(
-            status=INFEASIBLE,
-            reason=REASON_INCONSISTENT,
-            certificate=sol.note,
-        )
-    b = bounds or DualCountBounds()
-    a2_lo = max(0, b.a2_min)
-    a2_hi = comb(n, 2) if b.a2_max is None else min(b.a2_max, comb(n, 2))
-    a3_lo = max(0, b.a3_min)
-    a3_hi = comb(n, 3) if b.a3_max is None else min(b.a3_max, comb(n, 3))
+        return FeasibilityVerdict(INFEASIBLE, REASON_INCONSISTENT, certificate=sol.note)
+    m = len(sol.weights)
+    a2_hi, a3_hi = comb(n, 2), comb(n, 3)
+    a2_values: Iterable[int] = range(a2_hi + 1)
+    if m <= 2:
+        for w in sol.weights:
+            count = sol.expressions[w].const
+            if count.denominator != 1:
+                certificate = f"a_{w} = {count} is not an integer"
+                return FeasibilityVerdict(INFEASIBLE, REASON_NON_INTEGER, certificate=certificate)
+            if count < 0:
+                certificate = f"a_{w} = {count} is negative"
+                return FeasibilityVerdict(INFEASIBLE, REASON_NEGATIVE, certificate=certificate)
+        eq3 = sol.residuals[3]
+        forced_a2 = -eq3.const / eq3.a2_coeff
+        failure = _forced_failure(3, forced_a2, a2_hi)
+        if failure is not None:
+            return FeasibilityVerdict(INFEASIBLE, failure[0], certificate=failure[1])
+        a2_values = (int(forced_a2),)
+    if m <= 3:
+        # Equation 4 forces a3_star = a3_base + a3_slope * a2_star.
+        eq4 = sol.residuals[4]
+        a3_base, a3_slope = -eq4.const / eq4.a3_coeff, -eq4.a2_coeff / eq4.a3_coeff
 
-    # Counts that do not depend on the free parameters fail outright.
-    for w in sol.weights:
-        f = sol.expressions[w]
-        if f.is_constant():
-            if f.const.denominator != 1:
-                return FeasibilityVerdict(
-                    status=INFEASIBLE,
-                    reason=REASON_NON_INTEGER,
-                    certificate=f"a_{w} = {f.const} is not an integer",
-                )
-            if f.const < 0:
-                return FeasibilityVerdict(
-                    status=INFEASIBLE,
-                    reason=REASON_NEGATIVE,
-                    certificate=f"a_{w} = {f.const} is negative",
-                )
-
-    pin_a2 = next(
-        (
-            (k, f)
-            for k, f in sol.residuals.items()
-            if f.a2_coeff != 0 and f.a3_coeff == 0
-        ),
-        None,
-    )
-    pin_a3 = next(((k, f) for k, f in sol.residuals.items() if f.a3_coeff != 0), None)
-
-    failure: tuple[str, str] | None = None
-
-    def record(reason: str, certificate: str) -> None:
-        nonlocal failure
-        if failure is None:
-            failure = (reason, certificate)
-
-    if pin_a2 is not None:
-        k, f = pin_a2
-        val = _solve_pinned(f, None)
-        if val.denominator != 1:
-            v2 = _two_adic_valuation(val)
-            detail = f" (2-adic valuation {v2} < 0)" if v2 is not None and v2 < 0 else ""
-            return FeasibilityVerdict(
-                status=INFEASIBLE,
-                reason=REASON_DIVISIBILITY,
-                certificate=f"equation {k} forces a2_star = {val}, not an integer{detail}",
-            )
-        if not a2_lo <= val <= a2_hi:
-            return FeasibilityVerdict(
-                status=INFEASIBLE,
-                reason=REASON_INCONSISTENT,
-                certificate=f"equation {k} forces a2_star = {val}, outside [{a2_lo}, {a2_hi}]",
-            )
-        a2_candidates: Iterable[int] = (int(val),)
-    else:
-        a2_candidates = range(a2_lo, a2_hi + 1)
-
-    for a2 in a2_candidates:
-        if pin_a3 is not None:
-            k, f = pin_a3
-            val = _solve_pinned(f, a2)
-            if val.denominator != 1:
-                record(
-                    REASON_DIVISIBILITY,
-                    f"at a2_star={a2}, equation {k} forces a3_star = {val}, not an integer",
-                )
-                continue
-            if not a3_lo <= val <= a3_hi:
-                record(
-                    REASON_INCONSISTENT,
-                    f"at a2_star={a2}, equation {k} forces a3_star = {val}, "
-                    f"outside [{a3_lo}, {a3_hi}]",
-                )
-                continue
-            candidate_a3s: Iterable[int] = (int(val),)
+    failure = None
+    for a2 in a2_values:
+        if m <= 3:
+            a3 = a3_base + a3_slope * a2
+            bad = _forced_failure(4, a3, a3_hi, a2)
         else:
-            found = _admissible_a3(sol, a2, a3_lo, a3_hi, record)
-            candidate_a3s = () if found is None else (found,)
-        for a3 in candidate_a3s:
-            counts: dict[int, int] = {}
-            ok = True
-            for w in sol.weights:
-                value = sol.expressions[w].evaluate(a2, a3)
-                if value.denominator != 1:
-                    record(REASON_NON_INTEGER, f"a_{w} = {value} at (a2_star={a2}, a3_star={a3})")
-                    ok = False
-                    break
-                if value < 0:
-                    record(REASON_NEGATIVE, f"a_{w} = {value} at (a2_star={a2}, a3_star={a3})")
-                    ok = False
-                    break
-                counts[w] = int(value)
-            if ok:
-                return FeasibilityVerdict(
-                    status=FEASIBLE,
-                    reason=REASON_NONE,
-                    witness={"a2_star": a2, "a3_star": a3, "counts": counts},
-                )
-    reason, certificate = failure if failure is not None else (
-        REASON_INCONSISTENT,
-        "empty search range for (a2_star, a3_star)",
-    )
-    return FeasibilityVerdict(status=INFEASIBLE, reason=reason, certificate=certificate)
+            a3, bad = _admissible_a3(sol, a2, a3_hi)
+        if bad is None:
+            bad = _count_failure(sol, a2, a3)
+        if bad is None:
+            counts = {w: int(sol.expressions[w].evaluate(a2, a3)) for w in sol.weights}
+            witness = {"a2_star": a2, "a3_star": int(a3), "counts": counts}
+            return FeasibilityVerdict(FEASIBLE, REASON_NONE, witness=witness)
+        failure = failure or bad
+    return FeasibilityVerdict(INFEASIBLE, failure[0], certificate=failure[1])
+
+
+def _forced_failure(k: int, value: Fraction, hi: int, a2: int | None = None) -> Failure | None:
+    """Why the value equation k forces is not an integer in [0, hi], or None.
+
+    The forced parameter is a2_star when ``a2`` is None, else a3_star at
+    that a2_star; only an a2_star certificate carries the 2-adic detail.
+    """
+    if value.denominator == 1 and 0 <= value <= hi:
+        return None
+    name, where = ("a2_star", "") if a2 is None else ("a3_star", f"at a2_star={a2}, ")
+    claim = f"{where}equation {k} forces {name} = {value}"
+    if value.denominator == 1:
+        return REASON_INCONSISTENT, f"{claim}, outside [0, {hi}]"
+    detail = ""
+    if a2 is None and (v2 := _two_adic_valuation(value)) < 0:
+        detail = f" (2-adic valuation {v2} < 0)"
+    return REASON_DIVISIBILITY, f"{claim}, not an integer{detail}"
+
+
+def _count_failure(sol: LinearCountSolution, a2: int, a3: int | Fraction) -> Failure | None:
+    """The first count that is not a nonnegative integer at (a2, a3), or None."""
+    for w in sol.weights:
+        value = sol.expressions[w].evaluate(a2, a3)
+        if value.denominator != 1:
+            return REASON_NON_INTEGER, f"a_{w} = {value} at (a2_star={a2}, a3_star={a3})"
+        if value < 0:
+            return REASON_NEGATIVE, f"a_{w} = {value} at (a2_star={a2}, a3_star={a3})"
+    return None
 
 
 def _admissible_a3(
-    sol: LinearCountSolution,
-    a2: int,
-    a3_lo: int,
-    a3_hi: int,
-    record,
-) -> int | None:
-    """Smallest a3 in [a3_lo, a3_hi] making every count a nonnegative integer.
+    sol: LinearCountSolution, a2: int, a3_hi: int
+) -> tuple[int | None, Failure | None]:
+    """Smallest a3 in [0, a3_hi] making every count a nonnegative integer.
 
-    With a2 fixed each count is alpha + beta * a3; nonnegativity becomes an
-    interval in a3 and integrality a congruence, merged across counts.
+    With four weights and a2 fixed each count is alpha + beta * a3, beta != 0;
+    nonnegativity becomes an interval in a3 and integrality a congruence,
+    merged across counts.  Returns (a3, None) or (None, failure).
     """
-    lo, hi = a3_lo, a3_hi
+    lo, hi = 0, a3_hi
     rem, mod = 0, 1
     for w in sol.weights:
         f = sol.expressions[w]
         alpha = f.const + f.a2_coeff * a2
         beta = f.a3_coeff
-        if beta == 0:
-            if alpha.denominator != 1:
-                record(REASON_NON_INTEGER, f"a_{w} = {alpha} at a2_star={a2}")
-                return None
-            if alpha < 0:
-                record(REASON_NEGATIVE, f"a_{w} = {alpha} at a2_star={a2}")
-                return None
-            continue
         bound = -alpha / beta
         if beta > 0:
             lo = max(lo, ceil(bound))
@@ -453,31 +394,21 @@ def _admissible_a3(
         b_int = int(beta * denom)
         g = gcd(b_int, denom)
         if (-a_int) % g:
-            record(
-                REASON_NON_INTEGER,
-                f"a_{w} = {alpha} + {beta}*a3_star is never an integer at a2_star={a2}",
-            )
-            return None
+            never = f"a_{w} = {alpha} + {beta}*a3_star is never an integer at a2_star={a2}"
+            return None, (REASON_NON_INTEGER, never)
         step = denom // g
         r0 = ((-a_int // g) * pow(b_int // g, -1, step)) % step if step > 1 else 0
         merged = _crt_merge(rem, mod, r0, step)
         if merged is None:
-            record(
-                REASON_NON_INTEGER,
-                f"integrality congruences on a3_star conflict at a2_star={a2}",
-            )
-            return None
+            conflict = f"integrality congruences on a3_star conflict at a2_star={a2}"
+            return None, (REASON_NON_INTEGER, conflict)
         rem, mod = merged
     if lo > hi:
-        record(REASON_NEGATIVE, f"no a3_star in [{a3_lo}, {a3_hi}] keeps all counts "
-                                f"nonnegative at a2_star={a2}")
-        return None
+        empty = f"no a3_star in [0, {a3_hi}] keeps all counts nonnegative at a2_star={a2}"
+        return None, (REASON_NEGATIVE, empty)
     first = lo + ((rem - lo) % mod)
     if first > hi:
-        record(
-            REASON_NON_INTEGER,
-            f"no integer-valued a3_star in [{lo}, {hi}] at a2_star={a2} "
-            f"(need a3_star = {rem} mod {mod})",
-        )
-        return None
-    return first
+        missed = (f"no integer-valued a3_star in [{lo}, {hi}] at a2_star={a2} "
+                  f"(need a3_star = {rem} mod {mod})")
+        return None, (REASON_NON_INTEGER, missed)
+    return first, None

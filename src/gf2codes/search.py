@@ -178,9 +178,9 @@ def cross_validate(
 
     For every length up to n_max and every subset W of the universe, a
     witness found by exhaustive search is re-embedded at its spanning
-    length and must not be ruled out by feasibility_check: a disagreement
-    would mean the necessary condition is not actually necessary.  Returns
-    (n, W, agree) triples.
+    length and, with the weights of W that fit in that length, must not be
+    ruled out by feasibility_check: a disagreement would mean the necessary
+    condition is not actually necessary.  Returns (n, W, agree) triples.
     """
     universe = sorted(set(weight_universe))
     results: list[tuple[int, tuple[int, ...], bool]] = []
@@ -192,7 +192,8 @@ def cross_validate(
                 agree = True
                 if found.max_dimension >= 1 and found.witness is not None:
                     code = spanning_form(LinearCode.from_rows(found.witness))
-                    verdict = feasibility_check(code.n, code.dimension, wset)
+                    fitting = tuple(w for w in wset if w <= code.n)
+                    verdict = feasibility_check(code.n, code.dimension, fitting)
                     agree = verdict.feasible
                 results.append((n, subset, agree))
     return results

@@ -178,6 +178,56 @@ def test_verify_output_matches_golden_digests(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
+# SHA-256 of `feasibility --json` stdout for one case per certificate the
+# scan can give, then feasible cases and the paper's two, pinned so that
+# rewriting the scan cannot change a verdict, witness or certificate.
+FEASIBILITY_DIGESTS = [
+    # equation 2 reduces to -1 = 0
+    ((2, 1, "1"), "4a15ac8bd06b965775667aaa920156829c427bc77be7c35b02ba601fd405e444"),
+    # equation 3 forces a2_star = -1/2, not an integer (2-adic valuation -1 < 0)
+    ((2, 3, "1,2"), "6e6fac00995d5c506ef591d127dd1a1194645e743ec6e5eaf951c9fd389c48ac"),
+    # at a2_star=3, equation 4 forces a3_star = -2, outside [0, 4]
+    ((4, 3, "1,4"), "edc5138507e91752590e0d087ae1bc26109d63f4809913dbc7b611420c64211c"),
+    # equation 3 forces a2_star = -1, outside [0, 6]
+    ((4, 4, "2,4"), "42673223a3002dff42a14edc5def4c70374242ed9fc4feb1e8812fe6a14336e1"),
+    # a_1 = -1 is negative
+    ((3, 1, "1,2"), "2a8651d9488172a80b770ef18ec9b541b2b6e06177c9e32bba609e1b8544e4c6"),
+    # a_1 = 3/2 is not an integer
+    ((3, 2, "1,3"), "ef9e9eb1672ee1a4265bdb4ed80a0070bef37dcef8f8f854d6f67703b64d3136"),
+    # at a2_star=0, equation 4 forces a3_star = -3/2, not an integer
+    ((6, 7, "2,4,6"), "7a502f11516e511dc03b548ce601eea9f35b23e1a02ab2c2aee0ec54e9f40942"),
+    # at a2_star=0, equation 4 forces a3_star = -1, outside [0, 20]
+    ((6, 6, "2,4,6"), "92d5b2de6e12138862708c4aea3b333609c9790a0abb6093ca7180d7590bcb78"),
+    # a_10 = -4 at (a2_star=0, a3_star=10)
+    ((10, 5, "4,8,10"), "fe351b55b981f87431a5134ce592851832f66d34d3efe6898520a5a52eb94337"),
+    # a_2 = -9/4 at (a2_star=0, a3_star=31)
+    ((7, 1, "2,4,6"), "628076768c528ec78313cdf5c1c633dd02555d02277e5223875a810672320c63"),
+    # no a3_star in [0, 120] keeps all counts nonnegative at a2_star=0
+    ((10, 6, "4,6,8,10"), "13974d3668ca80de0c1d782a0d0cd931f8d33cf415420d042464d101bfadbf7c"),
+    # a_2 = 45/4 + 3/2*a3_star is never an integer at a2_star=0
+    ((10, 7, "2,4,6,10"), "e95db619acb3b30edf29707759565f47d25053d316adbbb1e58f4748feaa4bd6"),
+    # integrality congruences on a3_star conflict at a2_star=0
+    ((9, 1, "2,4,6,8"), "7cb764c929a4172c0489030f8fbbb4d443765f9a0e78302a51b4754a84e1eef2"),
+    # no integer-valued a3_star in [0, 5] at a2_star=0 (need a3_star = 30 mod 40)
+    ((12, 5, "2,6,10,12"), "4b45bdb3778e1899c4081359044fdc55426d070e8cb4714845424b8d10afbced"),
+    # feasible with one, three and four weights
+    ((2, 1, "2"), "726038f4fe539fd0bf0aea404c2abf0b4cdf34d5381aaa0c97bae78d72a166e4"),
+    ((6, 1, "2,4,6"), "f2d270c3a153413f0226d7357ea5551235c6a5377a8bb35fd2bcf79ab21406e1"),
+    ((8, 1, "2,4,6,8"), "0113239e60db3eadbb4c5df475c25dd2f9bd52773e0bb5b013350dbe5cf99d55"),
+    # the paper's cases: a_32 = -13 is negative; no a3_star in [0, 341376] ...
+    ((32, 4, "24,32"), "aa3409f35ff1dd1646ad9f817a60023a54a5625ca53c25dab0c7a6da6df5e5cd"),
+    ((128, 10, "24,32,40,56"), "7c75b40e2d2652bd5036b6014f3470cffeeed040ad7de5232ed33fb011b8bad7"),
+]
+
+
+def test_feasibility_output_matches_golden_digests(capsys):
+    for (n, d, weights), digest in FEASIBILITY_DIGESTS:
+        argv = ["feasibility", "--n", str(n), "--d", str(d), "--weights", weights, "--json"]
+        assert run(argv) == 0, argv
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
 def test_search_cli(capsys):
     assert run(["search", "--n", "3", "--weights", "2"]) == 0
     out = capsys.readouterr().out.splitlines()
@@ -244,6 +294,11 @@ def test_usage_and_input_errors(capsys, tmp_path):
     assert run(["verify", "lemma-24-32-56", "--n-range", "1..128"]) == 2
     err = capsys.readouterr().err
     assert "error:" in err and "--n-range" in err
+    # Feasibility weights must fit in the length.
+    assert run(["feasibility", "--n", "10", "--d", "4", "--weights", "1,6,7,12"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: weights must lie in [1, 10], got [1, 6, 7, 12]" in captured.err
 
 
 def test_module_entry_point():

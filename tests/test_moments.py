@@ -1,12 +1,13 @@
+import itertools
 import random
 from fractions import Fraction
+from math import comb, prod
 
 import pytest
 
 from conftest import random_code
 from gf2codes import (
     AffineForm,
-    DualCountBounds,
     FEASIBLE,
     INFEASIBLE,
     Gf2Matrix,
@@ -115,6 +116,12 @@ def test_solve_weight_counts_satisfies_used_equations():
         m = rng.randrange(1, 5)
         ws = tuple(sorted(rng.sample(range(1, n + 1), min(m, n))))
         sol = solve_weight_counts(n, d, ws)
+        if len(ws) == 4:
+            # The last column of the inverse Vandermonde matrix times the
+            # a3_star coefficient -3*2^(d-2) of equation 4: never zero.
+            for w in ws:
+                expected = Fraction(-3 * 2**d, 4) / prod(w - v for v in ws if v != w)
+                assert sol.expressions[w].a3_coeff == expected != 0
         # Checking at three affinely independent points plus a random one
         # proves the affine identity, not just a coincidence.
         points = [(0, 0), (1, 0), (0, 1), (rng.randrange(50), rng.randrange(50))]
@@ -176,13 +183,56 @@ def test_feasibility_divisibility():
     )
 
 
-def test_feasibility_respects_bounds():
-    unbounded = feasibility_check(3, 2, (2,))
-    assert unbounded.feasible
-    pinned = feasibility_check(3, 2, (2,), bounds=DualCountBounds(a3_max=0))
-    assert pinned.status == INFEASIBLE
-    assert pinned.reason == "inconsistent system"
-    assert "outside [0, 0]" in pinned.certificate
+def test_feasibility_forced_value_outside_box():
+    verdict = feasibility_check(4, 4, (2, 4))
+    assert verdict.status == INFEASIBLE
+    assert verdict.reason == "inconsistent system"
+    assert verdict.certificate == "equation 3 forces a2_star = -1, outside [0, 6]"
+    verdict = feasibility_check(6, 6, (2, 4, 6))
+    assert verdict.status == INFEASIBLE
+    assert verdict.reason == "inconsistent system"
+    assert verdict.certificate == (
+        "at a2_star=0, equation 4 forces a3_star = -1, outside [0, 20]"
+    )
+
+
+def test_feasibility_rejects_weights_above_length():
+    with pytest.raises(ValueError, match=r"weights must lie in \[1, 10\], got \[1, 6, 7, 12\]"):
+        feasibility_check(10, 4, (1, 6, 7, 12))
+    # The count solve itself takes such weights: Lemma 2.6 solves {24, 32}
+    # at lengths below 32.
+    assert solve_weight_counts(10, 4, (1, 6, 7, 12)).consistent
+    assert solve_weight_counts(30, 8, (24, 32)).consistent
+
+
+def lexicographic_oracle(n, d, weights):
+    """Least (a2*, a3*) in the whole box where every residual of the count
+    solve vanishes and every count is a nonnegative integer, as a witness."""
+    sol = solve_weight_counts(n, d, weights)
+    for a2 in range(comb(n, 2) + 1):
+        for a3 in range(comb(n, 3) + 1):
+            if any(r.evaluate(a2, a3) != 0 for r in sol.residuals.values()):
+                continue
+            counts = [sol.expressions[w].evaluate(a2, a3) for w in sol.weights]
+            if all(c.denominator == 1 and c >= 0 for c in counts):
+                return {"a2_star": a2, "a3_star": a3,
+                        "counts": {w: int(c) for w, c in zip(sol.weights, counts)}}
+    return None
+
+
+def test_feasibility_matches_box_scan_oracle():
+    checked = feasible = 0
+    for n in range(1, 7):
+        for m in range(1, 5):
+            for weights in itertools.combinations(range(1, n + 1), m):
+                for d in range(1, 6):
+                    verdict = feasibility_check(n, d, weights)
+                    witness = lexicographic_oracle(n, d, weights)
+                    assert verdict.feasible == (witness is not None), (n, d, weights)
+                    assert verdict.witness == witness, (n, d, weights)
+                    checked += 1
+                    feasible += witness is not None
+    assert (checked, feasible) == (560, 204)
 
 
 def test_feasibility_holds_for_actual_codes(golay, hamming_7_4, hamming_8_4):

@@ -174,3 +174,8 @@ def test_search_agrees_with_feasibility():
     results = cross_validate(8, {2, 4})
     assert len(results) == 8 * 4
     assert all(agree for _, _, agree in results)
+    # {2, 6} at length 6 admits single words only, such as 110000, whose
+    # spanning length 2 is below the weight 6.
+    results = cross_validate(6, {2, 6})
+    assert len(results) == 6 * 4
+    assert all(agree for _, _, agree in results)
