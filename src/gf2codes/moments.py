@@ -16,7 +16,7 @@ constraints.  Everything here is exact rational arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, comb, floor, gcd, lcm
 from typing import Iterable, Mapping
@@ -125,12 +125,14 @@ class FeasibilityVerdict:
 
     Feasible means the moment system admits nonnegative integer counts; it
     does not promise a code exists.  Infeasible is a proof that none does.
+    ``scanned`` (outside equality) counts the a2_star values checked.
     """
 
     status: str
     reason: str
     witness: Mapping[str, object] | None = None
     certificate: str | None = None
+    scanned: int = field(default=0, compare=False)
 
     @property
     def feasible(self) -> bool:
@@ -261,7 +263,7 @@ def _two_adic_valuation(x: Fraction) -> int | None:
 
 
 def _crt_merge(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int] | None:
-    """Combine a3 = r1 (mod m1) with a3 = r2 (mod m2); None if incompatible."""
+    """Combine x = r1 (mod m1) with x = r2 (mod m2); None if incompatible."""
     g = gcd(m1, m2)
     if (r2 - r1) % g:
         return None
@@ -271,30 +273,52 @@ def _crt_merge(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int] | None:
     return (r1 + m1 * k) % l, l
 
 
+def _integral_congruence(u: Fraction, v: Fraction) -> tuple[int, int] | None:
+    """(r, M) with u + v*x an integer exactly when x = r (mod M); None if never."""
+    denom = lcm(u.denominator, v.denominator)
+    a, b = int(u * denom), int(v * denom)
+    g = gcd(b, denom)
+    if a % g:
+        return None
+    step = denom // g
+    return ((-a // g) * pow(b // g, -1, step)) % step if step > 1 else 0, step
+
+
+def _nonnegative_part(lo: int, hi: int, u: Fraction, v: Fraction) -> tuple[int, int]:
+    """The integers x in [lo, hi] with u + v*x >= 0 (empty when lo > hi)."""
+    if v > 0:
+        return max(lo, ceil(-u / v)), hi
+    if v < 0:
+        return lo, min(hi, floor(-u / v))
+    return (lo, hi) if u >= 0 else (lo, lo - 1)
+
+
 def feasibility_check(n: int, d: int, weights: Iterable[int]) -> FeasibilityVerdict:
     """Search for (a2_star, a3_star) making all counts nonnegative integers.
 
     A necessary-condition check: Infeasible rules out any spanning code of
-    length n and dimension d with nonzero weights inside the given set, which
-    must lie in [1, n]; Feasible only reports a consistent assignment.  The
-    box is 0 <= a2_star <= C(n,2), 0 <= a3_star <= C(n,3), scanned by
+    length n and dimension d <= n with nonzero weights inside the given set,
+    which must lie in [1, n]; Feasible only reports a consistent assignment.
+    The box is 0 <= a2_star <= C(n,2), 0 <= a3_star <= C(n,3), searched by
     increasing a2_star, in one of three regimes for m weights:
 
     * m <= 2: the counts are constants, and equations 3 and 4 force a2_star
-      and a3_star, so one a2_star is scanned;
+      and a3_star, so one a2_star is checked;
     * m = 3: no count involves a3_star, and equation 4 forces it;
     * m = 4: the a3_star coefficient of every count is
       -3*2^(d-2) / prod_{i != j}(w_j - w_i) (last column of the inverse
       Vandermonde matrix), nonzero, and the least a3_star making every count
       a nonnegative integer is taken.
 
-    The witness is the lexicographically least (a2_star, a3_star).  Every
-    a2_star scanned without one yields a failure, so unless the system, a
-    constant count or a forced a2_star fails first, the certificate is the
-    failure at the first a2_star scanned.
+    With m >= 3 an a2_star is checked only if a real a3_star keeps every count
+    nonnegative (for m = 3, also a3_star and the counts are integers); the
+    others fail, so the witness, the lexicographically least (a2_star,
+    a3_star), is unchanged.  Unless the system, a constant count or a forced
+    a2_star fails first, the certificate is the failure at the box's first
+    a2_star (0, or the forced value), checked or not.
     """
-    if n < 1 or d < 1:
-        raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
+    if n < 1 or not 1 <= d <= n:
+        raise ValueError(f"need n >= 1 and 1 <= d <= n, got n={n}, d={d}")
     sol = solve_weight_counts(n, d, weights)
     if sol.weights[-1] > n:
         raise ValueError(f"weights must lie in [1, {n}], got {list(sol.weights)}")
@@ -302,7 +326,7 @@ def feasibility_check(n: int, d: int, weights: Iterable[int]) -> FeasibilityVerd
         return FeasibilityVerdict(INFEASIBLE, REASON_INCONSISTENT, certificate=sol.note)
     m = len(sol.weights)
     a2_hi, a3_hi = comb(n, 2), comb(n, 3)
-    a2_values: Iterable[int] = range(a2_hi + 1)
+    first_a2 = 0
     if m <= 2:
         for w in sol.weights:
             count = sol.expressions[w].const
@@ -317,27 +341,64 @@ def feasibility_check(n: int, d: int, weights: Iterable[int]) -> FeasibilityVerd
         failure = _forced_failure(3, forced_a2, a2_hi)
         if failure is not None:
             return FeasibilityVerdict(INFEASIBLE, failure[0], certificate=failure[1])
-        a2_values = (int(forced_a2),)
-    if m <= 3:
-        # Equation 4 forces a3_star = a3_base + a3_slope * a2_star.
-        eq4 = sol.residuals[4]
-        a3_base, a3_slope = -eq4.const / eq4.a3_coeff, -eq4.a2_coeff / eq4.a3_coeff
+        first_a2 = int(forced_a2)
+    # With m <= 3 equation 4 forces a3_star = a3_base + a3_slope * a2_star.
+    eq4 = sol.residuals.get(4)
+    a3_forced = (-eq4.const / eq4.a3_coeff, -eq4.a2_coeff / eq4.a3_coeff) if eq4 else None
+    a2_values = (first_a2,) if m <= 2 else _a2_candidates(sol, a2_hi, a3_hi, a3_forced)
 
-    failure = None
-    for a2 in a2_values:
-        if m <= 3:
-            a3 = a3_base + a3_slope * a2
-            bad = _forced_failure(4, a3, a3_hi, a2)
-        else:
-            a3, bad = _admissible_a3(sol, a2, a3_hi)
-        if bad is None:
-            bad = _count_failure(sol, a2, a3)
+    for scanned, a2 in enumerate(a2_values, 1):
+        a3, bad = _check_a2(sol, a2, a3_hi, a3_forced)
         if bad is None:
             counts = {w: int(sol.expressions[w].evaluate(a2, a3)) for w in sol.weights}
             witness = {"a2_star": a2, "a3_star": int(a3), "counts": counts}
-            return FeasibilityVerdict(FEASIBLE, REASON_NONE, witness=witness)
-        failure = failure or bad
-    return FeasibilityVerdict(INFEASIBLE, failure[0], certificate=failure[1])
+            return FeasibilityVerdict(FEASIBLE, REASON_NONE, witness=witness, scanned=scanned)
+    reason, certificate = _check_a2(sol, first_a2, a3_hi, a3_forced)[1]
+    return FeasibilityVerdict(INFEASIBLE, reason, certificate=certificate, scanned=len(a2_values))
+
+
+def _a2_candidates(
+    sol: LinearCountSolution, a2_hi: int, a3_hi: int, a3_forced: tuple[Fraction, Fraction] | None
+) -> range:
+    """The a2_star in [0, a2_hi] that can still carry a witness.
+
+    Each count c + p*a2 + q*a3 >= 0 with q != 0, 0 <= a3 <= a3_hi and a forced
+    a3 bound a3 by forms (c, s) = c + s*a2; eliminating a3 (Fourier-Motzkin)
+    leaves upper - lower >= 0 for each pair, like a count with q = 0.  With a
+    forced a3 every form must also be an integer: a congruence on a2.
+    """
+    lower, upper, forms = [(Fraction(0), Fraction(0))], [(Fraction(a3_hi), Fraction(0))], []
+    if a3_forced is not None:
+        lower.append(a3_forced)
+        upper.append(a3_forced)
+    for f in sol.expressions.values():
+        if f.a3_coeff == 0:
+            forms.append((f.const, f.a2_coeff))
+        else:
+            bound = (-f.const / f.a3_coeff, -f.a2_coeff / f.a3_coeff)
+            (lower if f.a3_coeff > 0 else upper).append(bound)
+    forms += [(c_up - c_lo, s_up - s_lo) for c_lo, s_lo in lower for c_up, s_up in upper]
+    lo, hi, rem, mod = 0, a2_hi, 0, 1
+    for u, v in forms:
+        lo, hi = _nonnegative_part(lo, hi, u, v)
+        if a3_forced is not None:
+            congruence = _integral_congruence(u, v)
+            if not (merged := congruence and _crt_merge(rem, mod, *congruence)):
+                return range(0)
+            rem, mod = merged
+    return range(lo + (rem - lo) % mod, hi + 1, mod)
+
+
+def _check_a2(
+    sol: LinearCountSolution, a2: int, a3_hi: int, a3_forced: tuple[Fraction, Fraction] | None
+) -> tuple[int | Fraction | None, Failure | None]:
+    """The a3_star taken at a2 (forced, else least admissible) and why it is no witness."""
+    if a3_forced is None:
+        a3, bad = _admissible_a3(sol, a2, a3_hi)
+    else:
+        a3 = a3_forced[0] + a3_forced[1] * a2
+        bad = _forced_failure(4, a3, a3_hi, a2)
+    return a3, bad or _count_failure(sol, a2, a3)
 
 
 def _forced_failure(k: int, value: Fraction, hi: int, a2: int | None = None) -> Failure | None:
@@ -378,27 +439,15 @@ def _admissible_a3(
     nonnegativity becomes an interval in a3 and integrality a congruence,
     merged across counts.  Returns (a3, None) or (None, failure).
     """
-    lo, hi = 0, a3_hi
-    rem, mod = 0, 1
-    for w in sol.weights:
-        f = sol.expressions[w]
-        alpha = f.const + f.a2_coeff * a2
-        beta = f.a3_coeff
-        bound = -alpha / beta
-        if beta > 0:
-            lo = max(lo, ceil(bound))
-        else:
-            hi = min(hi, floor(bound))
-        denom = lcm(alpha.denominator, beta.denominator)
-        a_int = int(alpha * denom)
-        b_int = int(beta * denom)
-        g = gcd(b_int, denom)
-        if (-a_int) % g:
+    lo, hi, rem, mod = 0, a3_hi, 0, 1
+    for w, f in sol.expressions.items():
+        alpha, beta = f.const + f.a2_coeff * a2, f.a3_coeff
+        lo, hi = _nonnegative_part(lo, hi, alpha, beta)
+        congruence = _integral_congruence(alpha, beta)
+        if congruence is None:
             never = f"a_{w} = {alpha} + {beta}*a3_star is never an integer at a2_star={a2}"
             return None, (REASON_NON_INTEGER, never)
-        step = denom // g
-        r0 = ((-a_int // g) * pow(b_int // g, -1, step)) % step if step > 1 else 0
-        merged = _crt_merge(rem, mod, r0, step)
+        merged = _crt_merge(rem, mod, *congruence)
         if merged is None:
             conflict = f"integrality congruences on a3_star conflict at a2_star={a2}"
             return None, (REASON_NON_INTEGER, conflict)

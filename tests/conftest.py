@@ -1,11 +1,22 @@
 from __future__ import annotations
 
 import random
+from math import comb
 from pathlib import Path
 
 import pytest
 
-from gf2codes import Gf2Matrix, LinearCode, SearchResult, parse_generator_text
+from gf2codes import (
+    FEASIBLE,
+    INFEASIBLE,
+    FeasibilityVerdict,
+    Gf2Matrix,
+    LinearCode,
+    SearchResult,
+    parse_generator_text,
+    solve_weight_counts,
+)
+from gf2codes.moments import _admissible_a3, _count_failure, _forced_failure
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -93,6 +104,55 @@ def rref_dfs_reference(n: int, weights) -> SearchResult:
         nodes_explored=nodes,
         complete=True,
     )
+
+
+def full_scan_reference(n: int, d: int, weights) -> FeasibilityVerdict:
+    """The unpruned feasibility scan, kept as the pruned scan's oracle.
+
+    Checks every a2_star in [0, C(n,2)] in increasing order (or the one
+    equation 3 forces) with the library's per-a2_star helpers, and keeps the
+    failure at the first one checked as the certificate.  Inputs are taken
+    as valid; ``scanned`` is left at 0.
+    """
+    sol = solve_weight_counts(n, d, weights)
+    if not sol.consistent:
+        return FeasibilityVerdict(INFEASIBLE, "inconsistent system", certificate=sol.note)
+    m = len(sol.weights)
+    a2_hi, a3_hi = comb(n, 2), comb(n, 3)
+    a2_values = range(a2_hi + 1)
+    if m <= 2:
+        for w in sol.weights:
+            count = sol.expressions[w].const
+            if count.denominator != 1:
+                certificate = f"a_{w} = {count} is not an integer"
+                return FeasibilityVerdict(INFEASIBLE, "non-integer count", certificate=certificate)
+            if count < 0:
+                certificate = f"a_{w} = {count} is negative"
+                return FeasibilityVerdict(INFEASIBLE, "negative count", certificate=certificate)
+        eq3 = sol.residuals[3]
+        forced_a2 = -eq3.const / eq3.a2_coeff
+        failure = _forced_failure(3, forced_a2, a2_hi)
+        if failure is not None:
+            return FeasibilityVerdict(INFEASIBLE, failure[0], certificate=failure[1])
+        a2_values = (int(forced_a2),)
+    if m <= 3:
+        eq4 = sol.residuals[4]
+        a3_base, a3_slope = -eq4.const / eq4.a3_coeff, -eq4.a2_coeff / eq4.a3_coeff
+    failure = None
+    for a2 in a2_values:
+        if m <= 3:
+            a3 = a3_base + a3_slope * a2
+            bad = _forced_failure(4, a3, a3_hi, a2)
+        else:
+            a3, bad = _admissible_a3(sol, a2, a3_hi)
+        if bad is None:
+            bad = _count_failure(sol, a2, a3)
+        if bad is None:
+            counts = {w: int(sol.expressions[w].evaluate(a2, a3)) for w in sol.weights}
+            witness = {"a2_star": a2, "a3_star": int(a3), "counts": counts}
+            return FeasibilityVerdict(FEASIBLE, "none", witness=witness)
+        failure = failure or bad
+    return FeasibilityVerdict(INFEASIBLE, failure[0], certificate=failure[1])
 
 
 @pytest.fixture

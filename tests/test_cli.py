@@ -185,7 +185,7 @@ FEASIBILITY_DIGESTS = [
     # equation 2 reduces to -1 = 0
     ((2, 1, "1"), "4a15ac8bd06b965775667aaa920156829c427bc77be7c35b02ba601fd405e444"),
     # equation 3 forces a2_star = -1/2, not an integer (2-adic valuation -1 < 0)
-    ((2, 3, "1,2"), "6e6fac00995d5c506ef591d127dd1a1194645e743ec6e5eaf951c9fd389c48ac"),
+    ((3, 3, "1,2"), "9bd6406e6bca453e0191a72aadbc6b2c925edb3b4ae216e2b18fc40f239603e1"),
     # at a2_star=3, equation 4 forces a3_star = -2, outside [0, 4]
     ((4, 3, "1,4"), "edc5138507e91752590e0d087ae1bc26109d63f4809913dbc7b611420c64211c"),
     # equation 3 forces a2_star = -1, outside [0, 6]
@@ -194,8 +194,8 @@ FEASIBILITY_DIGESTS = [
     ((3, 1, "1,2"), "2a8651d9488172a80b770ef18ec9b541b2b6e06177c9e32bba609e1b8544e4c6"),
     # a_1 = 3/2 is not an integer
     ((3, 2, "1,3"), "ef9e9eb1672ee1a4265bdb4ed80a0070bef37dcef8f8f854d6f67703b64d3136"),
-    # at a2_star=0, equation 4 forces a3_star = -3/2, not an integer
-    ((6, 7, "2,4,6"), "7a502f11516e511dc03b548ce601eea9f35b23e1a02ab2c2aee0ec54e9f40942"),
+    # at a2_star=0, equation 4 forces a3_star = 1/2, not an integer
+    ((4, 4, "1,2,3"), "723140049373440211977f817c5c6fbadf5ed10e15fcdc4c28eb7efec9a99eeb"),
     # at a2_star=0, equation 4 forces a3_star = -1, outside [0, 20]
     ((6, 6, "2,4,6"), "92d5b2de6e12138862708c4aea3b333609c9790a0abb6093ca7180d7590bcb78"),
     # a_10 = -4 at (a2_star=0, a3_star=10)
@@ -226,6 +226,13 @@ def test_feasibility_output_matches_golden_digests(capsys):
         assert run(argv) == 0, argv
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+    # A dimension above the length has no spanning code: exit 2, not a verdict.
+    for n, d, weights in ((2, 3, "1,2"), (6, 7, "2,4,6"), (8, 9, "2,4,6,8")):
+        argv = ["feasibility", "--n", str(n), "--d", str(d), "--weights", weights, "--json"]
+        assert run(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: need n >= 1 and 1 <= d <= n, got n={n}, d={d}" in captured.err
 
 
 def test_search_cli(capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -5,7 +6,7 @@ from math import comb, prod
 
 import pytest
 
-from conftest import random_code
+from conftest import full_scan_reference, random_code
 from gf2codes import (
     AffineForm,
     FEASIBLE,
@@ -205,6 +206,66 @@ def test_feasibility_rejects_weights_above_length():
     assert solve_weight_counts(30, 8, (24, 32)).consistent
 
 
+def test_feasibility_rejects_dimension_above_length():
+    # No [8, 9] code exists, though the moment system has nonnegative integer
+    # counts for it (511 = 2^9 - 1 words at length 8).
+    with pytest.raises(ValueError, match=r"need n >= 1 and 1 <= d <= n, got n=8, d=9"):
+        feasibility_check(8, 9, (2, 4, 6, 8))
+    # d = n is still checked: F_2^3 itself has weights 1, 2, 3.
+    assert feasibility_check(3, 3, (1, 2, 3)).feasible
+
+
+def typed_witness(witness):
+    """The witness with each number paired with its type, so int-ness is compared."""
+    if witness is None:
+        return None
+    counts = {w: (c, type(c)) for w, c in witness["counts"].items()}
+    return {key: (v, type(v)) for key, v in witness.items() if key != "counts"} | {"counts": counts}
+
+
+def differential_cases():
+    """Every weight set of size <= 3 at n <= 12 and of size 4 at n <= 9,
+    with d <= min(n, 6), then 150 seeded cases up to n = 128."""
+    for n in range(1, 13):
+        for m in range(1, 5 if n <= 9 else 4):
+            for weights in itertools.combinations(range(1, n + 1), m):
+                for d in range(1, min(n, 6) + 1):
+                    yield n, d, weights
+    rng = random.Random(606)
+    for _ in range(150):
+        n = rng.randrange(12, 129)
+        d = rng.randrange(1, min(n, 14) + 1)
+        pool = range(2, n + 1, 2) if rng.random() < 0.6 else range(1, n + 1)
+        yield n, d, tuple(sorted(rng.sample(pool, rng.randrange(1, 5))))
+
+
+def test_feasibility_matches_full_scan_reference():
+    checked = 0
+    for n, d, weights in differential_cases():
+        verdict = feasibility_check(n, d, weights)
+        reference = full_scan_reference(n, d, weights)
+        assert (verdict.status, verdict.reason, verdict.certificate) == (
+            reference.status, reference.reason, reference.certificate), (n, d, weights)
+        assert typed_witness(verdict.witness) == typed_witness(reference.witness), (n, d, weights)
+        checked += 1
+    assert checked == 8038
+
+
+def test_feasibility_scans_only_kept_a2_values():
+    # The paper's case: the real relaxation is empty, so no a2_star is
+    # checked (the full box has 8,129), and the certificate is still the
+    # failure at a2_star = 0.
+    verdict = feasibility_check(128, 10, (24, 32, 40, 56))
+    assert verdict.scanned == 0
+    assert verdict.certificate == (
+        "no a3_star in [0, 341376] keeps all counts nonnegative at a2_star=0")
+    # Three weights: every kept a2_star is a witness, so the first is taken.
+    verdict = feasibility_check(6, 1, (2, 4, 6))
+    assert verdict.feasible and verdict.scanned == 1
+    # The counter stays out of equality.
+    assert verdict == dataclasses.replace(verdict, scanned=0)
+
+
 def lexicographic_oracle(n, d, weights):
     """Least (a2*, a3*) in the whole box where every residual of the count
     solve vanishes and every count is a nonnegative integer, as a witness."""
@@ -225,14 +286,14 @@ def test_feasibility_matches_box_scan_oracle():
     for n in range(1, 7):
         for m in range(1, 5):
             for weights in itertools.combinations(range(1, n + 1), m):
-                for d in range(1, 6):
+                for d in range(1, min(n, 5) + 1):
                     verdict = feasibility_check(n, d, weights)
                     witness = lexicographic_oracle(n, d, weights)
                     assert verdict.feasible == (witness is not None), (n, d, weights)
                     assert verdict.witness == witness, (n, d, weights)
                     checked += 1
                     feasible += witness is not None
-    assert (checked, feasible) == (560, 204)
+    assert (checked, feasible) == (518, 203)
 
 
 def test_feasibility_holds_for_actual_codes(golay, hamming_7_4, hamming_8_4):
@@ -250,6 +311,10 @@ def test_feasibility_witness_satisfies_all_equations():
         d = rng.randrange(1, 6)
         m = rng.randrange(1, 5)
         ws = tuple(sorted(rng.sample(range(1, n + 1), min(m, n))))
+        if d > n:
+            with pytest.raises(ValueError, match="1 <= d <= n"):
+                feasibility_check(n, d, ws)
+            continue
         verdict = feasibility_check(n, d, ws)
         if not verdict.feasible:
             assert verdict.reason in {
