@@ -41,9 +41,11 @@ __all__ = [
 
 # Theorem A: length, the dimension refuted, and the allowed nonzero weights.
 _THEOREM_A = (66, 13, (24, 32, 40, 56))
+# Lemma 2.6: the two weights whose counts its closed forms give.
+_LEMMA_2_6_WEIGHTS = (24, 32)
 # The three-weight lemma: its weights, and the dimension bound it proves in
 # every ambient too short for two words of the largest weight.
-_LEMMA_WEIGHTS = (24, 32, 56)
+_LEMMA_WEIGHTS = (*_LEMMA_2_6_WEIGHTS, 56)
 _LEMMA_BOUND = 10
 # The paper's a_56 at spanning lengths 65 and 66, keyed by how far the
 # projection's length exceeds twice its dimension: the form, as printed, and
@@ -65,7 +67,7 @@ class ProofStep:
     statement: str
     anchor: str
     status: bool
-    data: Mapping[str, object]
+    data: Mapping[str, object]  # JSON-native values only: str, int, bool, lists
 
     def to_json_dict(self) -> dict[str, object]:
         return {
@@ -74,7 +76,7 @@ class ProofStep:
             "statement": self.statement,
             "anchor": self.anchor,
             "status": self.status,
-            "data": _jsonable(self.data),
+            "data": dict(self.data),
         }
 
 
@@ -98,18 +100,6 @@ class ProofReport:
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_json_dict(), indent=indent)
-
-
-def _jsonable(value: object) -> object:
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (bool, int, str)) or value is None:
-        return value
-    return str(value)
 
 
 def min_union_length(weight_a: int, weight_b: int, sum_weight: int) -> int:
@@ -187,11 +177,12 @@ def a56_sharpness_construction() -> LinearCode:
 
     Rows: one word on coordinates 0..55, one on 12..67; they overlap in 44
     coordinates, so their sum has weight 24 and all nonzero weights are
-    >= 24 while a_56 = 2.
+    >= 24 while a_56 = 2.  Every number follows from ``_LEMMA_WEIGHTS``.
     """
-    v = (1 << 56) - 1
-    w = ((1 << 56) - 1) << 12
-    return LinearCode.from_rows(Gf2Matrix.from_ints([v, w], 68))
+    low, top = min(_LEMMA_WEIGHTS), max(_LEMMA_WEIGHTS)
+    length = min_union_length(top, top, low)
+    v = (1 << top) - 1
+    return LinearCode.from_rows(Gf2Matrix.from_ints([v, v << (length - top)], length))
 
 
 def _closed_form_counts(n: int, d: int) -> tuple[Fraction, Fraction]:
@@ -210,6 +201,7 @@ def verify_lemma_2_6(d: int, n_range: tuple[int, int] = (1, 128)) -> ProofReport
     contradiction appears (the bound is sharp there).
     """
     lo, hi = n_range
+    pair = _LEMMA_2_6_WEIGHTS
     if d < 0:
         raise ValueError(f"negative dimension {d}")
     if not 1 <= lo <= hi:
@@ -224,17 +216,11 @@ def verify_lemma_2_6(d: int, n_range: tuple[int, int] = (1, 128)) -> ProofReport
     admissible_no_contradiction: list[int] = []
     factored_ok = True
     for n in range(lo, hi + 1):
-        sol = solve_weight_counts(n, d, (24, 32))
-        a24, a32 = sol.expressions[24], sol.expressions[32]
-        want24, want32 = _closed_form_counts(n, d)
-        if not (
-            a24.is_constant()
-            and a32.is_constant()
-            and a24.const == want24
-            and a32.const == want32
-        ):
+        counts = _closed_form_counts(n, d)
+        sol = solve_weight_counts(n, d, pair)
+        if sol.expressions != {w: AffineForm(c) for w, c in zip(pair, counts)}:
             all_match = False
-        lhs = 576 * want24 + 1024 * want32
+        lhs = sum(w * w * c for w, c in zip(pair, counts))
         factored = 256 * (
             Fraction(2) ** (d - 6) * 9 * (64 - n) + Fraction(2) ** (d - 2) * (n - 48) + 3
         )
@@ -248,13 +234,7 @@ def verify_lemma_2_6(d: int, n_range: tuple[int, int] = (1, 128)) -> ProofReport
         contradiction = v2 is not None and v2 < required
         if not contradiction:
             no_contradiction.append(n)
-        is_admissible = (
-            want24.denominator == 1
-            and want32.denominator == 1
-            and want24 >= 0
-            and want32 >= 0
-        )
-        if is_admissible:
+        if all(c.denominator == 1 and c >= 0 for c in counts):
             admissible.append(n)
             if not contradiction:
                 admissible_no_contradiction.append(n)
@@ -264,16 +244,16 @@ def verify_lemma_2_6(d: int, n_range: tuple[int, int] = (1, 128)) -> ProofReport
             id="closed-form-counts",
             kind="arithmetic",
             statement=(
-                "the first two moment equations give a_24 = 2^(d-4)*(64-n) - 4 and "
-                "a_32 = 2^(d-4)*(n-48) + 3 at every length in range"
+                f"the first two moment equations give a_{pair[0]} = 2^(d-4)*(64-n) - 4 "
+                f"and a_{pair[1]} = 2^(d-4)*(n-48) + 3 at every length in range"
             ),
             anchor="lemma-2-6 / two-weight count solve",
             status=all_match,
             data={
                 "dimension": d,
                 "n_range": [lo, hi],
-                "a24_formula": "2^(d-4)*(64-n) - 4",
-                "a32_formula": "2^(d-4)*(n-48) + 3",
+                f"a{pair[0]}_formula": "2^(d-4)*(64-n) - 4",
+                f"a{pair[1]}_formula": "2^(d-4)*(n-48) + 3",
                 "all_lengths_match": all_match,
             },
         ),
@@ -319,19 +299,20 @@ def verify_lemma_2_6(d: int, n_range: tuple[int, int] = (1, 128)) -> ProofReport
     )
     return ProofReport(
         theorem=(
-            f"weights {{24, 32}} at dimension {d}: the second-moment divisibility "
+            f"weights {_braces(pair)} at dimension {d}: the second-moment divisibility "
             f"fails at every admissible length in [{lo}, {hi}]"
         ),
         steps=steps,
     )
 
 
-def verify_lemma_24_32_56(claimed_bound: int = _LEMMA_BOUND) -> ProofReport:
+def verify_lemma_24_32_56() -> ProofReport:
     """Replay the bound: weights {24, 32, 56} in ambient <= 67 force dim <= 10.
 
     Splits on the number of weight-56 words, which the union bound caps at
-    one.  ``claimed_bound`` exists so tests can check that a stricter claim
-    is rejected; the argument supports exactly 10.
+    one.  The weights and the bound are ``_LEMMA_WEIGHTS`` and
+    ``_LEMMA_BOUND``; the cited Lemma 2.6 replay runs at the bound itself, so
+    a stricter bound such as 9 fails both cases.
     """
     top = max(_LEMMA_WEIGHTS)
     pair_weights = [x for x in _LEMMA_WEIGHTS if x != top]
@@ -352,17 +333,14 @@ def verify_lemma_24_32_56(claimed_bound: int = _LEMMA_BOUND) -> ProofReport:
             f"{two_weight_bound}"
         ),
         anchor=f"lemma-24-32-56 / case without a weight-{top} word",
-        status=(
-            two_weight.overall and lo <= 1 and cap <= hi
-            and two_weight_bound <= claimed_bound
-        ),
+        status=two_weight.overall and lo <= 1 and cap <= hi,
         data={
             "cited": "lemma-2-6",
             "dimension_replayed": _LEMMA_BOUND,
             "scan_overall": two_weight.overall,
             "lengths_covered": [lo, hi],
             "two_weight_bound": two_weight_bound,
-            "claimed_bound": claimed_bound,
+            "claimed_bound": _LEMMA_BOUND,
         },
     )
     case_one = ProofStep(
@@ -375,19 +353,19 @@ def verify_lemma_24_32_56(claimed_bound: int = _LEMMA_BOUND) -> ProofReport:
             f"1 + {two_weight_bound} = {1 + two_weight_bound}"
         ),
         anchor=f"lemma-24-32-56 / case with one weight-{top} word",
-        status=two_weight.overall and 1 + two_weight_bound <= claimed_bound,
+        status=two_weight.overall,
         data={
             "operation": "subcode_avoiding",
             "dimension_drop": 1,
             "subcode_weights": pair_weights,
             "resulting_bound": 1 + two_weight_bound,
-            "claimed_bound": claimed_bound,
+            "claimed_bound": _LEMMA_BOUND,
         },
     )
     return ProofReport(
         theorem=(
             f"a binary code of length at most {cap} with nonzero weights in "
-            f"{_braces(_LEMMA_WEIGHTS)} has dimension at most {claimed_bound}"
+            f"{_braces(_LEMMA_WEIGHTS)} has dimension at most {_LEMMA_BOUND}"
         ),
         steps=(verify_remark_a56(cap), case_zero, case_one),
     )
@@ -416,7 +394,8 @@ def verify_theorem_a() -> ProofReport:
     spanning length.  Higher dimensions are covered because any code of
     dimension above 13 contains a 13-dimensional subcode with the same
     weight constraint.  Every number is derived from ``_THEOREM_A``, the
-    three-weight lemma and the paper's stated a_56 forms.
+    three-weight lemma and the paper's stated a_56 forms.  Each spanning
+    length in the window is refuted by the block for its deficit.
     """
     n_max, dim, weights = _THEOREM_A
     low, top = min(weights), max(weights)
@@ -520,223 +499,226 @@ def verify_theorem_a() -> ProofReport:
     )
 
     # A spanning length's deficit is how far its projection's length n - w
-    # exceeds 2 * pdim.  The replay refutes deficit 0 (a self-dual
-    # projection) and each deficit with a stated a_56 form.
+    # exceeds 2 * pdim.  Each length in the window is refuted by the block for
+    # its deficit: 0 (a self-dual projection) or one with a stated a_56 form.
     base = w + 2 * pdim
     window = list(range(base, n_max + 1))
-    handled = [0, *_STATED_A56]
-    cases = [base + deficit for deficit in handled]
+
+    # Deficit 0: the projection is self-dual.
+    def self_dual(n: int) -> None:
+        ambient = n - w
+        step(
+            "n64-projection-self-dual", "arithmetic",
+            f"at n = {n} the projection is isotropic of dimension {pdim} in "
+            f"F^{ambient}, hence self-dual; an even self-dual code contains the "
+            f"all-ones word, of weight {ambient}",
+            f"n={n} / projection is self-dual",
+            doubly_even and 2 * pdim == ambient,
+            {
+                "projection_ambient": ambient,
+                "projection_dimension": pdim,
+                "all_ones_weight": ambient,
+            },
+        )
+        small_pairs = [row for row in pair_table if row[0] <= w and row[1] <= w]
+        max_small = max((row[2] for row in small_pairs), default=0)
+        step(
+            "n64-projected-weights-small", "arithmetic",
+            f"words with |v| and |v+w| both at most {w} project to weight at most "
+            f"{max_small} < {ambient}, so the all-ones preimage involves a "
+            f"weight-{top} word",
+            f"n={n} / small pairs project below {ambient}",
+            max_small < ambient and [x for x in weights if x > w] == [top],
+            {
+                "pairs_scanned": small_pairs,
+                "max_projected_weight": max_small,
+                "required_weight": ambient,
+            },
+        )
+        remark = verify_remark_a56(n)
+        step(
+            "n64-unique-56", "cited-lemma",
+            f"the union bound caps a_{top} at one in ambient {n}, and the all-ones "
+            f"preimage forces at least one, so there is exactly one weight-{top} word",
+            f"n={n} / exactly one weight-{top} word",
+            remark.status,
+            {
+                "cited": remark.id,
+                "min_union_length": remark.data["min_union_length"],
+                "ambient": n,
+                "a56": 1,
+            },
+        )
+        free = n - top
+        step(
+            "n64-contradiction", "structural",
+            f"every weight-{w} word covers the {free} coordinates outside the unique "
+            f"weight-{top} word, so the subcode vanishing at one such coordinate has "
+            f"dimension {pdim} and weights in {lemma_weights}, contradicting the "
+            f"dimension-{bound} bound",
+            f"n={n} / coordinate-vanishing subcode",
+            lemma.overall and free > 0 and pdim > bound and n <= cap,
+            {
+                "cited": "lemma-24-32-56",
+                "free_coordinates": free,
+                "subcode_dimension": pdim,
+                "subcode_weights": list(_LEMMA_WEIGHTS),
+                "cited_bound": bound,
+            },
+        )
+
+    # Deficit k = 1: one weight-2 dual word z, which the projection cannot
+    # have; shortening at it costs k dimensions and 2k coordinates.
+    def one_dual_pair(n: int) -> None:
+        k = n - base
+        ambient = n - w
+        matched, rearranged, floor = count_solve("n65-count-solve", n, k)
+        a2_min = math.ceil(floor)
+        step(
+            "n65-dual-pair-exists", "arithmetic",
+            f"rearranged, a2_star = {rearranged} >= {floor} > 0, so the dual "
+            "contains a weight-2 word z",
+            f"n={n} / the dual has a weight-2 word",
+            matched and a2_min >= k,
+            {"a2_star_identity": f"a2_star = {rearranged}", "a2_star_min": a2_min},
+        )
+        step(
+            "n65-projection-has-no-dual-pair", "arithmetic",
+            "a weight-2 dual word of the projection would extend it to an isotropic "
+            f"subspace of dimension {pdim + 1} in F^{ambient}, impossible since "
+            f"2*{pdim + 1} = {2 * (pdim + 1)} > {ambient}; as z is orthogonal to w, its support "
+            "meets supp(w) in an even number of coordinates, so supp(z) lies inside "
+            f"supp(w) for every weight-{w} word w",
+            f"n={n} / projected code admits no dual pair",
+            2 * (pdim + 1) > ambient,
+            {
+                "projection_ambient": ambient,
+                "extended_dimension": pdim + 1,
+                f"isotropic_capacity_of_F{ambient}": ambient // 2,
+                "intersection_options": [0, 2],
+            },
+        )
+        step(
+            "n65-contradiction", "structural",
+            "the subcode of words vanishing on supp(z) has dimension at least "
+            f"{dim - k} (the two coordinates agree on every codeword), excludes every "
+            f"weight-{w} word, and keeps weights in {lemma_weights} at ambient {n - 2 * k}, "
+            f"contradicting the dimension-{bound} bound",
+            f"n={n} / shorten at the dual pair",
+            lemma.overall and a2_min >= k and dim - k > bound and n - 2 * k <= cap,
+            {
+                "cited": "lemma-24-32-56",
+                "shortened_coordinates": 2 * k,
+                "independent_constraints": k,
+                "subcode_dimension_min": dim - k,
+                "ambient_after": n - 2 * k,
+                "cited_bound": bound,
+            },
+        )
+
+    # Deficit k = 2: two weight-2 dual words z1, z2, while the projection
+    # allows at most one dual pair.
+    def two_dual_pairs(n: int) -> None:
+        k = n - base
+        ambient = n - w
+        matched, rearranged, floor = count_solve("n66-count-solve", n, k)
+        a2_min = math.ceil(floor)
+        step(
+            "n66-dual-pairs-at-least-7", "arithmetic",
+            f"rearranged, a2_star = {rearranged} >= {floor}, and being an integer "
+            f"a2_star >= {a2_min}; pick two distinct weight-2 dual words z1, z2",
+            f"n={n} / at least seven weight-2 dual words",
+            matched and a2_min >= k,
+            {"a2_star_identity": f"a2_star = {rearranged}", "a2_star_min": a2_min},
+        )
+        forced = ambient - 2
+        step(
+            "n66-projected-pair-span", "arithmetic",
+            "a weight-2 dual word z' of the projection spans with it an isotropic "
+            f"subspace of dimension {pdim + 1} in F^{ambient}, which is self-dual and "
+            f"so contains the all-ones word; all-ones has weight {ambient}, not a "
+            "multiple of 4, so it lies outside the doubly even projection and "
+            f"all-ones + z' is a projected word of weight {forced}",
+            f"n={n} / dual pair of the projection forces weight {forced}",
+            doubly_even and 2 * (pdim + 1) == ambient and ambient % 4 != 0,
+            {
+                "span_dimension": pdim + 1,
+                "projection_ambient": ambient,
+                "all_ones_weight": ambient,
+                "forced_word_weight": forced,
+            },
+        )
+        pair_sum = 2 * forced + w
+        matching = sorted(
+            {tuple(sorted((wv, wvw))) for wv in weights for wvw in weights if wv + wvw == pair_sum}
+        )
+        remark = verify_remark_a56(n)
+        step(
+            "n66-weight24-from-56", "arithmetic",
+            f"a projected weight of {forced} needs |v| + |v+w| = {pair_sum}, realized "
+            f"only by the pair {', '.join(_braces(p) for p in matching)}; the fibers "
+            f"{{v, v+w}} map projected weight-{forced} words injectively to "
+            f"weight-{top} words, so a2_star(projection) <= a_{forced}(projection) "
+            f"<= a_{top} <= 1 by the union bound at ambient {n}",
+            f"n={n} / projected weight {forced} needs a weight-{top} word",
+            matching and all(p.count(top) == 1 for p in matching) and remark.status,
+            {
+                "cited": remark.id,
+                "pair_sum_required": pair_sum,
+                "pairs_matching": [list(p) for p in matching],
+                "a56_cap": 1,
+                "chain": f"a2_star(projection) <= a{forced}(projection) <= a{top} <= 1",
+            },
+        )
+        step(
+            "n66-contradiction", "structural",
+            "were both z1 and z2 disjoint from supp(w) they would project to two dual "
+            f"pairs, exceeding the cap of 1, so every weight-{w} word meets "
+            f"Z = supp(z1) | supp(z2); the subcode vanishing on Z (at most {2 * k} "
+            f"coordinates, at most {k} independent constraints) has dimension at "
+            f"least {dim - k} and weights in {lemma_weights} at ambient at least {n - 2 * k}, "
+            f"contradicting the dimension-{bound} bound",
+            f"n={n} / shorten at two dual pairs",
+            lemma.overall and a2_min >= k and dim - k > bound and n - 2 * k <= cap,
+            {
+                "cited": "lemma-24-32-56",
+                "dual_pairs_available": a2_min,
+                "dual_pairs_used": k,
+                "projection_dual_pair_cap": 1,
+                "shortened_coordinates_max": 2 * k,
+                "independent_constraints_max": k,
+                "subcode_dimension_min": dim - k,
+                "ambient_after_min": n - 2 * k,
+                "cited_bound": bound,
+            },
+        )
+
+    blocks = {0: self_dual, 1: one_dual_pair, 2: two_dual_pairs}
     step(
         "length-window", "arithmetic",
         f"an isotropic dimension-{pdim} code needs ambient at least {2 * pdim}, "
         f"so the spanning length n satisfies n - {w} >= {2 * pdim}; with "
         f"n <= {n_max} the cases are n in {_braces(window)}",
         "isotropic dimension caps the length deficit",
-        [n - base for n in window] == handled,
+        all(n - base in blocks for n in window),
         {
             "isotropic_dimension": pdim,
             "min_projection_ambient": 2 * pdim,
             "length_window": window,
         },
     )
-
-    # Deficit 0: the projection is self-dual.
-    n = cases[0]
-    ambient = n - w
-    step(
-        "n64-projection-self-dual", "arithmetic",
-        f"at n = {n} the projection is isotropic of dimension {pdim} in "
-        f"F^{ambient}, hence self-dual; an even self-dual code contains the "
-        f"all-ones word, of weight {ambient}",
-        f"n={n} / projection is self-dual",
-        doubly_even and 2 * pdim == ambient,
-        {
-            "projection_ambient": ambient,
-            "projection_dimension": pdim,
-            "all_ones_weight": ambient,
-        },
-    )
-    small_pairs = [row for row in pair_table if row[0] <= w and row[1] <= w]
-    max_small = max((row[2] for row in small_pairs), default=0)
-    step(
-        "n64-projected-weights-small", "arithmetic",
-        f"words with |v| and |v+w| both at most {w} project to weight at most "
-        f"{max_small} < {ambient}, so the all-ones preimage involves a "
-        f"weight-{top} word",
-        f"n={n} / small pairs project below {ambient}",
-        max_small < ambient and [x for x in weights if x > w] == [top],
-        {
-            "pairs_scanned": small_pairs,
-            "max_projected_weight": max_small,
-            "required_weight": ambient,
-        },
-    )
-    remark = verify_remark_a56(n)
-    step(
-        "n64-unique-56", "cited-lemma",
-        f"the union bound caps a_{top} at one in ambient {n}, and the all-ones "
-        f"preimage forces at least one, so there is exactly one weight-{top} word",
-        f"n={n} / exactly one weight-{top} word",
-        remark.status,
-        {
-            "cited": remark.id,
-            "min_union_length": remark.data["min_union_length"],
-            "ambient": n,
-            "a56": 1,
-        },
-    )
-    free = n - top
-    step(
-        "n64-contradiction", "structural",
-        f"every weight-{w} word covers the {free} coordinates outside the unique "
-        f"weight-{top} word, so the subcode vanishing at one such coordinate has "
-        f"dimension {pdim} and weights in {lemma_weights}, contradicting the "
-        f"dimension-{bound} bound",
-        f"n={n} / coordinate-vanishing subcode",
-        lemma.overall and free > 0 and pdim > bound and n <= cap,
-        {
-            "cited": "lemma-24-32-56",
-            "free_coordinates": free,
-            "subcode_dimension": pdim,
-            "subcode_weights": list(_LEMMA_WEIGHTS),
-            "cited_bound": bound,
-        },
-    )
-
-    # Deficit k = 1: one weight-2 dual word z, which the projection cannot
-    # have; shortening at it costs k dimensions and 2k coordinates.
-    k = 1
-    n = cases[k]
-    ambient = n - w
-    matched, rearranged, floor = count_solve("n65-count-solve", n, k)
-    a2_min = math.ceil(floor)
-    step(
-        "n65-dual-pair-exists", "arithmetic",
-        f"rearranged, a2_star = {rearranged} >= {floor} > 0, so the dual "
-        "contains a weight-2 word z",
-        f"n={n} / the dual has a weight-2 word",
-        matched and a2_min >= k,
-        {"a2_star_identity": f"a2_star = {rearranged}", "a2_star_min": a2_min},
-    )
-    step(
-        "n65-projection-has-no-dual-pair", "arithmetic",
-        "a weight-2 dual word of the projection would extend it to an isotropic "
-        f"subspace of dimension {pdim + 1} in F^{ambient}, impossible since "
-        f"2*{pdim + 1} = {2 * (pdim + 1)} > {ambient}; as z is orthogonal to w, its support "
-        "meets supp(w) in an even number of coordinates, so supp(z) lies inside "
-        f"supp(w) for every weight-{w} word w",
-        f"n={n} / projected code admits no dual pair",
-        2 * (pdim + 1) > ambient,
-        {
-            "projection_ambient": ambient,
-            "extended_dimension": pdim + 1,
-            f"isotropic_capacity_of_F{ambient}": ambient // 2,
-            "intersection_options": [0, 2],
-        },
-    )
-    step(
-        "n65-contradiction", "structural",
-        "the subcode of words vanishing on supp(z) has dimension at least "
-        f"{dim - k} (the two coordinates agree on every codeword), excludes every "
-        f"weight-{w} word, and keeps weights in {lemma_weights} at ambient {n - 2 * k}, "
-        f"contradicting the dimension-{bound} bound",
-        f"n={n} / shorten at the dual pair",
-        lemma.overall and a2_min >= k and dim - k > bound and n - 2 * k <= cap,
-        {
-            "cited": "lemma-24-32-56",
-            "shortened_coordinates": 2 * k,
-            "independent_constraints": k,
-            "subcode_dimension_min": dim - k,
-            "ambient_after": n - 2 * k,
-            "cited_bound": bound,
-        },
-    )
-
-    # Deficit k = 2: two weight-2 dual words z1, z2, while the projection
-    # allows at most one dual pair.
-    k = 2
-    n = cases[k]
-    ambient = n - w
-    matched, rearranged, floor = count_solve("n66-count-solve", n, k)
-    a2_min = math.ceil(floor)
-    step(
-        "n66-dual-pairs-at-least-7", "arithmetic",
-        f"rearranged, a2_star = {rearranged} >= {floor}, and being an integer "
-        f"a2_star >= {a2_min}; pick two distinct weight-2 dual words z1, z2",
-        f"n={n} / at least seven weight-2 dual words",
-        matched and a2_min >= k,
-        {"a2_star_identity": f"a2_star = {rearranged}", "a2_star_min": a2_min},
-    )
-    forced = ambient - 2
-    step(
-        "n66-projected-pair-span", "arithmetic",
-        "a weight-2 dual word z' of the projection spans with it an isotropic "
-        f"subspace of dimension {pdim + 1} in F^{ambient}, which is self-dual and "
-        f"so contains the all-ones word; all-ones has weight {ambient}, not a "
-        "multiple of 4, so it lies outside the doubly even projection and "
-        f"all-ones + z' is a projected word of weight {forced}",
-        f"n={n} / dual pair of the projection forces weight {forced}",
-        doubly_even and 2 * (pdim + 1) == ambient and ambient % 4 != 0,
-        {
-            "span_dimension": pdim + 1,
-            "projection_ambient": ambient,
-            "all_ones_weight": ambient,
-            "forced_word_weight": forced,
-        },
-    )
-    pair_sum = 2 * forced + w
-    matching = sorted(
-        {tuple(sorted((wv, wvw))) for wv in weights for wvw in weights if wv + wvw == pair_sum}
-    )
-    remark = verify_remark_a56(n)
-    step(
-        "n66-weight24-from-56", "arithmetic",
-        f"a projected weight of {forced} needs |v| + |v+w| = {pair_sum}, realized "
-        f"only by the pair {', '.join(_braces(p) for p in matching)}; the fibers "
-        f"{{v, v+w}} map projected weight-{forced} words injectively to "
-        f"weight-{top} words, so a2_star(projection) <= a_{forced}(projection) "
-        f"<= a_{top} <= 1 by the union bound at ambient {n}",
-        f"n={n} / projected weight {forced} needs a weight-{top} word",
-        matching and all(p.count(top) == 1 for p in matching) and remark.status,
-        {
-            "cited": remark.id,
-            "pair_sum_required": pair_sum,
-            "pairs_matching": [list(p) for p in matching],
-            "a56_cap": 1,
-            "chain": f"a2_star(projection) <= a{forced}(projection) <= a{top} <= 1",
-        },
-    )
-    step(
-        "n66-contradiction", "structural",
-        "were both z1 and z2 disjoint from supp(w) they would project to two dual "
-        f"pairs, exceeding the cap of 1, so every weight-{w} word meets "
-        f"Z = supp(z1) | supp(z2); the subcode vanishing on Z (at most {2 * k} "
-        f"coordinates, at most {k} independent constraints) has dimension at "
-        f"least {dim - k} and weights in {lemma_weights} at ambient at least {n - 2 * k}, "
-        f"contradicting the dimension-{bound} bound",
-        f"n={n} / shorten at two dual pairs",
-        lemma.overall and a2_min >= k and dim - k > bound and n - 2 * k <= cap,
-        {
-            "cited": "lemma-24-32-56",
-            "dual_pairs_available": a2_min,
-            "dual_pairs_used": k,
-            "projection_dual_pair_cap": 1,
-            "shortened_coordinates_max": 2 * k,
-            "independent_constraints_max": k,
-            "subcode_dimension_min": dim - k,
-            "ambient_after_min": n - 2 * k,
-            "cited_bound": bound,
-        },
-    )
+    for n in window:
+        if n - base in blocks:
+            blocks[n - base](n)
 
     step(
         "conclusion", "structural",
-        f"every admissible spanning length ({', '.join(map(str, cases))}) is "
+        f"every admissible spanning length ({', '.join(map(str, window))}) is "
         f"refuted, so no {dim}-dimensional code exists; higher dimensions contain "
         f"{dim}-dimensional subcodes with the same weights, so the dimension is "
         f"at most {dim - 1}",
         "all spanning lengths refuted",
         all(s.status for s in steps),
-        {"cases": cases, "dimension_bound": dim - 1},
+        {"cases": window, "dimension_bound": dim - 1},
     )
     return ProofReport(theorem=theorem, steps=tuple(steps))

@@ -9,7 +9,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .codes import LinearCode
-from .gf2core import Gf2Matrix, Gf2Vector, nullspace_basis
+from .gf2core import Gf2Matrix, Gf2Vector
 
 __all__ = [
     "projected_weight",
@@ -84,22 +84,16 @@ def shorten(code: LinearCode, coords: Iterable[int]) -> LinearCode:
         if not 0 <= c < code.n:
             raise ValueError(f"coordinate {c} outside [0, {code.n})")
     rows = code.generator.row_bits()
-    # Constraint matrix over the message space: one row per shortened
-    # coordinate, entry i telling whether generator row i is set there.
-    constraints = []
+    # Clear each coordinate by adding one row set there to the other rows set
+    # there and dropping that row.  The rows stay independent and span the
+    # subcode vanishing on every coordinate cleared so far.
     for c in coord_set:
-        constraints.append(sum(((rows[i] >> c) & 1) << i for i in range(len(rows))))
-    messages = nullspace_basis(Gf2Matrix.from_ints(constraints, len(rows)))
-    sub_rows = []
-    for msg in messages.row_bits():
-        word = 0
-        for i in range(len(rows)):
-            if (msg >> i) & 1:
-                word ^= rows[i]
-        sub_rows.append(word)
+        hit = next((r for r in rows if (r >> c) & 1), None)
+        if hit is not None:
+            rows = [r ^ hit if (r >> c) & 1 else r for r in rows if r != hit]
     dropped = set(coord_set)
     keep = tuple(i for i in range(code.n) if i not in dropped)
-    return _restrict(sub_rows, keep)
+    return _restrict(rows, keep)
 
 
 def subcode_avoiding(code: LinearCode, v: Gf2Vector) -> LinearCode:

@@ -1,8 +1,11 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import gf2codes
 from conftest import FIXTURES
 from gf2codes import __version__
 from gf2codes.cli import run
@@ -168,6 +171,20 @@ VERIFY_DIGESTS = [
      "22f78b3dc7894e544aa4f77e67d4a035bb9e6cd4373caf81ddf084c6d2d59bc1"),
     (["verify", "lemma-2-6", "--d", "9", "--json"], 1,
      "b145662509f2bc4b572a9b45e97e64718ed8f3e15188a9eb9261f0927bc6093e"),
+    (["verify", "lemma-2-6", "--d", "10"], 0,
+     "5e64e9bfd03050c36bb2ca3c147d772898ea263fad79b5baaa53fd7b2d1edc9c"),
+    # d = 0: no admissible length; d = 3, 6: a zero left side at some lengths;
+    # d = 10, 14: the contradiction holds at every length.
+    (["verify", "lemma-2-6", "--d", "0", "--n-range", "1..256", "--json"], 1,
+     "94187bfca483ccb5464601e291d3fa889034a1b0e783005d2b9e51a2a1261e33"),
+    (["verify", "lemma-2-6", "--d", "3", "--n-range", "1..256", "--json"], 1,
+     "b92452ba0369e13654df428aac8b809bf6f7c0b13e9695ad09af37a2438d6e1a"),
+    (["verify", "lemma-2-6", "--d", "6", "--n-range", "1..256", "--json"], 1,
+     "ae68a0a432da684d2ce095c1082b6e9e8f14dc20e1ce8b97c9f8990a2fdd33d4"),
+    (["verify", "lemma-2-6", "--d", "10", "--n-range", "1..256", "--json"], 0,
+     "fc75eb48082eb10286dc7f592dbd7bd88991e11c54023dbebc88d1fde6925bef"),
+    (["verify", "lemma-2-6", "--d", "14", "--n-range", "1..256", "--json"], 0,
+     "a19258150423ed56ff5fb8c43a1ffad9b21f24fc057f3deaf6df31f69d694f48"),
 ]
 
 
@@ -309,10 +326,16 @@ def test_usage_and_input_errors(capsys, tmp_path):
 
 
 def test_module_entry_point():
+    # The subprocesses import the package from this checkout's src directory,
+    # whether or not it is installed.
+    src = str(Path(gf2codes.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     proc = subprocess.run(
         [sys.executable, "-m", "gf2codes", "analyze", GOLAY],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "n=24 k=12"
@@ -320,5 +343,6 @@ def test_module_entry_point():
         [sys.executable, "-m", "gf2codes", "verify", "lemma-2-6", "--d", "9"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert bad.returncode == 1

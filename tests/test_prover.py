@@ -206,11 +206,13 @@ def test_three_weight_bound_report():
     assert {s.kind for s in report.steps} == {"arithmetic", "cited-lemma", "structural"}
 
 
-def test_three_weight_bound_rejects_stricter_claim():
-    report = verify_lemma_24_32_56(claimed_bound=9)
+def test_three_weight_bound_rejects_stricter_claim(monkeypatch):
+    # Bound 9 cites Lemma 2.6 at dimension 9, where the valuations tie.
+    monkeypatch.setattr(prover, "_LEMMA_BOUND", 9)
+    report = verify_lemma_24_32_56()
     assert not report.overall
     by_id = {s.id: s for s in report.steps}
-    assert by_id["case-a56-zero"].status
+    assert not by_id["case-a56-zero"].status
     assert not by_id["case-a56-one"].status
 
 
@@ -283,9 +285,29 @@ def test_dimension_bound_theorem_rejects_mutated_claim(monkeypatch, claim, faile
 
 
 @pytest.mark.parametrize(
+    "claim, window",
+    [
+        ((60, 13, (24, 32, 40, 56)), []),
+        ((65, 13, (24, 32, 40, 56)), [64, 65]),
+        ((66, 14, (24, 32, 40, 56)), [66]),
+    ],
+    ids=["length-60", "length-65", "dimension-14"],
+)
+def test_dimension_bound_theorem_accepts_weaker_claim(monkeypatch, claim, window):
+    # A shorter length or a larger dimension narrows the window of spanning
+    # lengths; only the lengths inside it are refuted.
+    monkeypatch.setattr(prover, "_THEOREM_A", claim)
+    report = verify_theorem_a()
+    assert report.overall, report.to_json()
+    by_id = {s.id: s for s in report.steps}
+    assert by_id["length-window"].data["length_window"] == window
+    assert by_id["conclusion"].data["cases"] == window
+
+
+@pytest.mark.parametrize(
     "claim, failed_step",
     [
-        ((66, 13, (24, 32, 41, 56)), "length-window"),
+        ((66, 13, (24, 32, 41, 56)), "n65-count-solve"),
         ((66, 13, (24, 32, 50, 56)), "projection-dimension-12"),
         ((66, 13, (11, 24, 32, 56)), "length-window"),
         ((66, 13, (24, 32, 56)), "weight-40-exists"),
@@ -295,7 +317,9 @@ def test_dimension_bound_theorem_rejects_mutated_claim(monkeypatch, claim, faile
 def test_unrealizable_or_missing_weight_fails_a_step(monkeypatch, claim, failed_step):
     # Pairs (|v|, |v+w|) no word realizes are skipped by the scan (for weight
     # 11 no pair with both weights at most 11 is left), and a claim with no
-    # weight to project along stops at its first step.
+    # weight to project along stops at its first step.  Weight 41 leaves the
+    # window {65, 66} with a block for each deficit, but the moment equations
+    # at n = 66 do not give the stated a_56 form of deficit 1.
     monkeypatch.setattr(prover, "_THEOREM_A", claim)
     report = verify_theorem_a()
     assert not report.overall
