@@ -190,6 +190,10 @@ def _closed_form_counts(n: int, d: int) -> tuple[Fraction, Fraction]:
     return scale * (64 - n) - 4, scale * (n - 48) + 3
 
 
+def _factored_lhs(n: int, d: int) -> Fraction:
+    return 256 * (Fraction(2) ** (d - 6) * 9 * (64 - n) + Fraction(2) ** (d - 2) * (n - 48) + 3)
+
+
 def verify_lemma_2_6(d: int, n_range: tuple[int, int] = (1, 128)) -> ProofReport:
     """Replay the two-weight {24, 32} divisibility contradiction at dimension d.
 
@@ -199,6 +203,15 @@ def verify_lemma_2_6(d: int, n_range: tuple[int, int] = (1, 128)) -> ProofReport
     dual pair count needs divisibility by 2^(d-1).  For d >= 10 that is a
     contradiction at every length; at d = 9 the valuations tie and no
     contradiction appears (the bound is sharp there).
+
+    The identities are checked at the two ends of the range only.  The
+    moment system's matrix depends on the weights alone and its right side
+    (2^d - 1, 2^(d-1) * n) is affine in n, so the solved counts are affine
+    in n; so are the closed forms, the left side sum of w^2 * a_w and its
+    factored form.  Two affine functions that agree at two lengths agree at
+    every length, so agreement at both ends proves it for the whole range.
+    The scan then steps the closed-form counts and the left side from one
+    length to the next by their exact increments.
     """
     lo, hi = n_range
     pair = _LEMMA_2_6_WEIGHTS
@@ -207,25 +220,23 @@ def verify_lemma_2_6(d: int, n_range: tuple[int, int] = (1, 128)) -> ProofReport
     if not 1 <= lo <= hi:
         raise ValueError(f"invalid length range [{lo}, {hi}]")
 
-    all_match = True
+    all_match = factored_ok = True
+    for n in sorted({lo, hi}):
+        counts = _closed_form_counts(n, d)
+        sol = solve_weight_counts(n, d, pair)
+        all_match &= sol.expressions == {w: AffineForm(c) for w, c in zip(pair, counts)}
+        factored_ok &= sum(w * w * c for w, c in zip(pair, counts)) == _factored_lhs(n, d)
+
     required = d - 1
     valuations: set[int] = set()
     zero_lhs_lengths: list[int] = []
     no_contradiction: list[int] = []
     admissible: list[int] = []
     admissible_no_contradiction: list[int] = []
-    factored_ok = True
+    counts = _closed_form_counts(lo, d)
+    slopes = [b - a for a, b in zip(counts, _closed_form_counts(lo + 1, d))]
+    lhs, lhs_slope = (sum(w * w * c for w, c in zip(pair, cs)) for cs in (counts, slopes))
     for n in range(lo, hi + 1):
-        counts = _closed_form_counts(n, d)
-        sol = solve_weight_counts(n, d, pair)
-        if sol.expressions != {w: AffineForm(c) for w, c in zip(pair, counts)}:
-            all_match = False
-        lhs = sum(w * w * c for w, c in zip(pair, counts))
-        factored = 256 * (
-            Fraction(2) ** (d - 6) * 9 * (64 - n) + Fraction(2) ** (d - 2) * (n - 48) + 3
-        )
-        if lhs != factored:
-            factored_ok = False
         v2 = _two_adic_valuation(lhs)
         if v2 is None:
             zero_lhs_lengths.append(n)
@@ -238,6 +249,8 @@ def verify_lemma_2_6(d: int, n_range: tuple[int, int] = (1, 128)) -> ProofReport
             admissible.append(n)
             if not contradiction:
                 admissible_no_contradiction.append(n)
+        counts = [c + s for c, s in zip(counts, slopes)]
+        lhs += lhs_slope
 
     steps = (
         ProofStep(
@@ -431,7 +444,7 @@ def verify_theorem_a() -> ProofReport:
         return ProofReport(theorem=theorem, steps=tuple(steps))
     w = outside[0]
 
-    def count_solve(step_id: str, n: int, deficit: int) -> tuple[bool, str, Fraction]:
+    def count_solve(n: int, deficit: int) -> tuple[bool, str, Fraction]:
         """Solve the moment equations at length n; check the stated a_56 form.
 
         Returns whether it matched, the stated rearrangement for a2_star, and
@@ -442,7 +455,7 @@ def verify_theorem_a() -> ProofReport:
         form = sol.expressions[top]
         counts = {f"a{x}": str(f) for x, f in sol.expressions.items()}
         step(
-            step_id, "arithmetic",
+            f"n{n}-count-solve", "arithmetic",
             f"at spanning length {n} and dimension {dim} the four moment equations "
             f"give a_{top} = {printed}",
             f"n={n} / four-weight count solve",
@@ -508,7 +521,7 @@ def verify_theorem_a() -> ProofReport:
     def self_dual(n: int) -> None:
         ambient = n - w
         step(
-            "n64-projection-self-dual", "arithmetic",
+            f"n{n}-projection-self-dual", "arithmetic",
             f"at n = {n} the projection is isotropic of dimension {pdim} in "
             f"F^{ambient}, hence self-dual; an even self-dual code contains the "
             f"all-ones word, of weight {ambient}",
@@ -523,7 +536,7 @@ def verify_theorem_a() -> ProofReport:
         small_pairs = [row for row in pair_table if row[0] <= w and row[1] <= w]
         max_small = max((row[2] for row in small_pairs), default=0)
         step(
-            "n64-projected-weights-small", "arithmetic",
+            f"n{n}-projected-weights-small", "arithmetic",
             f"words with |v| and |v+w| both at most {w} project to weight at most "
             f"{max_small} < {ambient}, so the all-ones preimage involves a "
             f"weight-{top} word",
@@ -537,7 +550,7 @@ def verify_theorem_a() -> ProofReport:
         )
         remark = verify_remark_a56(n)
         step(
-            "n64-unique-56", "cited-lemma",
+            f"n{n}-unique-56", "cited-lemma",
             f"the union bound caps a_{top} at one in ambient {n}, and the all-ones "
             f"preimage forces at least one, so there is exactly one weight-{top} word",
             f"n={n} / exactly one weight-{top} word",
@@ -551,7 +564,7 @@ def verify_theorem_a() -> ProofReport:
         )
         free = n - top
         step(
-            "n64-contradiction", "structural",
+            f"n{n}-contradiction", "structural",
             f"every weight-{w} word covers the {free} coordinates outside the unique "
             f"weight-{top} word, so the subcode vanishing at one such coordinate has "
             f"dimension {pdim} and weights in {lemma_weights}, contradicting the "
@@ -572,10 +585,10 @@ def verify_theorem_a() -> ProofReport:
     def one_dual_pair(n: int) -> None:
         k = n - base
         ambient = n - w
-        matched, rearranged, floor = count_solve("n65-count-solve", n, k)
+        matched, rearranged, floor = count_solve(n, k)
         a2_min = math.ceil(floor)
         step(
-            "n65-dual-pair-exists", "arithmetic",
+            f"n{n}-dual-pair-exists", "arithmetic",
             f"rearranged, a2_star = {rearranged} >= {floor} > 0, so the dual "
             "contains a weight-2 word z",
             f"n={n} / the dual has a weight-2 word",
@@ -583,7 +596,7 @@ def verify_theorem_a() -> ProofReport:
             {"a2_star_identity": f"a2_star = {rearranged}", "a2_star_min": a2_min},
         )
         step(
-            "n65-projection-has-no-dual-pair", "arithmetic",
+            f"n{n}-projection-has-no-dual-pair", "arithmetic",
             "a weight-2 dual word of the projection would extend it to an isotropic "
             f"subspace of dimension {pdim + 1} in F^{ambient}, impossible since "
             f"2*{pdim + 1} = {2 * (pdim + 1)} > {ambient}; as z is orthogonal to w, its support "
@@ -599,7 +612,7 @@ def verify_theorem_a() -> ProofReport:
             },
         )
         step(
-            "n65-contradiction", "structural",
+            f"n{n}-contradiction", "structural",
             "the subcode of words vanishing on supp(z) has dimension at least "
             f"{dim - k} (the two coordinates agree on every codeword), excludes every "
             f"weight-{w} word, and keeps weights in {lemma_weights} at ambient {n - 2 * k}, "
@@ -621,10 +634,10 @@ def verify_theorem_a() -> ProofReport:
     def two_dual_pairs(n: int) -> None:
         k = n - base
         ambient = n - w
-        matched, rearranged, floor = count_solve("n66-count-solve", n, k)
+        matched, rearranged, floor = count_solve(n, k)
         a2_min = math.ceil(floor)
         step(
-            "n66-dual-pairs-at-least-7", "arithmetic",
+            f"n{n}-dual-pairs-at-least-7", "arithmetic",
             f"rearranged, a2_star = {rearranged} >= {floor}, and being an integer "
             f"a2_star >= {a2_min}; pick two distinct weight-2 dual words z1, z2",
             f"n={n} / at least seven weight-2 dual words",
@@ -633,7 +646,7 @@ def verify_theorem_a() -> ProofReport:
         )
         forced = ambient - 2
         step(
-            "n66-projected-pair-span", "arithmetic",
+            f"n{n}-projected-pair-span", "arithmetic",
             "a weight-2 dual word z' of the projection spans with it an isotropic "
             f"subspace of dimension {pdim + 1} in F^{ambient}, which is self-dual and "
             f"so contains the all-ones word; all-ones has weight {ambient}, not a "
@@ -654,7 +667,7 @@ def verify_theorem_a() -> ProofReport:
         )
         remark = verify_remark_a56(n)
         step(
-            "n66-weight24-from-56", "arithmetic",
+            f"n{n}-weight24-from-56", "arithmetic",
             f"a projected weight of {forced} needs |v| + |v+w| = {pair_sum}, realized "
             f"only by the pair {', '.join(_braces(p) for p in matching)}; the fibers "
             f"{{v, v+w}} map projected weight-{forced} words injectively to "
@@ -671,7 +684,7 @@ def verify_theorem_a() -> ProofReport:
             },
         )
         step(
-            "n66-contradiction", "structural",
+            f"n{n}-contradiction", "structural",
             "were both z1 and z2 disjoint from supp(w) they would project to two dual "
             f"pairs, exceeding the cap of 1, so every weight-{w} word meets "
             f"Z = supp(z1) | supp(z2); the subcode vanishing on Z (at most {2 * k} "

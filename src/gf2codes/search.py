@@ -103,10 +103,12 @@ def max_dimension_exhaustive(
     the best code found so far; ``node_cap`` bounds the number of admissible
     candidate rows tried, and an exhausted budget is reported through
     ``complete=False`` (the result is then only a lower bound).  Lengths
-    above ``MAX_SEARCH_LENGTH`` raise ValueError.
+    above ``MAX_SEARCH_LENGTH`` and negative node caps raise ValueError.
     """
     if n < 0:
         raise ValueError(f"negative length {n}")
+    if node_cap < 0:
+        raise ValueError(f"negative node cap {node_cap}")
     if n > MAX_SEARCH_LENGTH:
         raise ValueError(f"search supports lengths up to {MAX_SEARCH_LENGTH}, got {n}")
     wset = frozenset(weights)

@@ -323,6 +323,11 @@ def test_usage_and_input_errors(capsys, tmp_path):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error: weights must lie in [1, 10], got [1, 6, 7, 12]" in captured.err
+    # A negative node cap is refused rather than reported as an incomplete search.
+    assert run(["search", "--n", "8", "--weights", "2,4", "--node-cap", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: negative node cap -1\n"
 
 
 def test_module_entry_point():

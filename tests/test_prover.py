@@ -1,8 +1,10 @@
 import json
 import random
+import re
 
 import pytest
 
+from conftest import lemma_2_6_reference
 from gf2codes import prover
 from gf2codes import (
     Gf2Matrix,
@@ -186,6 +188,57 @@ def test_two_weight_scan_vacuous_outside_admissible_window():
     assert report.steps[1].data["admissible_lengths"] == []
 
 
+LEMMA_2_6_RANGES = [(1, 256), (1, 1), (64, 64), (47, 49), (40, 70), (129, 200)]
+
+
+@pytest.mark.parametrize("n_range", LEMMA_2_6_RANGES, ids=lambda r: f"{r[0]}-{r[1]}")
+def test_two_weight_scan_matches_per_length_reference(n_range):
+    # d < 6 makes 2^(d-4) or 2^(d-6) a fraction.
+    for d in range(17):
+        want = lemma_2_6_reference(d, n_range).to_json()
+        assert verify_lemma_2_6(d, n_range).to_json() == want, (d, n_range)
+
+
+@pytest.mark.parametrize("n_range", [(1, 128), (64, 64)])
+def test_two_weight_scan_solves_only_at_range_ends(monkeypatch, n_range):
+    calls = []
+
+    def counting(n, d, weights):
+        calls.append(n)
+        return solve(n, d, weights)
+
+    solve = prover.solve_weight_counts
+    monkeypatch.setattr(prover, "solve_weight_counts", counting)
+    assert verify_lemma_2_6(10, n_range).overall
+    assert sorted(calls) == sorted(set(n_range))
+
+
+def test_two_weight_scan_rejects_mutated_closed_form(monkeypatch):
+    # An affine closed form off by one in a_24's constant disagrees with the
+    # count solve at both ends, so the replay fails without solving between.
+    def mutated(n, d):
+        a24, a32 = closed(n, d)
+        return a24 - 1, a32
+
+    closed = prover._closed_form_counts
+    monkeypatch.setattr(prover, "_closed_form_counts", mutated)
+    report = verify_lemma_2_6(10, (1, 128))
+    assert not report.overall
+    assert not report.steps[0].status
+    assert report.steps[0].data["all_lengths_match"] is False
+
+
+def test_two_weight_scan_rejects_mutated_factored_form(monkeypatch):
+    # The inner term's constant 5 in place of 3: still affine, wrong at both ends.
+    factored = prover._factored_lhs
+    monkeypatch.setattr(prover, "_factored_lhs", lambda n, d: factored(n, d) + 512)
+    report = verify_lemma_2_6(10, (1, 128))
+    assert not report.overall
+    scan = report.steps[1]
+    assert not scan.status
+    assert scan.data["factored_matches_sum"] is False
+
+
 def test_two_weight_scan_validation():
     with pytest.raises(ValueError, match="negative dimension"):
         verify_lemma_2_6(-1)
@@ -302,12 +355,15 @@ def test_dimension_bound_theorem_accepts_weaker_claim(monkeypatch, claim, window
     by_id = {s.id: s for s in report.steps}
     assert by_id["length-window"].data["length_window"] == window
     assert by_id["conclusion"].data["cases"] == window
+    # Each length's steps carry that length in their id.
+    replayed = {int(m[1]) for i in by_id if (m := re.match(r"n(\d+)-", i))}
+    assert replayed == set(window)
 
 
 @pytest.mark.parametrize(
     "claim, failed_step",
     [
-        ((66, 13, (24, 32, 41, 56)), "n65-count-solve"),
+        ((66, 13, (24, 32, 41, 56)), "n66-count-solve"),
         ((66, 13, (24, 32, 50, 56)), "projection-dimension-12"),
         ((66, 13, (11, 24, 32, 56)), "length-window"),
         ((66, 13, (24, 32, 56)), "weight-40-exists"),

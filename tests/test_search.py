@@ -170,6 +170,14 @@ def test_node_cap_reports_incomplete():
     assert capped.max_dimension <= full.max_dimension
 
 
+def test_node_cap_must_be_nonnegative():
+    with pytest.raises(ValueError, match="negative node cap -1"):
+        max_dimension_exhaustive(8, {2, 4}, node_cap=-1)
+    # A cap of 0 is legal: the first admissible candidate already exceeds it.
+    zero = max_dimension_exhaustive(8, {2, 4}, node_cap=0)
+    assert not zero.complete and zero.max_dimension == 0
+
+
 def test_search_agrees_with_feasibility():
     results = cross_validate(8, {2, 4})
     assert len(results) == 8 * 4
