@@ -2,11 +2,13 @@
 
 A ``LinearCode`` is identified with its unique reduced row-echelon generator
 matrix (no zero rows), so two codes are equal exactly when they are the same
-subspace.  Weight distributions are computed by a Gray-code walk over the
-message space of the smaller of the code and its dual, 2^min(k, n-k) words:
-each step flips one message bit, so each step costs one row XOR and one
-popcount.  A walked dual is turned back into the code's distribution by the
-MacWilliams transform.
+subspace.  Weight distributions are counted over the message space of the
+smaller of the code and its dual, 2^min(k, n-k) words, bit-sliced: each
+coordinate becomes one 2^t-bit set over a slice of 2^t messages, and the
+coordinates are added into bit-planes of per-message weights with a ripple
+carry, so one big-int operation covers up to 2^14 messages and the transient
+memory is about n * 2^14 bits.  A counted dual is turned back into the code's
+distribution by the MacWilliams transform.
 """
 
 from __future__ import annotations
@@ -29,6 +31,12 @@ __all__ = [
 
 # Enumeration above 2^28 codewords is almost certainly a mistake, not a plan.
 DEFAULT_ENUMERATION_CAP = 28
+
+# Messages per bit slice are 2^_SLICE_BITS.  Counting holds n column sets of
+# that many bits, plus log2(n) bit-planes, so it needs about n * 2^_SLICE_BITS
+# bits of transient memory: 256 KiB at n = 128.  A wider slice saves little
+# time and raises peak memory measurably.
+_SLICE_BITS = 14
 
 
 @dataclass(frozen=True)
@@ -75,6 +83,11 @@ class LinearCode:
 
     def __post_init__(self) -> None:
         rows = self.generator.row_bits()
+        # dup: the columns set in two or more rows, where no pivot may sit.
+        seen = dup = 0
+        for r in rows:
+            dup |= seen & r
+            seen |= r
         last_pivot = -1
         for i, r in enumerate(rows):
             if r == 0:
@@ -82,9 +95,8 @@ class LinearCode:
             p = (r & -r).bit_length() - 1
             if p <= last_pivot:
                 raise ValueError("generator rows are not in echelon order; use from_rows")
-            for j, other in enumerate(rows):
-                if j != i and (other >> p) & 1:
-                    raise ValueError("generator is not fully reduced; use from_rows")
+            if (dup >> p) & 1:
+                raise ValueError("generator is not fully reduced; use from_rows")
             last_pivot = p
 
     @classmethod
@@ -121,12 +133,12 @@ class LinearCode:
         return x == 0
 
     def weight_distribution(self, cap: int = DEFAULT_ENUMERATION_CAP) -> WeightEnumerator:
-        """Exact weight distribution, walking 2^min(k, n-k) words.
+        """Exact weight distribution, counting 2^min(k, n-k) words.
 
-        A code with 2k <= n walks its own 2^k words; otherwise its dual's
-        2^(n-k) words are walked and ``macwilliams_transform`` gives this
+        A code with 2k <= n counts its own 2^k words; otherwise its dual's
+        2^(n-k) words are counted and ``macwilliams_transform`` gives this
         code's distribution back.  Raises if the dimension k exceeds ``cap``,
-        whichever side is walked.
+        whichever side is counted.
         """
         d = self.dimension
         if d > cap:
@@ -134,19 +146,59 @@ class LinearCode:
                 f"dimension {d} exceeds enumeration cap {cap}; raise the cap to proceed"
             )
         if 2 * d > self.n:
-            return macwilliams_transform(self.dual()._gray_walk(), self.n - d)
-        return self._gray_walk()
+            return macwilliams_transform(self.dual()._sliced_count(), self.n - d)
+        return self._sliced_count()
 
-    def _gray_walk(self) -> WeightEnumerator:
-        """Distribution of the span, visited in Gray-code order (2^k - 1 row XORs)."""
-        counts = [0] * (self.n + 1)
-        counts[0] = 1
+    def _sliced_count(self) -> WeightEnumerator:
+        """Distribution of the span, counted over bit slices of messages.
+
+        The low t = min(k, _SLICE_BITS) rows span 2^t messages; for each
+        coordinate j, cols[j] has bit u set iff message u's word has
+        coordinate j set.  The high rows give 2^(k-t) coset offsets h, taken
+        in Gray order.  For each h, cols[j] (complemented where h has
+        coordinate j set) is added into bit-planes of the per-message weights,
+        and splitting the messages on the planes from the top gives the
+        number of words of each weight.
+        """
+        n = self.n
         rows = self.generator.row_bits()
-        cur = 0
-        for m in range(1, 1 << self.dimension):
-            cur ^= rows[(m & -m).bit_length() - 1]
-            counts[cur.bit_count()] += 1
-        return WeightEnumerator(self.n, tuple(counts))
+        t = min(len(rows), _SLICE_BITS)
+        cols = [0] * n
+        for i, row in enumerate(rows[:t]):
+            # Message 2^i + u has the word of u plus row i.
+            half = 1 << i
+            ones = (1 << half) - 1
+            for j, c in enumerate(cols):
+                cols[j] = c | (c ^ ones if (row >> j) & 1 else c) << half
+        full = (1 << (1 << t)) - 1
+        counts = [0] * (n + 1)
+        high = rows[t:]
+        h = 0
+        for m in range(1 << len(high)):
+            if m:
+                h ^= high[(m & -m).bit_length() - 1]
+            planes = [0] * n.bit_length()
+            for j, c in enumerate(cols):
+                carry = c ^ full if (h >> j) & 1 else c
+                b = 0
+                while carry:
+                    plane = planes[b]
+                    planes[b] = plane ^ carry
+                    carry &= plane
+                    b += 1
+            # Depth first, so at most two sets per plane are held at once.
+            stack = [(0, full, len(planes))]
+            while stack:
+                w, s, level = stack.pop()
+                if not s:
+                    continue
+                if level:
+                    level -= 1
+                    top = s & planes[level]
+                    stack += ((w, s ^ top, level), (w | 1 << level, top, level))
+                else:
+                    counts[w] += s.bit_count()
+        return WeightEnumerator(n, tuple(counts))
 
     def dual(self) -> LinearCode:
         """The orthogonal complement under the standard inner product."""

@@ -95,7 +95,8 @@ class Gf2Vector:
             raise ValueError(f"length mismatch: {self.length} vs {other.length}")
 
     def __str__(self) -> str:
-        return "".join("1" if (self.bits >> i) & 1 else "0" for i in range(self.length))
+        # Coordinate 0 comes first; format(0, "00b") would give "0", not "".
+        return format(self.bits, f"0{self.length}b")[::-1] if self.length else ""
 
 
 @dataclass(frozen=True)

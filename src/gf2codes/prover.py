@@ -43,6 +43,9 @@ __all__ = [
 _THEOREM_A = (66, 13, (24, 32, 40, 56))
 # Lemma 2.6: the two weights whose counts its closed forms give.
 _LEMMA_2_6_WEIGHTS = (24, 32)
+# The most lengths a Lemma 2.6 replay accepts: its report lists every length,
+# so its time and size grow with the range.
+_LEMMA_2_6_MAX_LENGTHS = 4096
 # The three-weight lemma: its weights, and the dimension bound it proves in
 # every ambient too short for two words of the largest weight.
 _LEMMA_WEIGHTS = (*_LEMMA_2_6_WEIGHTS, 56)
@@ -211,7 +214,8 @@ def verify_lemma_2_6(d: int, n_range: tuple[int, int] = (1, 128)) -> ProofReport
     factored form.  Two affine functions that agree at two lengths agree at
     every length, so agreement at both ends proves it for the whole range.
     The scan then steps the closed-form counts and the left side from one
-    length to the next by their exact increments.
+    length to the next by their exact increments.  The report lists
+    lengths, so a range of more than ``_LEMMA_2_6_MAX_LENGTHS`` raises.
     """
     lo, hi = n_range
     pair = _LEMMA_2_6_WEIGHTS
@@ -219,6 +223,11 @@ def verify_lemma_2_6(d: int, n_range: tuple[int, int] = (1, 128)) -> ProofReport
         raise ValueError(f"negative dimension {d}")
     if not 1 <= lo <= hi:
         raise ValueError(f"invalid length range [{lo}, {hi}]")
+    if hi - lo >= _LEMMA_2_6_MAX_LENGTHS:
+        raise ValueError(
+            f"length range [{lo}, {hi}] has {hi - lo + 1} lengths, "
+            f"more than {_LEMMA_2_6_MAX_LENGTHS}"
+        )
 
     all_match = factored_ok = True
     for n in sorted({lo, hi}):

@@ -328,6 +328,11 @@ def test_usage_and_input_errors(capsys, tmp_path):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: negative node cap -1\n"
+    # A Lemma 2.6 range is bounded: its report lists every length.
+    assert run(["verify", "lemma-2-6", "--d", "9", "--n-range", "1..200000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: length range [1, 200000] has 200000 lengths, more than 4096\n"
 
 
 def test_module_entry_point():

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from math import comb
 
 import pytest
@@ -13,7 +14,7 @@ from gf2codes import (
     macwilliams_transform,
     parse_generator_text,
 )
-from gf2codes.codes import _krawtchouk_rows
+from gf2codes.codes import _SLICE_BITS, _krawtchouk_rows
 
 
 def brute_dual_words(code: LinearCode) -> set[int]:
@@ -39,6 +40,9 @@ def test_direct_construction_requires_canonical_rows():
         LinearCode(Gf2Matrix.from_lists([[1, 1, 0], [0, 1, 1]]))
     with pytest.raises(ValueError, match="from_rows"):
         LinearCode(Gf2Matrix.from_ints([0], 3))
+    # The second bit in row 0's pivot column sits in a later row.
+    with pytest.raises(ValueError, match="not fully reduced"):
+        LinearCode(Gf2Matrix.from_lists([[1, 0, 0], [1, 1, 0]]))
 
 
 def test_golay_fixture_shape(golay):
@@ -75,6 +79,34 @@ def test_high_rate_distribution_matches_span_enumeration():
             continue
         assert code.weight_distribution().counts == brute_distribution(code)
         checked += 1
+
+
+# (n, k): k = 0, k = _SLICE_BITS exactly, k above it (one slice per coset
+# offset), n up to 130, and high-rate codes whose counted dual is above it.
+SLICE_CASES = [
+    (0, 0), (9, 0), (2 * _SLICE_BITS, _SLICE_BITS), (40, _SLICE_BITS),
+    (36, _SLICE_BITS + 1), (40, _SLICE_BITS + 3), (130, 5), (130, _SLICE_BITS + 1),
+    (2 * _SLICE_BITS + 3, _SLICE_BITS + 2), (2 * _SLICE_BITS + 5, _SLICE_BITS + 3),
+]
+
+
+@pytest.mark.parametrize("n,k", SLICE_CASES, ids=str)
+def test_sliced_count_matches_span_enumeration(n, k):
+    code = random_code(random.Random(n * 1000 + k), n, k)
+    assert code.dimension == k
+    assert code.weight_distribution().counts == brute_distribution(code)
+
+
+def test_sliced_count_memory_is_bounded():
+    code = random_code(random.Random(17), 128, 17)
+    assert code.dimension == 17
+    tracemalloc.start()
+    try:
+        code.weight_distribution()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_even_weight_28_closed_form():

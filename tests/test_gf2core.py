@@ -32,6 +32,17 @@ def test_add_is_coordinatewise_xor():
     assert v ^ w == v + w
 
 
+def test_str_lists_coordinates_in_order():
+    rng = random.Random(41)
+    for length in range(131):
+        for _ in range(3):
+            v = Gf2Vector(length, rng.getrandbits(length))
+            want = "".join("1" if (v.bits >> i) & 1 else "0" for i in range(length))
+            assert str(v) == want
+    assert str(Gf2Vector.zero(0)) == ""
+    assert str(Gf2Vector.from_coords([1, 0, 0])) == "100"
+
+
 def test_add_length_mismatch():
     with pytest.raises(ValueError, match="length mismatch"):
         Gf2Vector.zero(3) + Gf2Vector.zero(4)

@@ -248,6 +248,18 @@ def test_two_weight_scan_validation():
         verify_lemma_2_6(10, (7, 3))
 
 
+def test_two_weight_scan_bounds_its_range():
+    longest = prover._LEMMA_2_6_MAX_LENGTHS
+    assert longest >= 256  # the golden digests replay up to 256 lengths
+    # At d = 9 no length gives a contradiction, so the report lists them all.
+    report = verify_lemma_2_6(9, (1, longest))
+    assert report.steps[1].data["lengths_without_contradiction"] == list(range(1, longest + 1))
+    for n_range in ((1, longest + 1), (1000, 1000 + longest), (1, 10**9)):
+        lo, hi = n_range
+        with pytest.raises(ValueError, match=f"has {hi - lo + 1} lengths, more than {longest}"):
+            verify_lemma_2_6(10, n_range)
+
+
 def test_three_weight_bound_report():
     report = verify_lemma_24_32_56()
     assert report.overall
