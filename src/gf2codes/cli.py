@@ -10,6 +10,7 @@ deterministically, so identical inputs give identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Sequence
@@ -247,7 +248,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 def _parse_ints(text: str, flag: str) -> tuple[int, ...]:
     try:
-        return tuple(int(part) for part in text.split(","))
+        return tuple([int(part) for part in text.split(",")])
     except ValueError:
         raise ValueError(f"{flag} expects comma-separated integers, got {text!r}") from None
 
@@ -262,6 +263,8 @@ def _parse_range(text: str) -> tuple[int, int]:
         raise ValueError(f"--n-range expects A..B with integers, got {text!r}") from None
 
 
+# parse_args leaves the parser unchanged, so one parser serves every run().
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",

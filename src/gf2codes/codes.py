@@ -58,7 +58,7 @@ class WeightEnumerator:
 
     def nonzero(self) -> tuple[tuple[int, int], ...]:
         """(weight, count) pairs with nonzero count, ascending by weight."""
-        return tuple((i, a) for i, a in enumerate(self.counts) if a)
+        return tuple([(i, a) for i, a in enumerate(self.counts) if a])
 
     def total(self) -> int:
         return sum(self.counts)
@@ -120,7 +120,7 @@ class LinearCode:
 
     def pivots(self) -> tuple[int, ...]:
         """Pivot column of each generator row (its lowest set coordinate)."""
-        return tuple((r & -r).bit_length() - 1 for r in self.generator.row_bits())
+        return tuple([(r & -r).bit_length() - 1 for r in self.generator.row_bits()])
 
     def contains(self, v: Gf2Vector) -> bool:
         """Exact membership by reduction against the canonical generator."""

@@ -3,6 +3,13 @@
 Coordinate i of a vector is bit i of a Python int, so weight is a popcount,
 addition is XOR, and an inner product is a popcount parity.  All types are
 immutable; operations return fresh values.
+
+Tuples in this package are built from lists, ``tuple([...])``, never from a
+generator expression.  CPython starts a tuple from a generator at 10 slots
+and resizes it to its final length, so it never comes from the free list for
+that length, yet returns there when it dies.  Only a full garbage collection
+empties those lists, and a loop of ``cli.run`` calls leaves no garbage that
+would start one, so the lists would fill to thousands of tuples each.
 """
 
 from __future__ import annotations
@@ -77,7 +84,7 @@ class Gf2Vector:
 
     def support(self) -> tuple[int, ...]:
         """Indices of nonzero coordinates, ascending."""
-        return tuple(i for i in range(self.length) if (self.bits >> i) & 1)
+        return tuple([i for i in range(self.length) if (self.bits >> i) & 1])
 
     def dot(self, other: Gf2Vector) -> int:
         """Inner product in GF(2)."""
@@ -115,7 +122,7 @@ class Gf2Matrix:
 
     @classmethod
     def from_ints(cls, rows: Sequence[int], n_cols: int) -> Gf2Matrix:
-        return cls(tuple(Gf2Vector(n_cols, r) for r in rows), n_cols)
+        return cls(tuple([Gf2Vector(n_cols, r) for r in rows]), n_cols)
 
     @classmethod
     def from_lists(cls, rows: Sequence[Sequence[int]]) -> Gf2Matrix:
@@ -126,14 +133,14 @@ class Gf2Matrix:
         for i, row in enumerate(rows):
             if len(row) != width:
                 raise ValueError(f"row {i} has length {len(row)}, expected {width}")
-        return cls(tuple(Gf2Vector.from_coords(row) for row in rows), width)
+        return cls(tuple([Gf2Vector.from_coords(row) for row in rows]), width)
 
     @property
     def n_rows(self) -> int:
         return len(self.rows)
 
     def row_bits(self) -> tuple[int, ...]:
-        return tuple(row.bits for row in self.rows)
+        return tuple([row.bits for row in self.rows])
 
     def __str__(self) -> str:
         return "\n".join(str(row) for row in self.rows)

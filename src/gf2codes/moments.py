@@ -181,14 +181,14 @@ def moment_identities_check(code: LinearCode, cap: int = DEFAULT_ENUMERATION_CAP
     dual_we = macwilliams_transform(we, code.dimension)
     a2_star = dual_we.count(2) if code.n >= 2 else 0
     a3_star = dual_we.count(3) if code.n >= 3 else 0
-    moments = tuple(power_moment(we, k) for k in range(4))
+    moments = tuple([power_moment(we, k) for k in range(4)])
     rhs = _moment_rhs(code.n, code.dimension)
     # The identities cover nonzero weights only; at k = 0 that is the total
     # minus the zero word.
     lhs = (moments[0] - 1,) + moments[1:]
-    status = tuple(
+    status = tuple([
         Fraction(lhs[k]) == rhs[k].evaluate(a2_star, a3_star) for k in range(4)
-    )
+    ])
     return MomentReport(
         n=code.n,
         d=code.dimension,

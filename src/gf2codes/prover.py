@@ -397,6 +397,12 @@ def _braces(values) -> str:
     return "{" + ", ".join(str(v) for v in values) + "}"
 
 
+def _spelled(count: int) -> str:
+    """A count below ten as a word, as the paper writes it; others as digits."""
+    words = ("zero", "one", "two", "three", "four", "five", "six", "seven", "eight", "nine")
+    return words[count] if 0 <= count < len(words) else str(count)
+
+
 def _pair_scan(weights: tuple[int, ...], weight_w: int) -> list[list[int]]:
     """Projected weight of every realizable ordered weight pair (|v|, |v+w|)."""
     table = []
@@ -443,7 +449,7 @@ def verify_theorem_a() -> ProofReport:
     )
     if not outside:
         step(
-            "weight-40-exists", "cited-lemma",
+            "weight-outside-lemma-exists", "cited-lemma",
             f"no weight of {_braces(weights)} lies outside {lemma_weights}, so "
             "there is no weight to project along",
             "a weight outside the lemma's set must occur",
@@ -477,7 +483,7 @@ def verify_theorem_a() -> ProofReport:
         return form == want, rearranged, floor
 
     step(
-        "weight-40-exists", "cited-lemma",
+        f"weight-{w}-exists", "cited-lemma",
         f"without a weight-{w} word the weights lie in {lemma_weights} with ambient "
         f"{n_max} <= {cap}, capping the dimension at {bound} < {dim}, so a "
         f"counterexample contains a weight-{w} word w",
@@ -486,14 +492,14 @@ def verify_theorem_a() -> ProofReport:
         {
             "cited": "lemma-24-32-56",
             "lemma_overall": lemma.overall,
-            "bound_without_weight_40": bound,
+            f"bound_without_weight_{w}": bound,
             "hypothetical_dimension": dim,
             "ambient": n_max,
             "ambient_cap": cap,
         },
     )
     step(
-        "projection-dimension-12", "arithmetic",
+        f"projection-dimension-{pdim}", "arithmetic",
         "two disjoint nonzero codewords have weights summing to at least "
         f"{low} + {low} = {2 * low} > {w}, so w is not a disjoint sum and "
         f"projecting along w drops the dimension by exactly one, to {pdim}",
@@ -559,7 +565,7 @@ def verify_theorem_a() -> ProofReport:
         )
         remark = verify_remark_a56(n)
         step(
-            f"n{n}-unique-56", "cited-lemma",
+            f"n{n}-unique-{top}", "cited-lemma",
             f"the union bound caps a_{top} at one in ambient {n}, and the all-ones "
             f"preimage forces at least one, so there is exactly one weight-{top} word",
             f"n={n} / exactly one weight-{top} word",
@@ -646,10 +652,10 @@ def verify_theorem_a() -> ProofReport:
         matched, rearranged, floor = count_solve(n, k)
         a2_min = math.ceil(floor)
         step(
-            f"n{n}-dual-pairs-at-least-7", "arithmetic",
+            f"n{n}-dual-pairs-at-least-{a2_min}", "arithmetic",
             f"rearranged, a2_star = {rearranged} >= {floor}, and being an integer "
             f"a2_star >= {a2_min}; pick two distinct weight-2 dual words z1, z2",
-            f"n={n} / at least seven weight-2 dual words",
+            f"n={n} / at least {_spelled(a2_min)} weight-2 dual words",
             matched and a2_min >= k,
             {"a2_star_identity": f"a2_star = {rearranged}", "a2_star_min": a2_min},
         )
@@ -676,7 +682,7 @@ def verify_theorem_a() -> ProofReport:
         )
         remark = verify_remark_a56(n)
         step(
-            f"n{n}-weight24-from-56", "arithmetic",
+            f"n{n}-weight{forced}-from-{top}", "arithmetic",
             f"a projected weight of {forced} needs |v| + |v+w| = {pair_sum}, realized "
             f"only by the pair {', '.join(_braces(p) for p in matching)}; the fibers "
             f"{{v, v+w}} map projected weight-{forced} words injectively to "

@@ -80,8 +80,8 @@ def _word_tables(n: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, .
             period <<= 1
         return pattern
 
-    keep = tuple(tile((1 << (1 << j)) - 1, 2 << j) for j in range(n))
-    lowest = tuple(tile(1 << (1 << q), 2 << q) for q in range(n))
+    keep = tuple([tile((1 << (1 << j)) - 1, 2 << j) for j in range(n)])
+    lowest = tuple([tile(1 << (1 << q), 2 << q) for q in range(n)])
     by_weight = [1]
     for m in range(n):
         # Words below 2^m keep their weight; 2^m + u has weight |u| + 1.
@@ -189,12 +189,12 @@ def cross_validate(
     for n in range(1, n_max + 1):
         for r in range(len(universe) + 1):
             for subset in combinations(universe, r):
-                wset = tuple(w for w in subset if w <= n)
+                wset = tuple([w for w in subset if w <= n])
                 found = max_dimension_exhaustive(n, wset, node_cap=node_cap)
                 agree = True
                 if found.max_dimension >= 1 and found.witness is not None:
                     code = spanning_form(LinearCode.from_rows(found.witness))
-                    fitting = tuple(w for w in wset if w <= code.n)
+                    fitting = tuple([w for w in wset if w <= code.n])
                     verdict = feasibility_check(code.n, code.dimension, fitting)
                     agree = verdict.feasible
                 results.append((n, subset, agree))

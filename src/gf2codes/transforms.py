@@ -69,7 +69,7 @@ def project(code: LinearCode, w: Gf2Vector) -> LinearCode:
         raise ValueError("cannot project along the zero word")
     if not code.contains(w):
         raise ValueError("projection word is not a codeword")
-    keep = tuple(i for i in range(code.n) if not (w.bits >> i) & 1)
+    keep = tuple([i for i in range(code.n) if not (w.bits >> i) & 1])
     return _restrict(code.generator.row_bits(), keep)
 
 
@@ -92,7 +92,7 @@ def shorten(code: LinearCode, coords: Iterable[int]) -> LinearCode:
         if hit is not None:
             rows = [r ^ hit if (r >> c) & 1 else r for r in rows if r != hit]
     dropped = set(coord_set)
-    keep = tuple(i for i in range(code.n) if i not in dropped)
+    keep = tuple([i for i in range(code.n) if i not in dropped])
     return _restrict(rows, keep)
 
 
@@ -130,5 +130,5 @@ def spanning_form(code: LinearCode) -> LinearCode:
     union = 0
     for r in code.generator.row_bits():
         union |= r
-    keep = tuple(i for i in range(code.n) if (union >> i) & 1)
+    keep = tuple([i for i in range(code.n) if (union >> i) & 1])
     return _restrict(code.generator.row_bits(), keep)

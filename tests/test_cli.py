@@ -1,12 +1,19 @@
+import contextlib
+import gc
 import hashlib
+import io
 import json
 import os
+import platform
+import random
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import gf2codes
-from conftest import FIXTURES
+from conftest import FIXTURES, random_code
 from gf2codes import __version__
 from gf2codes.cli import run
 
@@ -335,12 +342,16 @@ def test_usage_and_input_errors(capsys, tmp_path):
     assert captured.err == "error: length range [1, 200000] has 200000 lengths, more than 4096\n"
 
 
-def test_module_entry_point():
-    # The subprocesses import the package from this checkout's src directory,
+def _subprocess_env(**extra: str) -> dict[str, str]:
+    # Subprocesses import the package from this checkout's src directory,
     # whether or not it is installed.
     src = str(Path(gf2codes.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    return {**os.environ, **extra, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+
+def test_module_entry_point():
+    env = _subprocess_env()
     proc = subprocess.run(
         [sys.executable, "-m", "gf2codes", "analyze", GOLAY],
         capture_output=True,
@@ -356,3 +367,104 @@ def test_module_entry_point():
         env=env,
     )
     assert bad.returncode == 1
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# SHA-256 of `--help` stdout at COLUMNS=80 for the top-level parser and each
+# subcommand, taken when the parser was still rebuilt on every call.
+HELP_DIGESTS = [
+    ([], "94e62b0e816d805b53dc781f302370b7449509a135750ce2d09095ab128ffb16"),
+    (["analyze"], "54dc60b9d1816ff5ba58b564a90225cbe547b474b8d3385cc0ab14966d102f9a"),
+    (["dual"], "919337118754987f3b9d6b3a61b3fc24cfc94d750eb6a6ad4f2c795045cee959"),
+    (["project"], "1c3f728182d293d5aaf62ca803957820afb37d4f17dc9cd39ea16e9cf96762c7"),
+    (["shorten"], "fa1f3d1bea8def370dc99619b390ad57f8bfb88d868218e60f3eff7361c3736c"),
+    (["moments"], "0dd7bd847910b0c8dab8ab71ee5293a4de6883e23aa11322a278f2f8762694b2"),
+    (["feasibility"], "f340286cfab35ea7f861c16ec5ce9e3059553ba81d3dbef78d640455a37ddd4a"),
+    (["verify"], "9d147187ed33cea97bfd7285b1323a439d80d42ebf1cf3bccf92d5eaf4b2c5cf"),
+    (["search"], "2b38bfc86f75e336de3cf54c004a59dee0536015725a9e5bddb3754749cb6c28"),
+]
+
+
+def test_help_and_usage_text_match_golden_digests(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    for command, digest in HELP_DIGESTS:
+        assert run(command + ["--help"]) == 0, command
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert _sha256(captured.out) == digest, command
+    # A missing required option: usage wrapped at 80 columns, then the error.
+    assert run(["search", "--n", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _sha256(captured.err) == (
+        "188fe1853206ca55119591971d771aa9dff02a80a516ba055be44334b59c98aa")
+
+
+def test_repeated_runs_keep_no_state(capsys, monkeypatch):
+    # One process runs these calls with the same parser; each must print and
+    # exit as the same command does alone in a fresh process.
+    monkeypatch.setenv("COLUMNS", "80")
+    env = _subprocess_env(COLUMNS="80")
+    calls = [
+        # Options of one call must not reach the next call of that subcommand.
+        (["verify", "lemma-2-6", "--d", "5", "--n-range", "1..8"], 1),
+        (["verify", "theorem-a"], 0),
+        (["search", "--n", "8", "--weights", "2,4", "--node-cap", "5"], 0),
+        (["search", "--n", "8", "--weights", "2,4"], 0),
+        (["analyze", GOLAY, "--cap", "3"], 2),
+        (["analyze", GOLAY], 0),
+        # Nor may a usage error or --help change what follows.
+        (["search", "--n", "3"], 2),
+        (["--help"], 0),
+        (["dual", EVEN4, "--json"], 0),
+    ]
+    outs = []
+    for argv, expected in calls:
+        assert run(argv) == expected, argv
+        captured = capsys.readouterr()
+        alone = subprocess.run([sys.executable, "-m", "gf2codes", *argv],
+                               capture_output=True, text=True, env=env)
+        assert (alone.returncode, alone.stdout, alone.stderr) == (
+            expected, captured.out, captured.err), argv
+        outs.append(captured.out)
+    assert "INCOMPLETE" in outs[2] and "INCOMPLETE" not in outs[3]
+
+
+@pytest.mark.skipif(platform.python_implementation() != "CPython",
+                    reason="tuple free lists are a CPython detail")
+def test_repeated_runs_leave_tuple_free_lists_empty(tmp_path):
+    # A tuple built from a generator expression is resized in place and dies
+    # onto the free list of its final length, which only a full collection
+    # empties.  A loop of cli.run calls leaves no garbage that would start one,
+    # so such tuples would pile up there: about 8,500 blocks over these 800
+    # calls, against under 1,000 when every tuple is built at its final size.
+    rng = random.Random(20261018)
+    paths = []
+    while len(paths) < 40:
+        k = rng.randint(11, 19)
+        n = rng.randint(k + 4, 30)
+        code = random_code(rng, n, k)
+        if code.dimension != k or not code.predicate_profile().is_spanning:
+            continue
+        path = tmp_path / f"code{len(paths)}.txt"
+        path.write_text("\n".join(str(row) for row in code.generator.rows) + "\n")
+        paths.append(str(path))
+    commands = [["analyze"], ["dual"], ["project", "--word", "0"], ["shorten", "--coords", "0,1"]]
+
+    def one_round() -> None:
+        for path in paths:
+            for command in commands:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert run([command[0], path, *command[1:], "--json"]) == 0
+
+    one_round()
+    gc.collect()
+    for _ in range(5):
+        one_round()
+    before = sys.getallocatedblocks()
+    gc.collect()
+    freed = before - sys.getallocatedblocks()
+    assert freed < 3000, freed

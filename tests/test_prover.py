@@ -378,7 +378,7 @@ def test_dimension_bound_theorem_accepts_weaker_claim(monkeypatch, claim, window
         ((66, 13, (24, 32, 41, 56)), "n66-count-solve"),
         ((66, 13, (24, 32, 50, 56)), "projection-dimension-12"),
         ((66, 13, (11, 24, 32, 56)), "length-window"),
-        ((66, 13, (24, 32, 56)), "weight-40-exists"),
+        ((66, 13, (24, 32, 56)), "weight-outside-lemma-exists"),
     ],
     ids=["odd-weight-41", "weight-50", "odd-weight-11", "no-weight-outside-lemma"],
 )
@@ -392,3 +392,22 @@ def test_unrealizable_or_missing_weight_fails_a_step(monkeypatch, claim, failed_
     report = verify_theorem_a()
     assert not report.overall
     assert not {s.id: s for s in report.steps}[failed_step].status
+
+
+def test_theorem_a_step_ids_follow_the_claim(monkeypatch):
+    # Ids name the claim's own numbers: the projected dimension, the weight
+    # projected along, and at a deficit-2 length the a2_star minimum and the
+    # forced projected weight.
+    monkeypatch.setattr(prover, "_THEOREM_A", (66, 14, (24, 32, 40, 56)))
+    ids = [s.id for s in verify_theorem_a().steps]
+    assert "projection-dimension-13" in ids
+    assert "projection-dimension-12" not in ids
+    monkeypatch.setattr(prover, "_THEOREM_A", (66, 13, (24, 32, 41, 56)))
+    by_id = {s.id: s for s in verify_theorem_a().steps}
+    assert "weight-40-exists" not in by_id
+    assert by_id["weight-41-exists"].data["bound_without_weight_41"] == 10
+    monkeypatch.setattr(prover, "_THEOREM_A", (66, 12, (24, 32, 40, 56)))
+    steps = verify_theorem_a().steps
+    pairs = [s for s in steps if "dual-pairs-at-least" in s.id]
+    assert [s.id for s in pairs] == [f"n64-dual-pairs-at-least-{pairs[0].data['a2_star_min']}"]
+    assert "n64-weight22-from-56" in [s.id for s in steps]
