@@ -23,8 +23,10 @@ from .moments import (
     FeasibilityVerdict,
     INFEASIBLE,
     LinearCountSolution,
+    LpBound,
     MomentReport,
     feasibility_check,
+    lp_dimension_bound,
     moment_identities_check,
     power_moment,
     solve_weight_counts,
@@ -63,6 +65,7 @@ __all__ = [
     "Gf2Vector",
     "LinearCode",
     "LinearCountSolution",
+    "LpBound",
     "MomentReport",
     "PredicateProfile",
     "ProofReport",
@@ -75,6 +78,7 @@ __all__ = [
     "extend_span",
     "feasibility_check",
     "format_generator_text",
+    "lp_dimension_bound",
     "macwilliams_transform",
     "max_dimension_exhaustive",
     "min_union_length",

@@ -12,6 +12,10 @@ weight-3 words in the dual (a2_star, a3_star):
 Given a prescribed set of nonzero weights this pins the counts as affine
 functions of (a2_star, a3_star); leftover moment equations become residual
 constraints.  Everything here is exact rational arithmetic.
+
+``lp_dimension_bound`` is Delsarte's linear-programming bound: the dual
+distribution of any code with weights in W is nonnegative, which caps the
+number of nonzero words and hence the dimension.
 """
 
 from __future__ import annotations
@@ -22,18 +26,21 @@ from math import ceil, comb, floor, gcd, lcm
 from typing import Iterable, Mapping
 
 from .codes import DEFAULT_ENUMERATION_CAP, LinearCode, WeightEnumerator, macwilliams_transform
+from .codes import _krawtchouk_rows
 
 __all__ = [
     "AffineForm",
     "MomentReport",
     "LinearCountSolution",
     "FeasibilityVerdict",
+    "LpBound",
     "FEASIBLE",
     "INFEASIBLE",
     "power_moment",
     "moment_identities_check",
     "solve_weight_counts",
     "feasibility_check",
+    "lp_dimension_bound",
 ]
 
 FEASIBLE = "feasible"
@@ -137,6 +144,23 @@ class FeasibilityVerdict:
     @property
     def feasible(self) -> bool:
         return self.status == FEASIBLE
+
+
+@dataclass(frozen=True)
+class LpBound:
+    """Delsarte's LP bound on the dimension, with its dual certificate.
+
+    ``optimum`` is the largest sum of A_w over w in W such that A_w >= 0 and
+    K_j(0) + sum_w A_w K_j(w) >= 0 for j = 1..n, K_j the Krawtchouk
+    polynomials; a code with weights in W has at most 2^``dimension`` words,
+    ``dimension`` = floor(log2(1 + optimum)).  ``multipliers[j - 1]`` = y_j
+    >= 0 with sum_j y_j (-K_j(w)) >= 1 for each w in W, so every feasible A
+    has sum_w A_w <= sum_j y_j K_j(0) = ``optimum`` (weak duality).
+    """
+
+    dimension: int
+    optimum: Fraction
+    multipliers: tuple[Fraction, ...]
 
 
 def power_moment(we: WeightEnumerator, k: int) -> int:
@@ -461,3 +485,59 @@ def _admissible_a3(
                   f"(need a3_star = {rem} mod {mod})")
         return None, (REASON_NON_INTEGER, missed)
     return first, None
+
+
+def lp_dimension_bound(n: int, weights: Iterable[int]) -> LpBound:
+    """Solve Delsarte's LP for length n and weight set W exactly.
+
+    Simplex with Bland's rule from the origin, which is feasible since the
+    right-hand sides K_j(0) are binomials; summing the constraints gives
+    sum_w A_w <= 2^n - 1, so every entering column has a positive entry.
+    The tableau keeps only the nonbasic columns, as integers over the common
+    denominator ``denom`` (the last pivot): fraction-free pivoting divides
+    exactly.  Weights outside [1, n] raise ValueError.
+    """
+    if n < 0:
+        raise ValueError(f"negative length {n}")
+    ws = sorted(set(weights))
+    if any(w <= 0 or w > n for w in ws):
+        raise ValueError(f"weights must lie in [1, {n}], got {ws}")
+    kraw = _krawtchouk_rows(n)
+    m = len(ws)
+    # Row j - 1: -sum_w K_j(w) A_w + s_j = K_j(0), right-hand side last; the
+    # objective row holds the reduced costs and the objective value.
+    rows = [[-kraw[w][j] for w in ws] + [kraw[0][j]] for j in range(1, n + 1)]
+    objective = [-1] * m + [0]
+    # Variable i < m is A_{ws[i]}; variable m + j - 1 is the slack s_j.
+    nonbasic = list(range(m))
+    basic = list(range(m, m + n))
+    denom = 1
+    while entering := [c for c in range(m) if objective[c] < 0]:
+        c = min(entering, key=nonbasic.__getitem__)
+        # Least ratio row[m] / row[c] over row[c] > 0, ties to the least
+        # basic variable (Bland).
+        r = -1
+        for i, row in enumerate(rows):
+            if row[c] > 0 and (
+                r < 0 or (row[m] * rows[r][c], basic[i]) < (rows[r][m] * row[c], basic[r])
+            ):
+                r = i
+        pivot_row = rows[r]
+        p = pivot_row[c]
+        for row in rows + [objective]:
+            if row is pivot_row:
+                continue
+            f = row[c]
+            for k in range(m + 1):
+                row[k] = (p * row[k] - f * pivot_row[k]) // denom
+            row[c] = -f
+        pivot_row[c] = denom
+        denom = p
+        basic[r], nonbasic[c] = nonbasic[c], basic[r]
+    # y_j is the reduced cost of s_j: zero while s_j is basic.
+    cost = dict(zip(nonbasic, objective))
+    return LpBound(
+        dimension=(1 + objective[m] // denom).bit_length() - 1,
+        optimum=Fraction(objective[m], denom),
+        multipliers=tuple([Fraction(cost.get(m + j, 0), denom) for j in range(n)]),
+    )

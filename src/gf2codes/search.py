@@ -17,7 +17,9 @@ so before each pivot the rows still to come number at most the nonempty
 free buckets left and at most floor(log2(1 + admissible words in them)); a
 branch that cannot beat the best code found so far is cut.  A cut branch
 never strictly improves on the incumbent, so the first witness found is the
-one the unpruned search finds.
+one the unpruned search finds.  The search also ends, complete, as soon as
+the incumbent reaches Delsarte's LP bound (``lp_dimension_bound``), which
+no code with these weights can exceed.
 
 ``nodes_explored`` counts the admissible candidate rows tried.  The sets
 take 2^n bits each, so lengths above ``MAX_SEARCH_LENGTH`` (20, where a
@@ -26,14 +28,14 @@ set is 128 KiB) are refused.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterable
 
 from .codes import LinearCode
 from .gf2core import Gf2Matrix
-from .moments import feasibility_check
+from .moments import feasibility_check, lp_dimension_bound
 from .transforms import spanning_form
 
 __all__ = [
@@ -50,7 +52,12 @@ MAX_SEARCH_LENGTH = 20
 
 @dataclass(frozen=True)
 class SearchResult:
-    """Largest dimension found, with the first witness in search order."""
+    """Largest dimension found, with the first witness in search order.
+
+    ``stop`` says how the search ended: "exhausted", "lp-bound" (the best
+    code reached ``bound``, the LP bound on the dimension) or "node-cap".
+    Neither takes part in equality.
+    """
 
     n: int
     weights: tuple[int, ...]
@@ -58,10 +65,12 @@ class SearchResult:
     witness: Gf2Matrix | None
     nodes_explored: int
     complete: bool
+    stop: str = field(compare=False)
+    bound: int = field(compare=False)
 
 
-class _NodeBudgetExceeded(Exception):
-    pass
+class _Stopped(Exception):
+    """Ends the search early; the argument is the ``stop`` reason."""
 
 
 @lru_cache(maxsize=None)  # one entry per length, at most MAX_SEARCH_LENGTH + 1
@@ -100,10 +109,11 @@ def max_dimension_exhaustive(
     """Exact maximum dimension of a code in F_2^n with weights inside the set.
 
     Explores canonical generators only, cutting branches that cannot beat
-    the best code found so far; ``node_cap`` bounds the number of admissible
-    candidate rows tried, and an exhausted budget is reported through
-    ``complete=False`` (the result is then only a lower bound).  Lengths
-    above ``MAX_SEARCH_LENGTH`` and negative node caps raise ValueError.
+    the best code found so far, and stops once that code reaches the LP
+    bound; ``node_cap`` bounds the number of admissible candidate rows
+    tried, and an exhausted budget is reported through ``complete=False``
+    (the result is then only a lower bound).  Lengths above
+    ``MAX_SEARCH_LENGTH`` and negative node caps raise ValueError.
     """
     if n < 0:
         raise ValueError(f"negative length {n}")
@@ -112,8 +122,7 @@ def max_dimension_exhaustive(
     if n > MAX_SEARCH_LENGTH:
         raise ValueError(f"search supports lengths up to {MAX_SEARCH_LENGTH}, got {n}")
     wset = frozenset(weights)
-    if any(w <= 0 or w > n for w in wset):
-        raise ValueError(f"weights must lie in [1, {n}], got {sorted(wset)}")
+    lp_bound = lp_dimension_bound(n, wset).dimension  # also checks the weights
 
     keep, lowest, by_weight = _word_tables(n)
     best_rows: list[int] = []
@@ -138,7 +147,7 @@ def max_dimension_exhaustive(
                 bucket ^= low
                 nodes += 1
                 if nodes > node_cap:
-                    raise _NodeBudgetExceeded
+                    raise _Stopped("node-cap")
                 row = low.bit_length() - 1
                 shifted = admissible
                 for j in range(pivot, n):
@@ -148,17 +157,19 @@ def max_dimension_exhaustive(
                 rows.append(row)
                 if len(rows) > len(best_rows):
                     best_rows = list(rows)
+                    if len(best_rows) == lp_bound:
+                        raise _Stopped("lp-bound")
                 extend(pivot, union | row, admissible & shifted)
                 rows.pop()
 
     root = 0
     for w in wset:
         root |= by_weight[w]
-    complete = True
+    stop = "exhausted"
     try:
         extend(-1, 0, root)
-    except _NodeBudgetExceeded:
-        complete = False
+    except _Stopped as stopped:
+        stop = stopped.args[0]
 
     witness = Gf2Matrix.from_ints(best_rows, n) if best_rows else None
     return SearchResult(
@@ -167,7 +178,9 @@ def max_dimension_exhaustive(
         max_dimension=len(best_rows),
         witness=witness,
         nodes_explored=nodes,
-        complete=complete,
+        complete=stop != "node-cap",
+        stop=stop,
+        bound=lp_bound,
     )
 
 

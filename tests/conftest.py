@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 from pathlib import Path
 
@@ -73,7 +74,8 @@ def rref_dfs_reference(n: int, weights) -> SearchResult:
 
     Tries every row with a free pivot in increasing numeric order and keeps
     the codewords spanned so far in a list; ``nodes_explored`` counts every
-    row tried, admissible or not.  It has no node cap, so it always completes.
+    row tried, admissible or not.  It has no node cap or LP stop, so it always
+    exhausts the search; ``bound`` is the trivial bound n.
     """
     wset = frozenset(weights)
     best_rows: list[int] = []
@@ -111,7 +113,59 @@ def rref_dfs_reference(n: int, weights) -> SearchResult:
         witness=Gf2Matrix.from_ints(best_rows, n) if best_rows else None,
         nodes_explored=nodes,
         complete=True,
+        stop="exhausted",
+        bound=n,
     )
+
+
+def krawtchouk(n: int, j: int, w: int) -> int:
+    """K_j(w) = sum_s (-1)^s C(w, s) C(n - w, j - s), from the definition."""
+    return sum((-1) ** s * comb(w, s) * comb(n - w, j - s) for s in range(j + 1))
+
+
+def _det(matrix: list[list[int]]) -> int:
+    """Integer determinant by Laplace expansion along the first row."""
+    if not matrix:
+        return 1
+    return sum(
+        (-1) ** i * a * _det([row[:i] + row[i + 1:] for row in matrix[1:]])
+        for i, a in enumerate(matrix[0])
+        if a
+    )
+
+
+def lp_vertex_reference(n: int, weights) -> Fraction:
+    """Delsarte's LP optimum by vertex enumeration, kept as the simplex's oracle.
+
+    The constraints are A_w >= 0 and K_j(0) + sum_w A_w K_j(w) >= 0 for
+    j = 1..n, each written as coeffs . A <= rhs with integer entries.  Every
+    choice of |W| of them taken as equalities with a unique solution is
+    solved by Cramer's rule, A = num / det; the largest objective over the
+    feasible solutions is the optimum, since the feasible region is a
+    nonempty polytope.  Meant for |W| <= 3.
+    """
+    ws = sorted(set(weights))
+    m = len(ws)
+    constraints = [([-1 if v == w else 0 for v in ws], 0) for w in ws] + [
+        ([-krawtchouk(n, j, w) for w in ws], comb(n, j)) for j in range(1, n + 1)
+    ]
+    best = Fraction(0)
+    for active in combinations(constraints, m):
+        matrix = [coeffs for coeffs, _ in active]
+        det = _det(matrix)
+        if det == 0:
+            continue
+        num = [
+            _det([row[:i] + [b] + row[i + 1:] for row, (_, b) in zip(matrix, active)])
+            for i in range(m)
+        ]
+        sign = 1 if det > 0 else -1
+        if all(
+            sign * sum(c * x for c, x in zip(coeffs, num)) <= sign * b * det
+            for coeffs, b in constraints
+        ):
+            best = max(best, Fraction(sum(num), det))
+    return best
 
 
 def full_scan_reference(n: int, d: int, weights) -> FeasibilityVerdict:

@@ -270,6 +270,10 @@ def test_search_cli(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error: search supports lengths up to 20, got 21" in captured.err
+    assert run(["search", "--n", "3", "--weights", "2,4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: weights must lie in [1, 3], got [2, 4]\n"
 
 
 def test_every_subcommand_emits_schema_json(capsys):

@@ -6,14 +6,16 @@ from math import comb, prod
 
 import pytest
 
-from conftest import full_scan_reference, random_code
+from conftest import full_scan_reference, krawtchouk, lp_vertex_reference, random_code
 from gf2codes import (
     AffineForm,
     FEASIBLE,
     INFEASIBLE,
     Gf2Matrix,
     LinearCode,
+    LpBound,
     feasibility_check,
+    lp_dimension_bound,
     moment_identities_check,
     power_moment,
     solve_weight_counts,
@@ -343,3 +345,53 @@ def test_affine_form_str_and_arithmetic():
     g = f.minus(AffineForm(Fraction(1), Fraction(1), Fraction(2)), Fraction(2))
     assert (g.const, g.a2_coeff, g.a3_coeff) == (1, -3, -4)
     assert str(AffineForm(Fraction(0))) == "0"
+
+
+# Every weight set of size 1..3 at lengths 8 and 9 (the benchmark's search
+# grid), and larger cases where the bound is tight.
+LP_CASES = [
+    (n, ws)
+    for n in (8, 9)
+    for size in (1, 2, 3)
+    for ws in itertools.combinations(range(1, n + 1), size)
+] + [(11, (4, 6, 8)), (12, (4, 8)), (14, (4, 8)), (16, (8,)), (10, (2, 4, 6)), (11, (3, 5, 6))]
+
+
+def test_lp_certificate_holds_in_plain_fractions():
+    assert len(LP_CASES) == 221 + 6
+    for n, ws in LP_CASES:
+        lp = lp_dimension_bound(n, ws)
+        y = lp.multipliers
+        assert len(y) == n and all(isinstance(v, Fraction) and v >= 0 for v in y), (n, ws)
+        for w in ws:
+            assert sum(v * -krawtchouk(n, j, w) for j, v in enumerate(y, 1)) >= 1, (n, ws, w)
+        assert sum(v * comb(n, j) for j, v in enumerate(y, 1)) == lp.optimum, (n, ws)
+        assert 2**lp.dimension <= 1 + lp.optimum < 2 ** (lp.dimension + 1), (n, ws)
+
+
+def test_lp_matches_vertex_enumeration():
+    for n, ws in LP_CASES:
+        assert lp_dimension_bound(n, ws).optimum == lp_vertex_reference(n, ws), (n, ws)
+
+
+def test_lp_known_values():
+    assert lp_dimension_bound(11, {4, 6, 8}).optimum == Fraction(253, 3)
+    assert lp_dimension_bound(12, {4, 8}).optimum == Fraction(495, 17)
+    assert lp_dimension_bound(16, {8}).dimension == 4
+    # Not tight: the search finds dimension 6 and 3.
+    assert lp_dimension_bound(10, {2, 4, 6}).dimension == 7
+    assert lp_dimension_bound(9, {3, 4, 5}).dimension == 4
+    # Far from the paper's bounds (Theorem A: 12, the {24,32,56} lemma: 10).
+    assert lp_dimension_bound(66, {24, 32, 40, 56}).dimension == 15
+    assert lp_dimension_bound(66, {24, 32, 56}).dimension == 14
+
+
+def test_lp_edge_cases():
+    assert lp_dimension_bound(5, set()) == LpBound(0, Fraction(0), (Fraction(0),) * 5)
+    assert lp_dimension_bound(0, ()) == LpBound(0, Fraction(0), ())
+    with pytest.raises(ValueError, match=r"weights must lie in \[1, 3\], got \[2, 4\]"):
+        lp_dimension_bound(3, {2, 4})
+    with pytest.raises(ValueError, match=r"weights must lie in \[1, 3\], got \[0\]"):
+        lp_dimension_bound(3, {0})
+    with pytest.raises(ValueError, match="negative length -1"):
+        lp_dimension_bound(-1, ())

@@ -1,3 +1,4 @@
+import dataclasses
 from itertools import combinations
 
 import pytest
@@ -7,7 +8,9 @@ from gf2codes import (
     Gf2Matrix,
     LinearCode,
     cross_validate,
+    lp_dimension_bound,
     max_dimension_exhaustive,
+    search,
 )
 from gf2codes.search import MAX_SEARCH_LENGTH
 
@@ -113,6 +116,9 @@ def _assert_matches_reference(n, ws):
     rows = got.witness.row_bits() if got.witness is not None else None
     want_rows = want.witness.row_bits() if want.witness is not None else None
     assert rows == want_rows, (n, ws)
+    # The LP stop fires exactly when the bound is tight and a code was found.
+    assert got.bound >= want.max_dimension, (n, ws)
+    assert got.stop == ("lp-bound" if got.bound == want.max_dimension > 0 else "exhausted"), (n, ws)
 
 
 @pytest.mark.parametrize("n", range(8))
@@ -187,3 +193,68 @@ def test_search_agrees_with_feasibility():
     results = cross_validate(6, {2, 6})
     assert len(results) == 6 * 4
     assert all(agree for _, _, agree in results)
+
+
+def _subsets(universe):
+    return [ws for r in range(len(universe) + 1) for ws in combinations(universe, r)]
+
+
+# The search cases of the tests above and of acceptance criterion 9.
+TIER1_CASES = [
+    (3, (2,)), (4, (3,)), (5, (2, 4)), (6, (2, 4)), (6, (4,)), (8, (4, 8)), (10, (2, 4, 6)),
+    (7, (3, 4)), (4, (1, 2)), (4, (2, 3)), (5, (2,)), (5, (3, 4)), (6, (3, 4, 5)),
+    (6, (1, 2, 3, 4, 5, 6)), (11, (4, 6, 8)), (20, (20,)), (12, (4, 8)), (11, (3, 5, 6)),
+] + [
+    (n, tuple(w for w in ws if w <= n))
+    for n_max, universe in ((8, (2, 4)), (6, (2, 6)), (10, (2, 4, 6)))
+    for n in range(1, n_max + 1)
+    for ws in _subsets(universe)
+]
+
+
+def test_lp_bound_covers_every_search_result():
+    for n, ws in TIER1_CASES:
+        result = max_dimension_exhaustive(n, ws)
+        assert result.complete
+        assert result.bound == lp_dimension_bound(n, ws).dimension >= result.max_dimension, (n, ws)
+        assert result.nodes_explored >= (1 if ws else 0), (n, ws)
+
+
+@pytest.mark.parametrize(
+    "n, ws",
+    [(8, ws) for r in range(4) for ws in combinations(range(1, 9), r)]
+    + [(9, (3, 4, 5)), (10, (2, 4, 6)), (11, (4, 6, 8))],
+)
+def test_lp_stop_changes_only_the_node_count(monkeypatch, n, ws):
+    stopped = max_dimension_exhaustive(n, ws)
+    real = lp_dimension_bound
+    # A bound of n is never below the result, so the stop cannot end the search early.
+    monkeypatch.setattr(search, "lp_dimension_bound",
+                        lambda length, weights: dataclasses.replace(real(length, weights),
+                                                                    dimension=length))
+    unstopped = max_dimension_exhaustive(n, ws)
+    assert unstopped.bound == n and unstopped.stop == "exhausted"
+    assert unstopped == dataclasses.replace(stopped, nodes_explored=unstopped.nodes_explored)
+    assert unstopped.nodes_explored >= stopped.nodes_explored
+
+
+def test_lp_stop_ends_searches_the_pruning_cannot():
+    # Exhausting either search tries about 250,000 (12, {4, 8}) or
+    # 290,000 (11, {3, 5, 6}) admissible candidates.
+    for n, ws, dimension, nodes in ((12, {4, 8}, 4, 21), (11, {3, 5, 6}, 3, 437)):
+        result = max_dimension_exhaustive(n, ws)
+        assert result.complete and result.stop == "lp-bound"
+        assert result.max_dimension == result.bound == dimension
+        assert result.nodes_explored == nodes
+
+
+def test_lp_stop_can_complete_within_the_node_cap():
+    # Exhausting (5, {2}) tries 6 candidates and (6, {2, 4}) 29, so both
+    # were capped without the stop; reaching the bound proves them optimal.
+    for n, ws, cap, nodes in ((5, {2}, 5, 3), (6, {2, 4}, 10, 10)):
+        result = max_dimension_exhaustive(n, ws, node_cap=cap)
+        assert result.complete and result.stop == "lp-bound", (n, ws)
+        assert result.nodes_explored == nodes
+        assert result == dataclasses.replace(max_dimension_exhaustive(n, ws), nodes_explored=nodes)
+    capped = max_dimension_exhaustive(6, {2, 4}, node_cap=9)
+    assert not capped.complete and capped.stop == "node-cap"
