@@ -5,10 +5,10 @@ matrix (no zero rows), so two codes are equal exactly when they are the same
 subspace.  Weight distributions are counted over the message space of the
 smaller of the code and its dual, 2^min(k, n-k) words, bit-sliced: each
 coordinate becomes one 2^t-bit set over a slice of 2^t messages, and the
-coordinates are added into bit-planes of per-message weights with a ripple
-carry, so one big-int operation covers up to 2^14 messages and the transient
-memory is about n * 2^14 bits.  A counted dual is turned back into the code's
-distribution by the MacWilliams transform.
+coordinates are added into bit-planes of per-message weights by a carry-save
+adder tree, about five big-int operations per coordinate, each covering up to
+2^14 messages; the transient memory is about n * 2^14 bits.  A counted dual is
+turned back into the code's distribution by the MacWilliams transform.
 """
 
 from __future__ import annotations
@@ -33,10 +33,12 @@ __all__ = [
 DEFAULT_ENUMERATION_CAP = 28
 
 # Messages per bit slice are 2^_SLICE_BITS.  Counting holds n column sets of
-# that many bits, plus log2(n) bit-planes, so it needs about n * 2^_SLICE_BITS
-# bits of transient memory: 256 KiB at n = 128.  A wider slice saves little
-# time and raises peak memory measurably.
+# that many bits, plus 2 log2(n) planes and held sets, so it needs about
+# n * 2^_SLICE_BITS bits of transient memory: 256 KiB at n = 128.  A wider
+# slice saves little time and raises peak memory measurably.
 _SLICE_BITS = 14
+
+_DROP_BITS = str.maketrans("", "", "01")
 
 
 @dataclass(frozen=True)
@@ -156,9 +158,15 @@ class LinearCode:
         coordinate j, cols[j] has bit u set iff message u's word has
         coordinate j set.  The high rows give 2^(k-t) coset offsets h, taken
         in Gray order.  For each h, cols[j] (complemented where h has
-        coordinate j set) is added into bit-planes of the per-message weights,
-        and splitting the messages on the planes from the top gives the
-        number of words of each weight.
+        coordinate j set) is added into bit-planes of the per-message weights
+        by carry-save: level b keeps planes[b] and may hold one more set of
+        weight 2^b, held[b], exactly when bit b of the number of columns added
+        is set.  A set arriving at a full level goes through a full adder with
+        the two there, which leaves their sum in planes[b] and sends the carry
+        up a level, so column j costs one full adder per trailing one bit of j,
+        five operations on average.  After the last column one pass of adders
+        folds the held sets into the planes, and splitting the messages on the
+        planes from the top gives the number of words of each weight.
         """
         n = self.n
         rows = self.generator.row_bits()
@@ -173,19 +181,32 @@ class LinearCode:
         full = (1 << (1 << t)) - 1
         counts = [0] * (n + 1)
         high = rows[t:]
+        depth = n.bit_length()
         h = 0
         for m in range(1 << len(high)):
             if m:
                 h ^= high[(m & -m).bit_length() - 1]
-            planes = [0] * n.bit_length()
-            for j, c in enumerate(cols):
-                carry = c ^ full if (h >> j) & 1 else c
+            planes = [0] * depth
+            held = [0] * depth
+            for j, x in enumerate(cols):
+                if (h >> j) & 1:
+                    x ^= full
                 b = 0
-                while carry:
-                    plane = planes[b]
-                    planes[b] = plane ^ carry
-                    carry &= plane
+                while (j >> b) & 1:
+                    a = planes[b]
+                    y = held[b]
+                    s = a ^ y
+                    planes[b] = s ^ x
+                    x = a & y | s & x
                     b += 1
+                held[b] = x
+            carry = 0
+            for b in range(depth):
+                a = planes[b]
+                y = held[b] if (n >> b) & 1 else 0
+                s = a ^ y
+                planes[b] = s ^ carry
+                carry = a & y | s & carry
             # Depth first, so at most two sets per plane are held at once.
             stack = [(0, full, len(planes))]
             while stack:
@@ -202,7 +223,7 @@ class LinearCode:
 
     def dual(self) -> LinearCode:
         """The orthogonal complement under the standard inner product."""
-        return LinearCode.from_rows(nullspace_basis(self.generator))
+        return LinearCode(nullspace_basis(self.generator))
 
     def predicate_profile(self) -> PredicateProfile:
         """Decide evenness, double evenness, isotropy, self-duality, spanning.
@@ -294,19 +315,17 @@ def parse_generator_text(text: str) -> Gf2Matrix:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        bits = 0
-        for i, ch in enumerate(line):
-            if ch == "1":
-                bits |= 1 << i
-            elif ch != "0":
-                raise ValueError(f"line {lineno}: unexpected character {ch!r}")
+        # int() would also take '_', signs, spaces and non-ASCII digits.
+        bad = line.translate(_DROP_BITS)
+        if bad:
+            raise ValueError(f"line {lineno}: unexpected character {bad[0]!r}")
         if width is None:
             width = len(line)
         elif len(line) != width:
             raise ValueError(
                 f"line {lineno}: row length {len(line)} differs from first row length {width}"
             )
-        rows.append(bits)
+        rows.append(int(line[::-1], 2))
     if width is None:
         raise ValueError("no generator rows found")
     return Gf2Matrix.from_ints(rows, width)

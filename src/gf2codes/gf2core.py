@@ -187,19 +187,31 @@ def rref(matrix: Gf2Matrix) -> RrefResult:
 
 
 def nullspace_basis(matrix: Gf2Matrix) -> Gf2Matrix:
-    """Basis of {x : M x^T = 0}, one row per free column of M.
+    """Basis of {x : M x^T = 0} in reduced row-echelon form.
 
-    The result has n_cols - rank rows; for an identity block it is empty.
+    M is reduced with each pivot at its row's highest set bit.  For each
+    non-pivot column f, the word with bit f and bit q for every pivot q whose
+    row has bit f is orthogonal to every row.  Its lowest bit is f, since
+    such pivots lie above f, and no other word has bit f, so the words in
+    increasing f are the canonical generator of the null space.  The result
+    has n_cols - rank rows; for an identity block it is empty.
     """
-    work, pivots = rref_ints(matrix.row_bits(), matrix.n_cols)
-    pivot_set = set(pivots)
-    basis: list[int] = []
-    for free in range(matrix.n_cols):
-        if free in pivot_set:
-            continue
-        vec = 1 << free
-        for row_idx, p in enumerate(pivots):
-            if (work[row_idx] >> free) & 1:
-                vec |= 1 << p
-        basis.append(vec)
-    return Gf2Matrix.from_ints(basis, matrix.n_cols)
+    reduced: list[int] = []
+    for r in matrix.row_bits():
+        for row in reduced:
+            if (r >> (row.bit_length() - 1)) & 1:
+                r ^= row
+        if r:
+            top = r.bit_length() - 1
+            reduced = [row ^ r if (row >> top) & 1 else row for row in reduced]
+            reduced.append(r)
+    words = {f: 1 << f for f in range(matrix.n_cols)}
+    for row in reduced:
+        top = row.bit_length() - 1
+        del words[top]
+        rest = row ^ 1 << top
+        while rest:
+            low = rest & -rest
+            words[low.bit_length() - 1] |= 1 << top
+            rest ^= low
+    return Gf2Matrix.from_ints(list(words.values()), matrix.n_cols)

@@ -18,6 +18,7 @@ from gf2codes import (
     parse_generator_text,
     solve_weight_counts,
 )
+from gf2codes.gf2core import rref_ints
 from gf2codes.moments import (
     AffineForm,
     _admissible_a3,
@@ -67,6 +68,24 @@ def brute_distribution(code: LinearCode) -> tuple[int, ...]:
     for w in all_codewords(code):
         counts[w.bit_count()] += 1
     return tuple(counts)
+
+
+def free_column_nullspace(matrix: Gf2Matrix) -> Gf2Matrix:
+    """Null space basis with one row per free column of rref(M), not reduced.
+
+    Row f is e_f plus e_p for each pivot p whose reduced row has bit f.
+    """
+    work, pivots = rref_ints(matrix.row_bits(), matrix.n_cols)
+    basis = []
+    for free in range(matrix.n_cols):
+        if free in pivots:
+            continue
+        vec = 1 << free
+        for row, p in zip(work, pivots):
+            if (row >> free) & 1:
+                vec |= 1 << p
+        basis.append(vec)
+    return Gf2Matrix.from_ints(basis, matrix.n_cols)
 
 
 def rref_dfs_reference(n: int, weights) -> SearchResult:

@@ -1,10 +1,11 @@
 import random
+import re
 import tracemalloc
 from math import comb
 
 import pytest
 
-from conftest import all_codewords, brute_distribution, random_code
+from conftest import all_codewords, brute_distribution, free_column_nullspace, random_code
 from gf2codes import (
     Gf2Matrix,
     Gf2Vector,
@@ -97,6 +98,30 @@ def test_sliced_count_matches_span_enumeration(n, k):
     assert code.weight_distribution().counts == brute_distribution(code)
 
 
+def _code_of_dimension(rng: random.Random, n: int, k: int) -> LinearCode:
+    while True:
+        code = random_code(rng, n, k)
+        if code.dimension == k:
+            return code
+
+
+# Lengths at each side of a plane boundary, where the adder tree gains a
+# level, with one slice (k <= _SLICE_BITS) and several cosets (k above it).
+PLANE_CASES = [(1, 1)] + [
+    (n, k)
+    for m in range(2, 8)
+    for n in (2**m - 1, 2**m, 2**m + 1)
+    for k in sorted({1, 13, _SLICE_BITS, _SLICE_BITS + 1, 17})
+    if k <= n
+]
+
+
+@pytest.mark.parametrize("n,k", PLANE_CASES, ids=str)
+def test_sliced_count_at_plane_boundaries(n, k):
+    code = _code_of_dimension(random.Random(n * 100 + k), n, k)
+    assert code._sliced_count().counts == brute_distribution(code)
+
+
 def test_sliced_count_memory_is_bounded():
     code = random_code(random.Random(17), 128, 17)
     assert code.dimension == 17
@@ -162,6 +187,14 @@ def test_dual_matches_brute_force_and_involutes():
         dual = code.dual()
         assert set(all_codewords(dual)) == brute_dual_words(code)
         assert dual.dual() == code
+
+
+def test_dual_matches_free_column_basis():
+    rng = random.Random(37)
+    for _ in range(60):
+        n = rng.randrange(1, 131)
+        code = random_code(rng, n, rng.randrange(0, min(n, 20) + 1))
+        assert code.dual() == LinearCode.from_rows(free_column_nullspace(code.generator))
 
 
 def test_macwilliams_examples(golay):
@@ -274,3 +307,14 @@ def test_text_format_errors_carry_line_numbers():
         parse_generator_text("101\n0a1\n")
     with pytest.raises(ValueError, match="no generator rows"):
         parse_generator_text("# nothing\n")
+
+
+# int() accepts each of these in a base-2 literal; the parser must not.
+@pytest.mark.parametrize("ch", ["_", "+", " ", "\u0661"], ids=ascii)
+def test_text_format_rejects_what_int_accepts(ch):
+    message = re.escape(f"line 3: unexpected character {ch!r}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        parse_generator_text(f"1011\n# c\n1{ch}01\n")
+    # A bad character is reported ahead of a length mismatch.
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        parse_generator_text(f"1011\n\n1{ch}1\n")

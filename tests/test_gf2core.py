@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from gf2codes import Gf2Matrix, Gf2Vector, nullspace_basis, rref
+from gf2codes import Gf2Matrix, Gf2Vector, LinearCode, nullspace_basis, rref
 
 
 def test_weight_examples():
@@ -135,3 +135,37 @@ def test_nullspace_orthogonal_independent_and_sized():
         for b in ns.row_bits():
             assert all((b & row).bit_count() % 2 == 0 for row in m.row_bits())
         assert rref(ns).rank == ns.n_rows
+
+
+def _nullspace_cases():
+    """Random matrices up to n = 130 with zero, repeated and dependent rows."""
+    rng = random.Random(41)
+    cases = [Gf2Matrix.from_ints([], 0), Gf2Matrix.from_ints([0], 0)]
+    for n in (1, 2, 7, 64, 65, 128, 130):
+        cases.append(Gf2Matrix.from_ints([], n))
+        cases.append(Gf2Matrix.from_ints([0, 0], n))
+        # Full rank: the identity rows, shuffled and mixed, then one more row.
+        rows = [1 << i for i in range(n)]
+        rng.shuffle(rows)
+        for i in range(1, n):
+            rows[i] ^= rows[i - 1] if rng.random() < 0.5 else 0
+        cases.append(Gf2Matrix.from_ints(rows + [rng.getrandbits(n)], n))
+    for _ in range(120):
+        n = rng.randrange(1, 131)
+        rows = [rng.getrandbits(n) for _ in range(rng.randrange(0, min(n, 24) + 1))]
+        if rows and rng.random() < 0.5:
+            rows.append(0)
+            rows.append(rows[0] ^ rows[-2])
+            rows.append(rows[rng.randrange(len(rows))])
+        rng.shuffle(rows)
+        cases.append(Gf2Matrix.from_ints(rows, n))
+    return cases
+
+
+def test_nullspace_is_reduced_echelon():
+    for m in _nullspace_cases():
+        ns = nullspace_basis(m)
+        assert LinearCode(ns) == LinearCode.from_rows(ns)
+        assert ns.n_rows == m.n_cols - rref(m).rank
+        for b in ns.row_bits():
+            assert all((b & row).bit_count() % 2 == 0 for row in m.row_bits())
