@@ -72,14 +72,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     code = _load_code(args.path)
     we = code.weight_distribution(cap=args.cap)
     dual_we = macwilliams_transform(we, code.dimension)
-    profile = code.predicate_profile()
-    profile_payload = {
-        "is_even": profile.is_even,
-        "is_doubly_even": profile.is_doubly_even,
-        "is_isotropic": profile.is_isotropic,
-        "is_self_dual": profile.is_self_dual,
-        "is_spanning": profile.is_spanning,
-    }
+    # The fields in order.  dataclasses.asdict would do the same but builds
+    # a tuple from a generator on every call (see gf2core's module docs).
+    profile_payload = vars(code.predicate_profile())
     payload = {
         "n": code.n,
         "dimension": code.dimension,

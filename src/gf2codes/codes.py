@@ -108,7 +108,7 @@ class LinearCode:
         Dependent and zero rows are absorbed; the result's dimension is the
         rank of the input.
         """
-        work, pivots = rref_ints(matrix.row_bits(), matrix.n_cols)
+        work, pivots = rref_ints(matrix.row_bits())
         return cls(Gf2Matrix.from_ints(work[: len(pivots)], matrix.n_cols))
 
     @property
@@ -254,7 +254,10 @@ class LinearCode:
         )
 
 
-@lru_cache(maxsize=None)
+# Each entry is an (n+1)^2 table, so the cache is bounded for long-lived
+# processes.  A perfbench workload process uses at most 13 lengths, so at 32
+# none of its hits becomes a miss.
+@lru_cache(maxsize=32)
 def _krawtchouk_rows(n: int) -> tuple[tuple[int, ...], ...]:
     """Row i, for i = 0..n, holds the y^j coefficients of (1+y)^(n-i) (1-y)^i.
 

@@ -22,7 +22,6 @@ __all__ = [
     "Gf2Matrix",
     "RrefResult",
     "rref",
-    "rref_ints",
     "nullspace_basis",
 ]
 
@@ -155,33 +154,32 @@ class RrefResult:
     pivots: tuple[int, ...]
 
 
-def rref_ints(rows: Sequence[int], n_cols: int) -> tuple[list[int], list[int]]:
+def rref_ints(rows: Sequence[int]) -> tuple[list[int], list[int]]:
     """Row-reduce bit-packed rows; returns (reduced rows, pivot columns).
 
     Fully reduced: each pivot column is zero in every other row.  Nonzero rows
-    end up on top in increasing pivot order, zero rows at the bottom.
+    end up on top in increasing pivot order, zero rows at the bottom.  Each
+    pivot is its row's lowest set bit.  A new row is cleared at every pivot
+    found so far; if anything is left, its lowest bit is a new pivot and is
+    cleared from the earlier rows.
     """
-    work = list(rows)
-    pivots: list[int] = []
-    r = 0
-    for c in range(n_cols):
-        piv = next((i for i in range(r, len(work)) if (work[i] >> c) & 1), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        for i in range(len(work)):
-            if i != r and (work[i] >> c) & 1:
-                work[i] ^= work[r]
-        pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    return work, pivots
+    reduced: list[int] = []
+    for r in rows:
+        for row in reduced:
+            if r & row & -row:
+                r ^= row
+        if r:
+            low = r & -r
+            reduced = [row ^ r if row & low else row for row in reduced]
+            reduced.append(r)
+    reduced.sort(key=lambda row: row & -row)
+    pivots = [(row & -row).bit_length() - 1 for row in reduced]
+    return reduced + [0] * (len(rows) - len(reduced)), pivots
 
 
 def rref(matrix: Gf2Matrix) -> RrefResult:
     """Reduced row-echelon form over GF(2), preserving row count."""
-    work, pivots = rref_ints(matrix.row_bits(), matrix.n_cols)
+    work, pivots = rref_ints(matrix.row_bits())
     reduced = Gf2Matrix.from_ints(work, matrix.n_cols)
     return RrefResult(matrix=reduced, rank=len(pivots), pivots=tuple(pivots))
 

@@ -70,9 +70,6 @@ class AffineForm:
     def is_constant(self) -> bool:
         return self.a2_coeff == 0 and self.a3_coeff == 0
 
-    def scaled(self, factor: Fraction) -> AffineForm:
-        return AffineForm(self.const * factor, self.a2_coeff * factor, self.a3_coeff * factor)
-
     def minus(self, other: AffineForm, factor: Fraction = Fraction(1)) -> AffineForm:
         return AffineForm(
             self.const - factor * other.const,
@@ -238,27 +235,25 @@ def solve_weight_counts(n: int, d: int, weights: Iterable[int]) -> LinearCountSo
         raise ValueError(f"weights must be positive, got {ws}")
     if n < 1 or d < 0:
         raise ValueError(f"need n >= 1 and d >= 0, got n={n}, d={d}")
-    m = len(ws)
     rhs = _moment_rhs(n, d)
-    rows = [[Fraction(w) ** k for w in ws] for k in range(m)]
-    forms = [rhs[k] for k in range(m)]
-    for col in range(m):
-        piv = next(i for i in range(col, m) if rows[i][col] != 0)
-        rows[col], rows[piv] = rows[piv], rows[col]
-        forms[col], forms[piv] = forms[piv], forms[col]
-        factor = rows[col][col]
-        rows[col] = [x / factor for x in rows[col]]
-        forms[col] = forms[col].scaled(1 / factor)
-        for i in range(m):
-            if i != col and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[col])]
-                forms[i] = forms[i].minus(forms[col], f)
-    expressions = {w: forms[j] for j, w in enumerate(ws)}
+    expressions: dict[int, AffineForm] = {}
+    for w in ws:
+        # Row w of the inverse Vandermonde matrix: the coefficients, lowest
+        # degree first, of the product of (t - v) over v != w, divided by its
+        # value at w, so that it is 1 at w and 0 at the other weights.
+        coeffs, at_w = [1], 1
+        for v in ws:
+            if v != w:
+                coeffs = [b - v * a for a, b in zip(coeffs + [0], [0] + coeffs)]
+                at_w *= w - v
+        form = AffineForm()
+        for c, r in zip(coeffs, rhs):
+            form = form.minus(r, Fraction(-c, at_w))
+        expressions[w] = form
     residuals: dict[int, AffineForm] = {}
     note = ""
     consistent = True
-    for k in range(m, 4):
+    for k in range(len(ws), 4):
         lhs = AffineForm()
         for j, w in enumerate(ws):
             lhs = lhs.minus(expressions[w], -(Fraction(w) ** k))

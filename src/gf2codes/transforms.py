@@ -52,8 +52,9 @@ def _delete_coords(bits: int, keep: tuple[int, ...]) -> int:
     return out
 
 
-def _restrict(rows: Iterable[int], keep: tuple[int, ...]) -> LinearCode:
-    """Code spanned by bit-packed rows cut down to the coordinates in keep."""
+def _restrict(rows: Iterable[int], n: int, dropped: int) -> LinearCode:
+    """Code spanned by bit-packed rows with the coordinates set in dropped deleted."""
+    keep = tuple([i for i in range(n) if not (dropped >> i) & 1])
     restricted = [_delete_coords(r, keep) for r in rows]
     return LinearCode.from_rows(Gf2Matrix.from_ints(restricted, len(keep)))
 
@@ -69,8 +70,7 @@ def project(code: LinearCode, w: Gf2Vector) -> LinearCode:
         raise ValueError("cannot project along the zero word")
     if not code.contains(w):
         raise ValueError("projection word is not a codeword")
-    keep = tuple([i for i in range(code.n) if not (w.bits >> i) & 1])
-    return _restrict(code.generator.row_bits(), keep)
+    return _restrict(code.generator.row_bits(), code.n, w.bits)
 
 
 def shorten(code: LinearCode, coords: Iterable[int]) -> LinearCode:
@@ -91,9 +91,7 @@ def shorten(code: LinearCode, coords: Iterable[int]) -> LinearCode:
         hit = next((r for r in rows if (r >> c) & 1), None)
         if hit is not None:
             rows = [r ^ hit if (r >> c) & 1 else r for r in rows if r != hit]
-    dropped = set(coord_set)
-    keep = tuple([i for i in range(code.n) if i not in dropped])
-    return _restrict(rows, keep)
+    return _restrict(rows, code.n, sum(1 << c for c in coord_set))
 
 
 def subcode_avoiding(code: LinearCode, v: Gf2Vector) -> LinearCode:
@@ -110,7 +108,8 @@ def subcode_avoiding(code: LinearCode, v: Gf2Vector) -> LinearCode:
     rows = code.generator.row_bits()
     pivot_row = next(i for i, p in enumerate(code.pivots()) if (v.bits >> p) & 1)
     remaining = [r for i, r in enumerate(rows) if i != pivot_row]
-    return LinearCode.from_rows(Gf2Matrix.from_ints(remaining, code.n))
+    # Deleting a row of a canonical generator leaves a canonical generator.
+    return LinearCode(Gf2Matrix.from_ints(remaining, code.n))
 
 
 def extend_span(code: LinearCode, v: Gf2Vector) -> LinearCode:
@@ -130,5 +129,4 @@ def spanning_form(code: LinearCode) -> LinearCode:
     union = 0
     for r in code.generator.row_bits():
         union |= r
-    keep = tuple([i for i in range(code.n) if (union >> i) & 1])
-    return _restrict(code.generator.row_bits(), keep)
+    return _restrict(code.generator.row_bits(), code.n, ~union)

@@ -14,16 +14,17 @@ from gf2codes import (
     FeasibilityVerdict,
     Gf2Matrix,
     LinearCode,
+    LinearCountSolution,
     SearchResult,
     parse_generator_text,
     solve_weight_counts,
 )
-from gf2codes.gf2core import rref_ints
 from gf2codes.moments import (
     AffineForm,
     _admissible_a3,
     _count_failure,
     _forced_failure,
+    _moment_rhs,
     _two_adic_valuation,
 )
 from gf2codes.prover import ProofReport, ProofStep, _braces
@@ -70,12 +71,37 @@ def brute_distribution(code: LinearCode) -> tuple[int, ...]:
     return tuple(counts)
 
 
+def column_scan_rref(rows, n_cols: int) -> tuple[list[int], list[int]]:
+    """Row reduction column by column, kept as the oracle for ``rref_ints``.
+
+    For each column in turn, the first row from the current one down with
+    that bit is swapped up and cleared from every other row.  Returns the
+    rows (nonzero ones in pivot order, then zero rows) and the pivots.
+    """
+    work = list(rows)
+    pivots: list[int] = []
+    r = 0
+    for c in range(n_cols):
+        piv = next((i for i in range(r, len(work)) if (work[i] >> c) & 1), None)
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        for i in range(len(work)):
+            if i != r and (work[i] >> c) & 1:
+                work[i] ^= work[r]
+        pivots.append(c)
+        r += 1
+        if r == len(work):
+            break
+    return work, pivots
+
+
 def free_column_nullspace(matrix: Gf2Matrix) -> Gf2Matrix:
     """Null space basis with one row per free column of rref(M), not reduced.
 
     Row f is e_f plus e_p for each pivot p whose reduced row has bit f.
     """
-    work, pivots = rref_ints(matrix.row_bits(), matrix.n_cols)
+    work, pivots = column_scan_rref(matrix.row_bits(), matrix.n_cols)
     basis = []
     for free in range(matrix.n_cols):
         if free in pivots:
@@ -86,6 +112,43 @@ def free_column_nullspace(matrix: Gf2Matrix) -> Gf2Matrix:
                 vec |= 1 << p
         basis.append(vec)
     return Gf2Matrix.from_ints(basis, matrix.n_cols)
+
+
+def gauss_jordan_counts(n: int, d: int, weights) -> LinearCountSolution:
+    """Gauss-Jordan elimination with pivot search on the Vandermonde system,
+    kept as the oracle for ``solve_weight_counts`` (valid input only)."""
+    ws = tuple(sorted(set(weights)))
+    m = len(ws)
+    rhs = _moment_rhs(n, d)
+    rows = [[Fraction(w) ** k for w in ws] for k in range(m)]
+    forms = [rhs[k] for k in range(m)]
+    for col in range(m):
+        piv = next(i for i in range(col, m) if rows[i][col] != 0)
+        rows[col], rows[piv] = rows[piv], rows[col]
+        forms[col], forms[piv] = forms[piv], forms[col]
+        factor = rows[col][col]
+        rows[col] = [x / factor for x in rows[col]]
+        f = forms[col]
+        forms[col] = AffineForm(f.const / factor, f.a2_coeff / factor, f.a3_coeff / factor)
+        for i in range(m):
+            if i != col and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[col])]
+                forms[i] = forms[i].minus(forms[col], f)
+    expressions = {w: forms[j] for j, w in enumerate(ws)}
+    residuals = {}
+    note = ""
+    consistent = True
+    for k in range(m, 4):
+        lhs = AffineForm()
+        for w in ws:
+            lhs = lhs.minus(expressions[w], -(Fraction(w) ** k))
+        residual = lhs.minus(rhs[k])
+        residuals[k + 1] = residual
+        if residual.is_constant() and residual.const != 0:
+            consistent = False
+            note = f"equation {k + 1} reduces to {residual.const} = 0"
+    return LinearCountSolution(n, d, ws, expressions, residuals, consistent, note)
 
 
 def rref_dfs_reference(n: int, weights) -> SearchResult:

@@ -157,6 +157,19 @@ def test_krawtchouk_rows_match_direct_sum():
                 ), (n, i, j)
 
 
+def test_krawtchouk_cache_is_bounded():
+    """The full space F_2^n transforms to the zero code through every row of
+    the table, at more lengths than the cache holds."""
+    bound = _krawtchouk_rows.cache_info().maxsize
+    assert bound is not None and bound < 40
+    for _ in range(2):
+        for n in range(60, 100):
+            full = WeightEnumerator(n, tuple([comb(n, i) for i in range(n + 1)]))
+            zero = WeightEnumerator(n, tuple([1] + [0] * n))
+            assert macwilliams_transform(full, n) == zero
+            assert _krawtchouk_rows.cache_info().currsize <= bound
+
+
 def test_weight_distribution_cap(even_weight_4):
     with pytest.raises(ValueError, match="cap 2"):
         even_weight_4.weight_distribution(cap=2)

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from conftest import column_scan_rref
 from gf2codes import Gf2Matrix, Gf2Vector, LinearCode, nullspace_basis, rref
+from gf2codes.gf2core import rref_ints
 
 
 def test_weight_examples():
@@ -113,6 +115,28 @@ def test_rref_idempotent_and_span_preserving():
                 if (x >> p) & 1:
                     x ^= row
             assert x == 0
+
+
+def test_rref_ints_matches_column_scan():
+    """n <= 140, k <= 40: no rows, n = 0, zero, repeated and dependent rows,
+    and full rank."""
+    rng = random.Random(13)
+    cases = [([], 0), ([0], 0), ([0, 0], 0)]
+    for n in (1, 2, 63, 64, 65, 140):
+        cases += [([], n), ([0, 0], n), ([1 << i for i in rng.sample(range(n), min(n, 40))], n)]
+    for _ in range(300):
+        n = rng.randrange(0, 141)
+        rows = [rng.getrandbits(n) for _ in range(rng.randrange(0, 41))]
+        if rows and rng.random() < 0.5:
+            rows[-3:] = [0, rows[0] ^ rows[-1], rows[rng.randrange(len(rows))]]
+        rng.shuffle(rows)
+        cases.append((rows, n))
+    full_rank = 0
+    for rows, n in cases:
+        work, pivots = rref_ints(rows)
+        assert (work, pivots) == column_scan_rref(rows, n), (rows, n)
+        full_rank += 0 < len(pivots) == len(rows)
+    assert full_rank >= 10
 
 
 def test_nullspace_examples():

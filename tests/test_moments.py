@@ -6,7 +6,13 @@ from math import comb, prod
 
 import pytest
 
-from conftest import full_scan_reference, krawtchouk, lp_vertex_reference, random_code
+from conftest import (
+    full_scan_reference,
+    gauss_jordan_counts,
+    krawtchouk,
+    lp_vertex_reference,
+    random_code,
+)
 from gf2codes import (
     AffineForm,
     FEASIBLE,
@@ -136,6 +142,25 @@ def test_solve_weight_counts_satisfies_used_equations():
             for k, residual in sol.residuals.items():
                 lhs = sum(c * w ** (k - 1) for w, c in counts.items())
                 assert lhs - oracle[k - 1] == residual.evaluate(a2, a3)
+
+
+def test_solve_weight_counts_matches_gauss_jordan():
+    rng = random.Random(101)
+    consistent = 0
+    cases = [(7, 3, (2,)), (60, 8, (24, 32)), (66, 13, (24, 32, 40, 56))]
+    for _ in range(400):
+        n = rng.randrange(1, 140)
+        ws = rng.sample(range(1, n + 1), min(rng.randrange(1, 5), n))
+        cases.append((n, rng.randrange(0, 20), ws))
+    for n, d, ws in cases:
+        sol = solve_weight_counts(n, d, ws)
+        ref = gauss_jordan_counts(n, d, ws)
+        # Equality covers the forms, the residuals, ``consistent`` and ``note``.
+        assert sol == ref, (n, d, ws)
+        for forms, ref_forms in ((sol.expressions, ref.expressions), (sol.residuals, ref.residuals)):
+            assert [str(f) for f in forms.values()] == [str(f) for f in ref_forms.values()]
+        consistent += sol.consistent
+    assert 0 < consistent < len(cases)
 
 
 def test_solve_weight_counts_inconsistency_note():

@@ -202,6 +202,9 @@ def test_subcode_avoiding_random():
         assert sub.dimension == code.dimension - 1
         assert not sub.contains(v)
         assert all(code.contains(r) for r in sub.generator.rows)
+        pivot_row = next(i for i, p in enumerate(code.pivots()) if (v.bits >> p) & 1)
+        rows = [r for i, r in enumerate(code.generator.row_bits()) if i != pivot_row]
+        assert sub == LinearCode.from_rows(Gf2Matrix.from_ints(rows, code.n))
 
 
 def test_extend_span(hamming_7_4, even_weight_4):
