@@ -13,17 +13,31 @@ in W; it is a 2^n-bit int with bit v set iff v is admissible.  A({0}) is
 the words of weight in W, a new row r must lie in A(C), and
 A(C + <r>) = A(C) & (A(C) translated by r).  Every word the finished code
 adds to C is admissible and has its lowest bit on a free pivot still ahead,
-so before each pivot the rows still to come number at most the nonempty
-free buckets left and at most floor(log2(1 + admissible words in them)); a
-branch that cannot beat the best code found so far is cut.  A cut branch
-never strictly improves on the incumbent, so the first witness found is the
-one the unpruned search finds.  The search also ends, complete, as soon as
-the incumbent reaches Delsarte's LP bound (``lp_dimension_bound``), which
-no code with these weights can exceed.
+so the rows still to come number at most the nonempty free buckets and at
+most floor(log2(1 + admissible words in them)); a branch that cannot beat
+the best code found so far is cut.  Only the bucket of the first free pivot
+f0 is explored.  A later free pivot f whose column the current rows leave
+equal to f0's can be swapped with f0: that fixes the current code and maps
+each extension whose first new pivot is f to one whose first new pivot is
+f0.
 
-``nodes_explored`` counts the admissible candidate rows tried.  The sets
-take 2^n bits each, so lengths above ``MAX_SEARCH_LENGTH`` (20, where a
-set is 128 KiB) are refused.
+Weight sets are invariant under coordinate permutations, so the search
+runs in two phases.  The proof phase finds the maximum D.  A heaviest word
+of a code, of weight w, meets every other nonzero word, or their sum would
+be heavier, and a permutation makes it v_w = 2^w - 1.  The code is then
+<v_w> plus its words with bit 0 clear, so the phase extends each root v_w,
+pivot 0, keeping every word at a weight of at most w in W.  Free pivots
+from w up have empty buckets, and those below w share v_w's column, so the
+first-pivot rule holds.  The phase ends, complete, once a code reaches
+Delsarte's LP bound (``lp_dimension_bound``), which no code with these
+weights can exceed.  The witness phase then runs the canonical search,
+where free columns are zero, cuts what cannot reach D and returns its
+first code of dimension D: the first code the unpruned search finds at the
+largest depth.
+
+``nodes_explored`` counts the candidate rows tried in both phases, a root
+v_w as one.  The sets take 2^n bits each, so lengths above
+``MAX_SEARCH_LENGTH`` (20, where a set is 128 KiB) are refused.
 """
 
 from __future__ import annotations
@@ -108,11 +122,13 @@ def max_dimension_exhaustive(
 ) -> SearchResult:
     """Exact maximum dimension of a code in F_2^n with weights inside the set.
 
-    Explores canonical generators only, cutting branches that cannot beat
-    the best code found so far, and stops once that code reaches the LP
-    bound; ``node_cap`` bounds the number of admissible candidate rows
-    tried, and an exhausted budget is reported through ``complete=False``
-    (the result is then only a lower bound).  Lengths above
+    First proves the maximum D over codes that contain some v_w = 2^w - 1
+    as a heaviest word, which every code does up to a permutation, stopping
+    early at the LP bound; then finds the first canonical generator of
+    dimension D.  ``node_cap`` bounds the candidate rows tried in the two
+    phases together, and an exhausted budget is reported through
+    ``complete=False``: the result is then the best code found, in
+    canonical form, and its dimension only a lower bound.  Lengths above
     ``MAX_SEARCH_LENGTH`` and negative node caps raise ValueError.
     """
     if n < 0:
@@ -128,50 +144,61 @@ def max_dimension_exhaustive(
     best_rows: list[int] = []
     rows: list[int] = []
     nodes = 0
+    goal = lp_bound  # D in the witness phase
 
     def extend(last_pivot: int, union: int, admissible: int) -> None:
-        nonlocal nodes, best_rows
         free = [q for q in range(last_pivot + 1, n) if not (union >> q) & 1]
-        buckets = [admissible & lowest[q] for q in free]
-        counts = [bucket.bit_count() for bucket in buckets]
-        words_left = sum(counts)
-        buckets_left = sum(1 for count in counts if count)
-        for pivot, bucket, count in zip(free, buckets, counts):
-            bound = min(buckets_left, (1 + words_left).bit_length() - 1)
-            if len(rows) + bound <= len(best_rows):
-                return
-            words_left -= count
-            buckets_left -= count > 0
-            while bucket:
-                low = bucket & -bucket
-                bucket ^= low
-                nodes += 1
-                if nodes > node_cap:
-                    raise _Stopped("node-cap")
-                row = low.bit_length() - 1
-                shifted = admissible
-                for j in range(pivot, n):
-                    if (row >> j) & 1:
-                        step = 1 << j
-                        shifted = ((shifted & keep[j]) << step) | ((shifted >> step) & keep[j])
-                rows.append(row)
-                if len(rows) > len(best_rows):
-                    best_rows = list(rows)
-                    if len(best_rows) == lp_bound:
-                        raise _Stopped("lp-bound")
-                extend(pivot, union | row, admissible & shifted)
-                rows.pop()
+        counts = [(admissible & lowest[q]).bit_count() for q in free]
+        bound = min(len(counts) - counts.count(0), (1 + sum(counts)).bit_length() - 1)
+        if len(rows) + bound <= len(best_rows):
+            return
+        bucket = admissible & lowest[free[0]]
+        while bucket:
+            low = bucket & -bucket
+            bucket ^= low
+            row = low.bit_length() - 1
+            take(row, free[0], union | row, admissible)
 
-    root = 0
-    for w in wset:
-        root |= by_weight[w]
+    def take(row: int, pivot: int, union: int, admissible: int) -> None:
+        nonlocal nodes, best_rows
+        nodes += 1
+        if nodes > node_cap:
+            raise _Stopped("node-cap")
+        shifted = admissible
+        for j in range(pivot, n):
+            if (row >> j) & 1:
+                step = 1 << j
+                shifted = ((shifted & keep[j]) << step) | ((shifted >> step) & keep[j])
+        rows.append(row)
+        if len(rows) > len(best_rows):
+            best_rows = list(rows)
+            if len(best_rows) == goal:
+                raise _Stopped("lp-bound")
+        extend(pivot, union, admissible & shifted)
+        rows.pop()
+
+    # The by_weight sets are disjoint, so their sum is their union.
     stop = "exhausted"
     try:
-        extend(-1, 0, root)
+        for w in sorted(wset, reverse=True):
+            lighter = sum([by_weight[u] for u in wset if u <= w])
+            take((1 << w) - 1, 0, 0, lighter)
     except _Stopped as stopped:
         stop = stopped.args[0]
+    proof = best_rows
+    if proof and stop != "node-cap":
+        # With D - 1 rows to beat, the first code that beats them is the witness.
+        rows.clear()
+        best_rows, goal = proof[:-1], len(proof)
+        try:
+            extend(-1, 0, sum([by_weight[w] for w in wset]))
+        except _Stopped as stopped:
+            if stopped.args[0] == "node-cap":
+                stop, best_rows = "node-cap", proof
 
     witness = Gf2Matrix.from_ints(best_rows, n) if best_rows else None
+    if witness is not None and stop == "node-cap":
+        witness = LinearCode.from_rows(witness).generator
     return SearchResult(
         n=n,
         weights=tuple(sorted(wset)),

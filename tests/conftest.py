@@ -16,6 +16,7 @@ from gf2codes import (
     LinearCode,
     LinearCountSolution,
     SearchResult,
+    lp_dimension_bound,
     parse_generator_text,
     solve_weight_counts,
 )
@@ -28,6 +29,7 @@ from gf2codes.moments import (
     _two_adic_valuation,
 )
 from gf2codes.prover import ProofReport, ProofStep, _braces
+from gf2codes.search import DEFAULT_NODE_CAP, _word_tables
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -197,6 +199,75 @@ def rref_dfs_reference(n: int, weights) -> SearchResult:
         complete=True,
         stop="exhausted",
         bound=n,
+    )
+
+
+def single_phase_search(n: int, weights, node_cap: int = DEFAULT_NODE_CAP) -> SearchResult:
+    """The one-phase branch-and-bound, kept as the two-phase search's oracle.
+
+    Walks canonical generators only, every free bucket in pivot order, cuts
+    branches that cannot beat the best code found so far and stops once it
+    reaches the LP bound.  Its first witness of the largest dimension, its
+    ``complete``, ``stop`` and ``bound`` are what the two-phase search must
+    return; only ``nodes_explored`` differs.
+    """
+    wset = frozenset(weights)
+    lp_bound = lp_dimension_bound(n, wset).dimension
+    keep, lowest, by_weight = _word_tables(n)
+    best_rows: list[int] = []
+    rows: list[int] = []
+    nodes = 0
+
+    class Stopped(Exception):
+        pass
+
+    def extend(last_pivot: int, union: int, admissible: int) -> None:
+        nonlocal nodes, best_rows
+        free = [q for q in range(last_pivot + 1, n) if not (union >> q) & 1]
+        buckets = [admissible & lowest[q] for q in free]
+        counts = [bucket.bit_count() for bucket in buckets]
+        words_left = sum(counts)
+        buckets_left = sum(1 for count in counts if count)
+        for pivot, bucket, count in zip(free, buckets, counts):
+            bound = min(buckets_left, (1 + words_left).bit_length() - 1)
+            if len(rows) + bound <= len(best_rows):
+                return
+            words_left -= count
+            buckets_left -= count > 0
+            while bucket:
+                low = bucket & -bucket
+                bucket ^= low
+                nodes += 1
+                if nodes > node_cap:
+                    raise Stopped("node-cap")
+                row = low.bit_length() - 1
+                shifted = admissible
+                for j in range(pivot, n):
+                    if (row >> j) & 1:
+                        step = 1 << j
+                        shifted = ((shifted & keep[j]) << step) | ((shifted >> step) & keep[j])
+                rows.append(row)
+                if len(rows) > len(best_rows):
+                    best_rows = list(rows)
+                    if len(best_rows) == lp_bound:
+                        raise Stopped("lp-bound")
+                extend(pivot, union | row, admissible & shifted)
+                rows.pop()
+
+    stop = "exhausted"
+    try:
+        extend(-1, 0, sum([by_weight[w] for w in wset]))
+    except Stopped as stopped:
+        stop = stopped.args[0]
+    return SearchResult(
+        n=n,
+        weights=tuple(sorted(wset)),
+        max_dimension=len(best_rows),
+        witness=Gf2Matrix.from_ints(best_rows, n) if best_rows else None,
+        nodes_explored=nodes,
+        complete=stop != "node-cap",
+        stop=stop,
+        bound=lp_bound,
     )
 
 

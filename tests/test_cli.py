@@ -378,9 +378,16 @@ def _sha256(text: str) -> str:
 
 
 # SHA-256 of `--help` stdout at COLUMNS=80 for the top-level parser and each
-# subcommand, taken when the parser was still rebuilt on every call.
+# subcommand, taken when the parser was still rebuilt on every call.  From
+# 3.13 argparse puts the top-level usage line's "..." after the subcommand
+# list instead of on a line of its own.
+TOP_LEVEL_HELP_DIGEST = (
+    "94e62b0e816d805b53dc781f302370b7449509a135750ce2d09095ab128ffb16"
+    if sys.version_info < (3, 13)
+    else "17462dc8693c6bd9022a4cf678d424ca113868ce458d59c45848dd780d580386"
+)
 HELP_DIGESTS = [
-    ([], "94e62b0e816d805b53dc781f302370b7449509a135750ce2d09095ab128ffb16"),
+    ([], TOP_LEVEL_HELP_DIGEST),
     (["analyze"], "54dc60b9d1816ff5ba58b564a90225cbe547b474b8d3385cc0ab14966d102f9a"),
     (["dual"], "919337118754987f3b9d6b3a61b3fc24cfc94d750eb6a6ad4f2c795045cee959"),
     (["project"], "1c3f728182d293d5aaf62ca803957820afb37d4f17dc9cd39ea16e9cf96762c7"),

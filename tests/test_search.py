@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import all_codewords, rref_dfs_reference
+from conftest import all_codewords, rref_dfs_reference, single_phase_search
 from gf2codes import (
     Gf2Matrix,
     LinearCode,
@@ -51,9 +51,10 @@ def test_spot_values():
 
 def test_first_witness_is_deterministic():
     result = max_dimension_exhaustive(3, {2})
-    # Admissible candidates tried: 011, 101, then 110 under 101; the
-    # top-level pivot-1 bucket {110} is cut, it cannot beat dimension 2.
-    assert result.nodes_explored == 3
+    # Candidates tried: the proof phase takes the root 011 and 110 under it,
+    # which reaches the LP bound 2.  The witness phase takes 011, whose one
+    # free bucket {100} holds no admissible word, then 101 and 110 under it.
+    assert result.nodes_explored == 5
     assert result.complete
     assert result.witness == Gf2Matrix.from_ints([5, 6], 3)
     code = LinearCode.from_rows(result.witness)
@@ -108,14 +109,16 @@ def test_matches_naive_subspace_enumeration():
         assert max_dimension_exhaustive(n, ws).max_dimension == expected, (n, ws)
 
 
+def _rows(result):
+    return result.witness.row_bits() if result.witness is not None else None
+
+
 def _assert_matches_reference(n, ws):
     got = max_dimension_exhaustive(n, ws)
     want = rref_dfs_reference(n, ws)
     assert got.max_dimension == want.max_dimension, (n, ws)
     assert got.complete == want.complete, (n, ws)
-    rows = got.witness.row_bits() if got.witness is not None else None
-    want_rows = want.witness.row_bits() if want.witness is not None else None
-    assert rows == want_rows, (n, ws)
+    assert _rows(got) == _rows(want), (n, ws)
     # The LP stop fires exactly when the bound is tight and a code was found.
     assert got.bound >= want.max_dimension, (n, ws)
     assert got.stop == ("lp-bound" if got.bound == want.max_dimension > 0 else "exhausted"), (n, ws)
@@ -220,6 +223,14 @@ def test_lp_bound_covers_every_search_result():
         assert result.nodes_explored >= (1 if ws else 0), (n, ws)
 
 
+def _remove_lp_stop(monkeypatch):
+    real = lp_dimension_bound
+    # A bound of n is never below the result, so the stop cannot end the search early.
+    monkeypatch.setattr(search, "lp_dimension_bound",
+                        lambda length, weights: dataclasses.replace(real(length, weights),
+                                                                    dimension=length))
+
+
 @pytest.mark.parametrize(
     "n, ws",
     [(8, ws) for r in range(4) for ws in combinations(range(1, 9), r)]
@@ -227,11 +238,7 @@ def test_lp_bound_covers_every_search_result():
 )
 def test_lp_stop_changes_only_the_node_count(monkeypatch, n, ws):
     stopped = max_dimension_exhaustive(n, ws)
-    real = lp_dimension_bound
-    # A bound of n is never below the result, so the stop cannot end the search early.
-    monkeypatch.setattr(search, "lp_dimension_bound",
-                        lambda length, weights: dataclasses.replace(real(length, weights),
-                                                                    dimension=length))
+    _remove_lp_stop(monkeypatch)
     unstopped = max_dimension_exhaustive(n, ws)
     assert unstopped.bound == n and unstopped.stop == "exhausted"
     assert unstopped == dataclasses.replace(stopped, nodes_explored=unstopped.nodes_explored)
@@ -239,9 +246,10 @@ def test_lp_stop_changes_only_the_node_count(monkeypatch, n, ws):
 
 
 def test_lp_stop_ends_searches_the_pruning_cannot():
-    # Exhausting either search tries about 250,000 (12, {4, 8}) or
-    # 290,000 (11, {3, 5, 6}) admissible candidates.
-    for n, ws, dimension, nodes in ((12, {4, 8}, 4, 21), (11, {3, 5, 6}, 3, 437)):
+    # Without the stop the proof phase exhausts (12, {4, 8}) after 2,404
+    # candidates and (11, {3, 5, 6}) after 1,554; exhausting the canonical
+    # search alone tries about 250,000 and 290,000.
+    for n, ws, dimension, nodes in ((12, {4, 8}, 4, 23), (11, {3, 5, 6}, 3, 291)):
         result = max_dimension_exhaustive(n, ws)
         assert result.complete and result.stop == "lp-bound"
         assert result.max_dimension == result.bound == dimension
@@ -249,12 +257,84 @@ def test_lp_stop_ends_searches_the_pruning_cannot():
 
 
 def test_lp_stop_can_complete_within_the_node_cap():
-    # Exhausting (5, {2}) tries 6 candidates and (6, {2, 4}) 29, so both
+    # Exhausting (5, {2}) tries 7 candidates and (6, {2, 4}) 24, so both
     # were capped without the stop; reaching the bound proves them optimal.
-    for n, ws, cap, nodes in ((5, {2}, 5, 3), (6, {2, 4}, 10, 10)):
+    for n, ws, cap, nodes in ((5, {2}, 5, 5), (6, {2, 4}, 15, 15)):
         result = max_dimension_exhaustive(n, ws, node_cap=cap)
         assert result.complete and result.stop == "lp-bound", (n, ws)
         assert result.nodes_explored == nodes
         assert result == dataclasses.replace(max_dimension_exhaustive(n, ws), nodes_explored=nodes)
-    capped = max_dimension_exhaustive(6, {2, 4}, node_cap=9)
+    capped = max_dimension_exhaustive(6, {2, 4}, node_cap=14)
     assert not capped.complete and capped.stop == "node-cap"
+
+
+def _summary(result):
+    return (result.max_dimension, _rows(result), result.complete, result.stop, result.bound)
+
+
+def _assert_matches_single_phase(n, ws):
+    want = single_phase_search(n, ws)
+    assert _summary(max_dimension_exhaustive(n, ws)) == _summary(want), (n, ws)
+
+
+def test_matches_single_phase_search_on_the_benchmark_grid():
+    for n in (8, 9):
+        for r in range(1, 4):
+            for ws in combinations(range(1, n + 1), r):
+                _assert_matches_single_phase(n, ws)
+
+
+@pytest.mark.parametrize("n, ws", [(10, (2, 4, 6)), (11, (4, 6, 8)), (11, (3, 5, 6)), (12, (4, 8))])
+def test_matches_single_phase_search_on_larger_cases(n, ws):
+    _assert_matches_single_phase(n, ws)
+
+
+def _assert_code_in_weight_set(matrix, dimension, ws):
+    code = LinearCode(matrix)  # canonical rows, or this raises
+    assert code.dimension == dimension
+    assert {w.bit_count() for w in all_codewords(code) if w} <= set(ws)
+
+
+@pytest.mark.parametrize("lp_stop", [True, False])
+def test_proof_phase_maximum_matches_unpruned_search(monkeypatch, lp_stop):
+    if not lp_stop:
+        _remove_lp_stop(monkeypatch)
+    for n in range(8):
+        for r in range(1, n + 1):
+            for ws in combinations(range(1, n + 1), r):
+                full = max_dimension_exhaustive(n, ws)
+                # The witness phase takes at least one candidate, its last, so
+                # a cap one below the total ends the search just after the
+                # proof phase and returns the proof's best code.
+                proof = max_dimension_exhaustive(n, ws, node_cap=full.nodes_explored - 1)
+                assert not proof.complete and proof.stop == "node-cap", (n, ws)
+                assert proof.max_dimension == rref_dfs_reference(n, ws).max_dimension, (n, ws)
+                _assert_code_in_weight_set(proof.witness, proof.max_dimension, ws)
+
+
+def test_node_cap_inside_either_phase():
+    for n, ws, cap in ((6, (2, 4), 3), (9, (3, 4, 5), 3), (10, (2, 4, 6), 40), (11, (4, 6, 8), 200)):
+        full = max_dimension_exhaustive(n, ws)
+        capped = max_dimension_exhaustive(n, ws, node_cap=cap)
+        assert not capped.complete and capped.stop == "node-cap", (n, ws)
+        assert capped.nodes_explored == cap + 1, (n, ws)
+        # Below the maximum: the cap fell inside the proof phase.
+        assert 1 <= capped.max_dimension < full.max_dimension, (n, ws)
+        _assert_code_in_weight_set(capped.witness, capped.max_dimension, ws)
+    # (6, {2, 4}) proves dimension 4 in 9 candidates; a cap of 9 ends the
+    # witness phase at its first, and the proof's code stands in for it.
+    capped = max_dimension_exhaustive(6, (2, 4), node_cap=9)
+    assert not capped.complete and capped.nodes_explored == 10
+    assert capped.max_dimension == 4
+    assert _rows(capped) == (17, 18, 20, 24) != _rows(max_dimension_exhaustive(6, (2, 4)))
+    _assert_code_in_weight_set(capped.witness, 4, (2, 4))
+
+
+def test_proof_phase_prunes_cases_the_lp_bound_does_not_settle():
+    # Neither case reaches its LP bound, so the proof phase runs to the end;
+    # the one-phase search tries 21,063 and 26,857 candidates on them.
+    for n, ws, dimension, nodes in ((9, (3, 4, 5), 3, 221), (10, (2, 4, 6), 6, 707)):
+        result = max_dimension_exhaustive(n, ws)
+        assert result.complete and result.stop == "exhausted", (n, ws)
+        assert result.max_dimension == dimension < result.bound, (n, ws)
+        assert result.nodes_explored == nodes, (n, ws)
