@@ -11,7 +11,8 @@ weight-3 words in the dual (a2_star, a3_star):
 
 Given a prescribed set of nonzero weights this pins the counts as affine
 functions of (a2_star, a3_star); leftover moment equations become residual
-constraints.  Everything here is exact rational arithmetic.
+constraints.  Everything here is exact: integer arithmetic over a cleared
+denominator where the hot paths allow it, rational arithmetic elsewhere.
 
 ``lp_dimension_bound`` is Delsarte's linear-programming bound: the dual
 distribution of any code with weights in W is nonnegative, which caps the
@@ -171,20 +172,24 @@ def power_moment(we: WeightEnumerator, k: int) -> int:
     return sum(a * i**k for i, a in enumerate(we.counts))
 
 
-def _moment_rhs(n: int, d: int) -> tuple[AffineForm, AffineForm, AffineForm, AffineForm]:
-    """Right-hand sides of the four moment equations as affine forms."""
-    half = Fraction(2) ** (d - 1)
-    quarter = Fraction(2) ** (d - 2)
+def _scaled_rhs(n: int, d: int) -> tuple[tuple[int, int, int], ...]:
+    """8 times the right sides of the four moment equations, as integer
+    (const, a2_star, a3_star) coefficients."""
     return (
-        AffineForm(Fraction(2**d - 1)),
-        AffineForm(half * n),
-        AffineForm(half * Fraction(n * (n + 1), 2), a2_coeff=half),
-        AffineForm(
-            quarter * Fraction(n * n * (n + 3), 2),
-            a2_coeff=quarter * 3 * n,
-            a3_coeff=-quarter * 3,
-        ),
+        (8 * (2**d - 1), 0, 0),
+        (2 ** (d + 2) * n, 0, 0),
+        (2 ** (d + 1) * n * (n + 1), 2 ** (d + 2), 0),
+        (2**d * n * n * (n + 3), 3 * 2 ** (d + 1) * n, -3 * 2 ** (d + 1)),
     )
+
+
+def _form(numerators: Iterable[int], denominator: int) -> AffineForm:
+    return AffineForm(*(Fraction(x, denominator) for x in numerators))
+
+
+def _moment_rhs(n: int, d: int) -> tuple[AffineForm, ...]:
+    """Right-hand sides of the four moment equations as affine forms."""
+    return tuple([_form(row, 8) for row in _scaled_rhs(n, d)])
 
 
 def moment_identities_check(code: LinearCode, cap: int = DEFAULT_ENUMERATION_CAP) -> MomentReport:
@@ -235,8 +240,10 @@ def solve_weight_counts(n: int, d: int, weights: Iterable[int]) -> LinearCountSo
         raise ValueError(f"weights must be positive, got {ws}")
     if n < 1 or d < 0:
         raise ValueError(f"need n >= 1 and d >= 0, got n={n}, d={d}")
-    rhs = _moment_rhs(n, d)
-    expressions: dict[int, AffineForm] = {}
+    rhs = _scaled_rhs(n, d)
+    # Each count and residual is kept as integer (const, a2, a3) numerators
+    # over one denominator, and becomes an AffineForm once, at the end.
+    scaled: dict[int, tuple[list[int], int]] = {}
     for w in ws:
         # Row w of the inverse Vandermonde matrix: the coefficients, lowest
         # degree first, of the product of (t - v) over v != w, divided by its
@@ -246,19 +253,19 @@ def solve_weight_counts(n: int, d: int, weights: Iterable[int]) -> LinearCountSo
             if v != w:
                 coeffs = [b - v * a for a, b in zip(coeffs + [0], [0] + coeffs)]
                 at_w *= w - v
-        form = AffineForm()
-        for c, r in zip(coeffs, rhs):
-            form = form.minus(r, Fraction(-c, at_w))
-        expressions[w] = form
+        scaled[w] = [sum(c * r[i] for c, r in zip(coeffs, rhs)) for i in range(3)], 8 * at_w
+    expressions = {w: _form(num, den) for w, (num, den) in scaled.items()}
+    den = lcm(*(den_w for _, den_w in scaled.values()))
     residuals: dict[int, AffineForm] = {}
     note = ""
     consistent = True
     for k in range(len(ws), 4):
-        lhs = AffineForm()
-        for j, w in enumerate(ws):
-            lhs = lhs.minus(expressions[w], -(Fraction(w) ** k))
-        residual = lhs.minus(rhs[k])
-        residuals[k + 1] = residual
+        num = [
+            sum(w**k * num_w[i] * (den // den_w) for w, (num_w, den_w) in scaled.items())
+            - rhs[k][i] * (den // 8)
+            for i in range(3)
+        ]
+        residual = residuals[k + 1] = _form(num, den)
         if residual.is_constant() and residual.const != 0:
             consistent = False
             note = f"equation {k + 1} reduces to {residual.const} = 0"
@@ -330,11 +337,13 @@ def feasibility_check(n: int, d: int, weights: Iterable[int]) -> FeasibilityVerd
       a nonnegative integer is taken.
 
     With m >= 3 an a2_star is checked only if a real a3_star keeps every count
-    nonnegative (for m = 3, also a3_star and the counts are integers); the
-    others fail, so the witness, the lexicographically least (a2_star,
-    a3_star), is unchanged.  Unless the system, a constant count or a forced
-    a2_star fails first, the certificate is the failure at the box's first
-    a2_star (0, or the forced value), checked or not.
+    nonnegative and, for m = 3, a3_star and the counts are integers, for
+    m = 4, some integer a3_star makes every count an integer (one residue
+    class, ``_integral_class``); the others fail, so the witness, the
+    lexicographically least (a2_star, a3_star), is unchanged.  Unless the
+    system, a constant count or a forced a2_star fails first, the certificate
+    is the failure at the box's first a2_star (0, or the forced value),
+    checked or not.
     """
     if n < 1 or not 1 <= d <= n:
         raise ValueError(f"need n >= 1 and 1 <= d <= n, got n={n}, d={d}")
@@ -384,8 +393,12 @@ def _a2_candidates(
     Each count c + p*a2 + q*a3 >= 0 with q != 0, 0 <= a3 <= a3_hi and a forced
     a3 bound a3 by forms (c, s) = c + s*a2; eliminating a3 (Fourier-Motzkin)
     leaves upper - lower >= 0 for each pair, like a count with q = 0.  With a
-    forced a3 every form must also be an integer: a congruence on a2.
+    forced a3 every form must also be an integer: a congruence on a2; with
+    none, a2 must lie in the class that admits an integer a3 at all.
     """
+    lattice = (0, 1) if a3_forced is not None else _integral_class(sol)
+    if lattice is None:
+        return range(0)
     lower, upper, forms = [(Fraction(0), Fraction(0))], [(Fraction(a3_hi), Fraction(0))], []
     if a3_forced is not None:
         lower.append(a3_forced)
@@ -397,7 +410,7 @@ def _a2_candidates(
             bound = (-f.const / f.a3_coeff, -f.a2_coeff / f.a3_coeff)
             (lower if f.a3_coeff > 0 else upper).append(bound)
     forms += [(c_up - c_lo, s_up - s_lo) for c_lo, s_lo in lower for c_up, s_up in upper]
-    lo, hi, rem, mod = 0, a2_hi, 0, 1
+    lo, hi, (rem, mod) = 0, a2_hi, lattice
     for u, v in forms:
         lo, hi = _nonnegative_part(lo, hi, u, v)
         if a3_forced is not None:
@@ -406,6 +419,31 @@ def _a2_candidates(
                 return range(0)
             rem, mod = merged
     return range(lo + (rem - lo) % mod, hi + 1, mod)
+
+
+def _integral_class(sol: LinearCountSolution) -> tuple[int, int] | None:
+    """(r, M) such that some integer a3_star makes every count an integer
+    exactly when a2_star = r (mod M); None if no a2_star does.
+
+    Those integer points (a2, a3) form a lattice coset, kept as a2 = rem +
+    mod*t, a3 = base + slope*t + period*u with t, u integers, and cut down by
+    one count at a time.  With the count alpha + beta*t + (p/q)*u, p/q in
+    lowest terms, some u makes it an integer exactly when q*(alpha + beta*t)
+    is one, a congruence on t; u is then fixed mod q, affine in t.
+    """
+    rem, mod, base, slope, period = 0, 1, 0, 0, 1
+    for f in sol.expressions.values():
+        alpha, beta = f.evaluate(rem, base), f.a2_coeff * mod + f.a3_coeff * slope
+        p, q = (f.a3_coeff * period).as_integer_ratio()
+        if (congruence := _integral_congruence(q * alpha, q * beta)) is None:
+            return None
+        t0, step = congruence
+        inverse = -pow(p, -1, q)
+        u0, u1 = int(q * (alpha + beta * t0)) * inverse, int(q * beta * step) * inverse
+        rem, mod = rem + mod * t0, mod * step
+        base, slope = base + slope * t0 + period * u0, slope * step + period * u1
+        period *= q
+    return rem % mod, mod
 
 
 def _check_a2(

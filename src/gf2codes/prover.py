@@ -24,7 +24,7 @@ from typing import Mapping
 
 from .codes import LinearCode
 from .gf2core import Gf2Matrix
-from .moments import AffineForm, _two_adic_valuation, solve_weight_counts
+from .moments import AffineForm, solve_weight_counts
 from .transforms import projected_weight
 
 __all__ = [
@@ -214,8 +214,9 @@ def verify_lemma_2_6(d: int, n_range: tuple[int, int] = (1, 128)) -> ProofReport
     factored form.  Two affine functions that agree at two lengths agree at
     every length, so agreement at both ends proves it for the whole range.
     The scan then steps the closed-form counts and the left side from one
-    length to the next by their exact increments.  The report lists
-    lengths, so a range of more than ``_LEMMA_2_6_MAX_LENGTHS`` raises.
+    length to the next by their exact increments, as integers scaled by
+    2^max(0, 4 - d).  The report lists lengths, so a range of more than
+    ``_LEMMA_2_6_MAX_LENGTHS`` raises.
     """
     lo, hi = n_range
     pair = _LEMMA_2_6_WEIGHTS
@@ -242,11 +243,13 @@ def verify_lemma_2_6(d: int, n_range: tuple[int, int] = (1, 128)) -> ProofReport
     no_contradiction: list[int] = []
     admissible: list[int] = []
     admissible_no_contradiction: list[int] = []
-    counts = _closed_form_counts(lo, d)
-    slopes = [b - a for a, b in zip(counts, _closed_form_counts(lo + 1, d))]
+    shift = max(0, 4 - d)
+    scale = 1 << shift
+    counts = [int(c * scale) for c in _closed_form_counts(lo, d)]
+    slopes = [int(c * scale) - a for a, c in zip(counts, _closed_form_counts(lo + 1, d))]
     lhs, lhs_slope = (sum(w * w * c for w, c in zip(pair, cs)) for cs in (counts, slopes))
     for n in range(lo, hi + 1):
-        v2 = _two_adic_valuation(lhs)
+        v2 = (lhs & -lhs).bit_length() - 1 - shift if lhs else None
         if v2 is None:
             zero_lhs_lengths.append(n)
         else:
@@ -254,7 +257,7 @@ def verify_lemma_2_6(d: int, n_range: tuple[int, int] = (1, 128)) -> ProofReport
         contradiction = v2 is not None and v2 < required
         if not contradiction:
             no_contradiction.append(n)
-        if all(c.denominator == 1 and c >= 0 for c in counts):
+        if all(c >= 0 and c % scale == 0 for c in counts):
             admissible.append(n)
             if not contradiction:
                 admissible_no_contradiction.append(n)

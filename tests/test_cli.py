@@ -6,6 +6,7 @@ import json
 import os
 import platform
 import random
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -20,6 +21,24 @@ from gf2codes.cli import run
 GOLAY = str(FIXTURES / "golay_24_12.txt")
 EVEN4 = str(FIXTURES / "even_weight_4.txt")
 HAMMING16 = str(FIXTURES / "hamming_16_11.txt")
+
+
+def test_readme_examples_match_real_output(capsys, monkeypatch):
+    # Each "$ gf2codes ..." line of the README's example block, run from the
+    # repository root, prints the lines under it; "| tail -1" keeps the last.
+    readme = FIXTURES.parent / "README.md"
+    block = readme.read_text().split("Examples, with real output:\n\n```text\n")[1]
+    examples = ("\n" + block.split("```")[0]).split("\n$ ")[1:]
+    monkeypatch.chdir(readme.parent)
+    for example in examples:
+        command, *expected = example.rstrip("\n").splitlines()
+        argv = shlex.split(command)
+        assert argv[0] == "gf2codes", command
+        tail = argv[-3:] == ["|", "tail", "-1"]
+        run(argv[1:-3] if tail else argv[1:])
+        out = capsys.readouterr().out.splitlines()
+        assert (out[-1:] if tail else out) == expected, command
+    assert len(examples) == 4
 
 
 def test_analyze_human_output(capsys):

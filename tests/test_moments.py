@@ -1,8 +1,9 @@
+import collections
 import dataclasses
 import itertools
 import random
 from fractions import Fraction
-from math import comb, prod
+from math import comb, lcm, prod
 
 import pytest
 
@@ -19,6 +20,7 @@ from gf2codes import (
     INFEASIBLE,
     Gf2Matrix,
     LinearCode,
+    LinearCountSolution,
     LpBound,
     feasibility_check,
     lp_dimension_bound,
@@ -27,6 +29,7 @@ from gf2codes import (
     solve_weight_counts,
     spanning_form,
 )
+from gf2codes.moments import _integral_class
 
 
 def rhs_oracle(n, d, a2_star, a3_star):
@@ -250,9 +253,30 @@ def typed_witness(witness):
     return {key: (v, type(v)) for key, v in witness.items() if key != "counts"} | {"counts": counts}
 
 
+# Four-weight cases where every a2_star of the real relaxation fails
+# integrality, and one where the integrality class leaves 91 to check.
+LATTICE_CASES = {
+    (128, 11, (8, 86, 114, 122)): 0,
+    (111, 5, (20, 22, 68, 92)): 0,
+    (98, 7, (4, 38, 50, 84)): 0,
+    (125, 12, (4, 18, 74, 112)): 91,
+}
+
+
+def four_weight_cases():
+    """The lattice cases, then 16 seeded four-weight cases at the benchmark's
+    lengths 24-128, dimensions 4-12 and even weights."""
+    yield from LATTICE_CASES
+    rng = random.Random(1515)
+    for _ in range(16):
+        n = rng.randrange(24, 129)
+        yield n, rng.randrange(4, 13), tuple(sorted(rng.sample(range(2, n + 1, 2), 4)))
+
+
 def differential_cases():
     """Every weight set of size <= 3 at n <= 12 and of size 4 at n <= 9,
-    with d <= min(n, 6), then 150 seeded cases up to n = 128."""
+    with d <= min(n, 6), then 150 seeded cases up to n = 128, then the
+    four-weight cases."""
     for n in range(1, 13):
         for m in range(1, 5 if n <= 9 else 4):
             for weights in itertools.combinations(range(1, n + 1), m):
@@ -264,6 +288,7 @@ def differential_cases():
         d = rng.randrange(1, min(n, 14) + 1)
         pool = range(2, n + 1, 2) if rng.random() < 0.6 else range(1, n + 1)
         yield n, d, tuple(sorted(rng.sample(pool, rng.randrange(1, 5))))
+    yield from four_weight_cases()
 
 
 def test_feasibility_matches_full_scan_reference():
@@ -275,7 +300,7 @@ def test_feasibility_matches_full_scan_reference():
             reference.status, reference.reason, reference.certificate), (n, d, weights)
         assert typed_witness(verdict.witness) == typed_witness(reference.witness), (n, d, weights)
         checked += 1
-    assert checked == 8038
+    assert checked == 8058
 
 
 def test_feasibility_scans_only_kept_a2_values():
@@ -291,6 +316,47 @@ def test_feasibility_scans_only_kept_a2_values():
     assert verdict.feasible and verdict.scanned == 1
     # The counter stays out of equality.
     assert verdict == dataclasses.replace(verdict, scanned=0)
+    # Four weights: only the a2_star some integer a3_star makes every count
+    # an integer at; the real relaxation keeps 3,784, 1,776, 3,104 and 631.
+    for case, scanned in LATTICE_CASES.items():
+        assert feasibility_check(*case).scanned == scanned, case
+
+
+def test_integral_class_matches_brute_force():
+    # Integrality at (a2*, a3*) depends only on both modulo the lcm of the
+    # coefficient denominators, so one period of each decides the class.
+    rng = random.Random(2026)
+    systems = []
+    while len(systems) < 12:
+        n = rng.randrange(8, 40)
+        weights = tuple(sorted(rng.sample(range(1, n + 1), 4)))
+        systems.append(solve_weight_counts(n, rng.randrange(1, 9), weights))
+    # Synthetic systems (not moment solves), mostly integral at a seeded point.
+    for _ in range(30):
+        x0, y0 = rng.randrange(100), rng.randrange(100)
+        forms = {}
+        for w in range(4):
+            den = rng.choice((1, 2, 3, 4, 6, 8, 9, 12))
+            p, q = rng.randrange(-20, 21), rng.choice((-1, 1)) * rng.randrange(1, 20)
+            c = rng.randrange(den) if rng.random() < 0.2 else 0
+            forms[w] = AffineForm(Fraction(c - p * x0 - q * y0, den), Fraction(p, den),
+                                  Fraction(q, den))
+        systems.append(LinearCountSolution(0, 0, tuple(forms), forms, {}, True))
+    kinds = collections.Counter()
+    for sol in systems:
+        forms = list(sol.expressions.values())
+        period = lcm(*(c.denominator for f in forms
+                       for c in (f.const, f.a2_coeff, f.a3_coeff)))
+        if period > 240:
+            continue
+        congruence = _integral_class(sol)
+        for a2 in range(period):
+            in_class = congruence is not None and a2 % congruence[1] == congruence[0]
+            reachable = any(all(f.evaluate(a2, a3).denominator == 1 for f in forms)
+                            for a3 in range(period))
+            assert reachable == in_class, (sol, a2)
+        kinds["none" if congruence is None else "class" if congruence[1] > 1 else "every"] += 1
+    assert kinds == {"none": 10, "class": 23, "every": 2}
 
 
 def lexicographic_oracle(n, d, weights):
