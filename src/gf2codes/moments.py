@@ -11,8 +11,9 @@ weight-3 words in the dual (a2_star, a3_star):
 
 Given a prescribed set of nonzero weights this pins the counts as affine
 functions of (a2_star, a3_star); leftover moment equations become residual
-constraints.  Everything here is exact: integer arithmetic over a cleared
-denominator where the hot paths allow it, rational arithmetic elsewhere.
+constraints.  Everything here is exact.  The count solve and the
+feasibility scan work on integer numerators over a cleared denominator; in
+them ``Fraction`` appears only in ``AffineForm`` and in printed certificates.
 
 ``lp_dimension_bound`` is Delsarte's linear-programming bound: the dual
 distribution of any code with weights in W is nonnegative, which caps the
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, comb, floor, gcd, lcm
+from math import comb, gcd, lcm
 from typing import Iterable, Mapping
 
 from .codes import DEFAULT_ENUMERATION_CAP, LinearCode, WeightEnumerator, macwilliams_transform
@@ -55,6 +56,9 @@ REASON_INCONSISTENT = "inconsistent system"
 
 # (reason, certificate) of a failed check.
 Failure = tuple[str, str]
+# A count, or the a3_star equation 4 forces, as integers (c, p, q, den)
+# worth (c + p*a2_star + q*a3_star)/den, den > 0.
+Numerators = tuple[int, int, int, int]
 
 
 @dataclass(frozen=True)
@@ -70,13 +74,6 @@ class AffineForm:
 
     def is_constant(self) -> bool:
         return self.a2_coeff == 0 and self.a3_coeff == 0
-
-    def minus(self, other: AffineForm, factor: Fraction = Fraction(1)) -> AffineForm:
-        return AffineForm(
-            self.const - factor * other.const,
-            self.a2_coeff - factor * other.a2_coeff,
-            self.a3_coeff - factor * other.a3_coeff,
-        )
 
     def __str__(self) -> str:
         parts = [str(self.const)]
@@ -187,9 +184,10 @@ def _form(numerators: Iterable[int], denominator: int) -> AffineForm:
     return AffineForm(*(Fraction(x, denominator) for x in numerators))
 
 
-def _moment_rhs(n: int, d: int) -> tuple[AffineForm, ...]:
-    """Right-hand sides of the four moment equations as affine forms."""
-    return tuple([_form(row, 8) for row in _scaled_rhs(n, d)])
+def _numerators(f: AffineForm) -> Numerators:
+    coeffs = [f.const, f.a2_coeff, f.a3_coeff]
+    den = lcm(*[x.denominator for x in coeffs])
+    return tuple([x.numerator * (den // x.denominator) for x in coeffs] + [den])
 
 
 def moment_identities_check(code: LinearCode, cap: int = DEFAULT_ENUMERATION_CAP) -> MomentReport:
@@ -208,12 +206,12 @@ def moment_identities_check(code: LinearCode, cap: int = DEFAULT_ENUMERATION_CAP
     a2_star = dual_we.count(2) if code.n >= 2 else 0
     a3_star = dual_we.count(3) if code.n >= 3 else 0
     moments = tuple([power_moment(we, k) for k in range(4)])
-    rhs = _moment_rhs(code.n, code.dimension)
     # The identities cover nonzero weights only; at k = 0 that is the total
     # minus the zero word.
     lhs = (moments[0] - 1,) + moments[1:]
     status = tuple([
-        Fraction(lhs[k]) == rhs[k].evaluate(a2_star, a3_star) for k in range(4)
+        8 * x == c + p * a2_star + q * a3_star
+        for x, (c, p, q) in zip(lhs, _scaled_rhs(code.n, code.dimension))
     ])
     return MomentReport(
         n=code.n,
@@ -288,34 +286,21 @@ def _two_adic_valuation(x: Fraction) -> int | None:
     return (abs(num) & -abs(num)).bit_length() - ((den & -den).bit_length())
 
 
-def _crt_merge(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int] | None:
-    """Combine x = r1 (mod m1) with x = r2 (mod m2); None if incompatible."""
-    g = gcd(m1, m2)
-    if (r2 - r1) % g:
-        return None
-    l = lcm(m1, m2)
-    step = m2 // g
-    k = ((r2 - r1) // g * pow(m1 // g, -1, step)) % step if step > 1 else 0
-    return (r1 + m1 * k) % l, l
-
-
-def _integral_congruence(u: Fraction, v: Fraction) -> tuple[int, int] | None:
-    """(r, M) with u + v*x an integer exactly when x = r (mod M); None if never."""
-    denom = lcm(u.denominator, v.denominator)
-    a, b = int(u * denom), int(v * denom)
-    g = gcd(b, denom)
+def _integral_congruence(a: int, b: int, m: int) -> tuple[int, int] | None:
+    """(r, M) with m > 0 dividing a + b*x exactly when x = r (mod M); None if never."""
+    g = gcd(b, m)
     if a % g:
         return None
-    step = denom // g
-    return ((-a // g) * pow(b // g, -1, step)) % step if step > 1 else 0, step
+    step = m // g
+    return (-a // g) * pow(b // g, -1, step) % step, step
 
 
-def _nonnegative_part(lo: int, hi: int, u: Fraction, v: Fraction) -> tuple[int, int]:
+def _nonnegative_part(lo: int, hi: int, u: int, v: int) -> tuple[int, int]:
     """The integers x in [lo, hi] with u + v*x >= 0 (empty when lo > hi)."""
     if v > 0:
-        return max(lo, ceil(-u / v)), hi
+        return max(lo, -(u // v)), hi
     if v < 0:
-        return lo, min(hi, floor(-u / v))
+        return lo, min(hi, u // -v)
     return (lo, hi) if u >= 0 else (lo, lo - 1)
 
 
@@ -336,14 +321,16 @@ def feasibility_check(n: int, d: int, weights: Iterable[int]) -> FeasibilityVerd
       Vandermonde matrix), nonzero, and the least a3_star making every count
       a nonnegative integer is taken.
 
-    With m >= 3 an a2_star is checked only if a real a3_star keeps every count
-    nonnegative and, for m = 3, a3_star and the counts are integers, for
-    m = 4, some integer a3_star makes every count an integer (one residue
-    class, ``_integral_class``); the others fail, so the witness, the
-    lexicographically least (a2_star, a3_star), is unchanged.  Unless the
-    system, a constant count or a forced a2_star fails first, the certificate
-    is the failure at the box's first a2_star (0, or the forced value),
-    checked or not.
+    The scan works on integer numerators: each count, and a forced a3_star,
+    is (c + p*a2_star + q*a3_star)/den with integers (c, p, q, den), and a
+    ``Fraction`` is built only for a printed certificate.  With m >= 3 an
+    a2_star is checked only if a real a3_star keeps every count nonnegative
+    and some integer a3_star (for m = 3, the forced one) makes every count
+    an integer, one residue class (``_integral_class``); the others fail, so
+    the witness, the lexicographically least (a2_star, a3_star), is
+    unchanged.  Unless the system, a constant count or a forced a2_star
+    fails first, the certificate is the failure at the box's first a2_star
+    (0, or the forced value), checked or not.
     """
     if n < 1 or not 1 <= d <= n:
         raise ValueError(f"need n >= 1 and 1 <= d <= n, got n={n}, d={d}")
@@ -366,106 +353,108 @@ def feasibility_check(n: int, d: int, weights: Iterable[int]) -> FeasibilityVerd
                 return FeasibilityVerdict(INFEASIBLE, REASON_NEGATIVE, certificate=certificate)
         eq3 = sol.residuals[3]
         forced_a2 = -eq3.const / eq3.a2_coeff
-        failure = _forced_failure(3, forced_a2, a2_hi)
+        failure = _forced_failure(3, *forced_a2.as_integer_ratio(), a2_hi)
         if failure is not None:
             return FeasibilityVerdict(INFEASIBLE, failure[0], certificate=failure[1])
         first_a2 = int(forced_a2)
-    # With m <= 3 equation 4 forces a3_star = a3_base + a3_slope * a2_star.
-    eq4 = sol.residuals.get(4)
-    a3_forced = (-eq4.const / eq4.a3_coeff, -eq4.a2_coeff / eq4.a3_coeff) if eq4 else None
-    a2_values = (first_a2,) if m <= 2 else _a2_candidates(sol, a2_hi, a3_hi, a3_forced)
+    counts = {w: _numerators(f) for w, f in sol.expressions.items()}
+    # With m <= 3 equation 4 forces a3_star = -(c + p*a2_star)/q: its residual's
+    # a3_star coefficient is 3*2^(d-2), so q > 0.
+    a3_forced = None
+    if 4 in sol.residuals:
+        c, p, q, _ = _numerators(sol.residuals[4])
+        a3_forced = (-c, -p, 0, q)
+    a2_values = (first_a2,) if m <= 2 else _a2_candidates(counts, a2_hi, a3_hi, a3_forced)
 
     for scanned, a2 in enumerate(a2_values, 1):
-        a3, bad = _check_a2(sol, a2, a3_hi, a3_forced)
+        a3, bad = _check_a2(counts, a2, a3_hi, a3_forced)
         if bad is None:
-            counts = {w: int(sol.expressions[w].evaluate(a2, a3)) for w in sol.weights}
-            witness = {"a2_star": a2, "a3_star": int(a3), "counts": counts}
+            values = {w: (c + p * a2 + q * a3) // den for w, (c, p, q, den) in counts.items()}
+            witness = {"a2_star": a2, "a3_star": a3, "counts": values}
             return FeasibilityVerdict(FEASIBLE, REASON_NONE, witness=witness, scanned=scanned)
-    reason, certificate = _check_a2(sol, first_a2, a3_hi, a3_forced)[1]
+    reason, certificate = _check_a2(counts, first_a2, a3_hi, a3_forced)[1]
     return FeasibilityVerdict(INFEASIBLE, reason, certificate=certificate, scanned=len(a2_values))
 
 
 def _a2_candidates(
-    sol: LinearCountSolution, a2_hi: int, a3_hi: int, a3_forced: tuple[Fraction, Fraction] | None
+    counts: Mapping[int, Numerators], a2_hi: int, a3_hi: int, a3_forced: Numerators | None
 ) -> range:
     """The a2_star in [0, a2_hi] that can still carry a witness.
 
     Each count c + p*a2 + q*a3 >= 0 with q != 0, 0 <= a3 <= a3_hi and a forced
-    a3 bound a3 by forms (c, s) = c + s*a2; eliminating a3 (Fourier-Motzkin)
-    leaves upper - lower >= 0 for each pair, like a count with q = 0.  With a
-    forced a3 every form must also be an integer: a congruence on a2; with
-    none, a2 must lie in the class that admits an integer a3 at all.
+    a3 bound a3 by forms (c + s*a2)/den, den > 0, kept as (c, s, 0, den);
+    eliminating a3 (Fourier-Motzkin) leaves upper - lower >= 0 for each pair,
+    like a count with q = 0.  a2 must also lie in the class where some
+    integer a3 makes every count, and a forced a3, an integer.
     """
-    lattice = (0, 1) if a3_forced is not None else _integral_class(sol)
+    lattice = _integral_class([*counts.values(), a3_forced] if a3_forced else counts.values())
     if lattice is None:
         return range(0)
-    lower, upper, forms = [(Fraction(0), Fraction(0))], [(Fraction(a3_hi), Fraction(0))], []
+    lower, upper, forms = [(0, 0, 0, 1)], [(a3_hi, 0, 0, 1)], []
     if a3_forced is not None:
         lower.append(a3_forced)
         upper.append(a3_forced)
-    for f in sol.expressions.values():
-        if f.a3_coeff == 0:
-            forms.append((f.const, f.a2_coeff))
+    for c, p, q, den in counts.values():
+        if q > 0:
+            lower.append((-c, -p, 0, q))
+        elif q < 0:
+            upper.append((c, p, 0, -q))
         else:
-            bound = (-f.const / f.a3_coeff, -f.a2_coeff / f.a3_coeff)
-            (lower if f.a3_coeff > 0 else upper).append(bound)
-    forms += [(c_up - c_lo, s_up - s_lo) for c_lo, s_lo in lower for c_up, s_up in upper]
+            forms.append((c, p))
+    forms += [(c_up * d_lo - c_lo * d_up, s_up * d_lo - s_lo * d_up)
+              for c_lo, s_lo, _, d_lo in lower for c_up, s_up, _, d_up in upper]
     lo, hi, (rem, mod) = 0, a2_hi, lattice
     for u, v in forms:
         lo, hi = _nonnegative_part(lo, hi, u, v)
-        if a3_forced is not None:
-            congruence = _integral_congruence(u, v)
-            if not (merged := congruence and _crt_merge(rem, mod, *congruence)):
-                return range(0)
-            rem, mod = merged
     return range(lo + (rem - lo) % mod, hi + 1, mod)
 
 
-def _integral_class(sol: LinearCountSolution) -> tuple[int, int] | None:
-    """(r, M) such that some integer a3_star makes every count an integer
+def _integral_class(forms: Iterable[Numerators]) -> tuple[int, int] | None:
+    """(r, M) such that some integer a3_star makes every form an integer
     exactly when a2_star = r (mod M); None if no a2_star does.
 
     Those integer points (a2, a3) form a lattice coset, kept as a2 = rem +
     mod*t, a3 = base + slope*t + period*u with t, u integers, and cut down by
-    one count at a time.  With the count alpha + beta*t + (p/q)*u, p/q in
-    lowest terms, some u makes it an integer exactly when q*(alpha + beta*t)
-    is one, a congruence on t; u is then fixed mod q, affine in t.
+    one form at a time.  The form (c + p*a2 + q*a3)/den is there (alpha +
+    beta*t + gamma*u)/den; some u makes it an integer exactly when g =
+    gcd(gamma, den) divides alpha + beta*t, a congruence on t, and u is then
+    fixed mod den/g, affine in t.  A form with q = 0 leaves a3 free.
     """
     rem, mod, base, slope, period = 0, 1, 0, 0, 1
-    for f in sol.expressions.values():
-        alpha, beta = f.evaluate(rem, base), f.a2_coeff * mod + f.a3_coeff * slope
-        p, q = (f.a3_coeff * period).as_integer_ratio()
-        if (congruence := _integral_congruence(q * alpha, q * beta)) is None:
+    for c, p, q, den in forms:
+        alpha, beta, gamma = c + p * rem + q * base, p * mod + q * slope, q * period
+        g = gcd(gamma, den)
+        if (congruence := _integral_congruence(alpha, beta, g)) is None:
             return None
         t0, step = congruence
-        inverse = -pow(p, -1, q)
-        u0, u1 = int(q * (alpha + beta * t0)) * inverse, int(q * beta * step) * inverse
+        inverse = -pow(gamma // g, -1, den // g)
+        u0, u1 = (alpha + beta * t0) // g * inverse, beta * step // g * inverse
         rem, mod = rem + mod * t0, mod * step
         base, slope = base + slope * t0 + period * u0, slope * step + period * u1
-        period *= q
-    return rem % mod, mod
+        period *= den // g
+    return rem, mod
 
 
 def _check_a2(
-    sol: LinearCountSolution, a2: int, a3_hi: int, a3_forced: tuple[Fraction, Fraction] | None
-) -> tuple[int | Fraction | None, Failure | None]:
+    counts: Mapping[int, Numerators], a2: int, a3_hi: int, a3_forced: Numerators | None
+) -> tuple[int | None, Failure | None]:
     """The a3_star taken at a2 (forced, else least admissible) and why it is no witness."""
     if a3_forced is None:
-        a3, bad = _admissible_a3(sol, a2, a3_hi)
-    else:
-        a3 = a3_forced[0] + a3_forced[1] * a2
-        bad = _forced_failure(4, a3, a3_hi, a2)
-    return a3, bad or _count_failure(sol, a2, a3)
+        return _admissible_a3(counts, a2, a3_hi)
+    c, p, _, den = a3_forced
+    a3 = (c + p * a2) // den
+    return a3, _forced_failure(4, c + p * a2, den, a3_hi, a2) or _count_failure(counts, a2, a3)
 
 
-def _forced_failure(k: int, value: Fraction, hi: int, a2: int | None = None) -> Failure | None:
-    """Why the value equation k forces is not an integer in [0, hi], or None.
+def _forced_failure(k: int, num: int, den: int, hi: int, a2: int | None = None) -> Failure | None:
+    """Why num/den (den > 0), forced by equation k, is not an integer in [0, hi], or None.
 
     The forced parameter is a2_star when ``a2`` is None, else a3_star at
     that a2_star; only an a2_star certificate carries the 2-adic detail.
     """
-    if value.denominator == 1 and 0 <= value <= hi:
+    if num % den == 0 and 0 <= num <= hi * den:
         return None
+    value = Fraction(num, den)
     name, where = ("a2_star", "") if a2 is None else ("a3_star", f"at a2_star={a2}, ")
     claim = f"{where}equation {k} forces {name} = {value}"
     if value.denominator == 1:
@@ -476,39 +465,39 @@ def _forced_failure(k: int, value: Fraction, hi: int, a2: int | None = None) -> 
     return REASON_DIVISIBILITY, f"{claim}, not an integer{detail}"
 
 
-def _count_failure(sol: LinearCountSolution, a2: int, a3: int | Fraction) -> Failure | None:
+def _count_failure(counts: Mapping[int, Numerators], a2: int, a3: int) -> Failure | None:
     """The first count that is not a nonnegative integer at (a2, a3), or None."""
-    for w in sol.weights:
-        value = sol.expressions[w].evaluate(a2, a3)
-        if value.denominator != 1:
-            return REASON_NON_INTEGER, f"a_{w} = {value} at (a2_star={a2}, a3_star={a3})"
-        if value < 0:
-            return REASON_NEGATIVE, f"a_{w} = {value} at (a2_star={a2}, a3_star={a3})"
+    for w, (c, p, q, den) in counts.items():
+        num = c + p * a2 + q * a3
+        if num % den or num < 0:
+            reason = REASON_NON_INTEGER if num % den else REASON_NEGATIVE
+            return reason, f"a_{w} = {Fraction(num, den)} at (a2_star={a2}, a3_star={a3})"
     return None
 
 
 def _admissible_a3(
-    sol: LinearCountSolution, a2: int, a3_hi: int
+    counts: Mapping[int, Numerators], a2: int, a3_hi: int
 ) -> tuple[int | None, Failure | None]:
     """Smallest a3 in [0, a3_hi] making every count a nonnegative integer.
 
-    With four weights and a2 fixed each count is alpha + beta * a3, beta != 0;
-    nonnegativity becomes an interval in a3 and integrality a congruence,
-    merged across counts.  Returns (a3, None) or (None, failure).
+    With four weights and a2 fixed each count is (alpha + q*a3)/den, q != 0;
+    nonnegativity becomes an interval in a3, and each count in turn narrows
+    the integer a3 = rem + mod*t by a congruence on t.  Returns (a3, None) or
+    (None, failure).
     """
     lo, hi, rem, mod = 0, a3_hi, 0, 1
-    for w, f in sol.expressions.items():
-        alpha, beta = f.const + f.a2_coeff * a2, f.a3_coeff
-        lo, hi = _nonnegative_part(lo, hi, alpha, beta)
-        congruence = _integral_congruence(alpha, beta)
-        if congruence is None:
-            never = f"a_{w} = {alpha} + {beta}*a3_star is never an integer at a2_star={a2}"
-            return None, (REASON_NON_INTEGER, never)
-        merged = _crt_merge(rem, mod, *congruence)
-        if merged is None:
+    for w, (c, p, q, den) in counts.items():
+        alpha = c + p * a2
+        lo, hi = _nonnegative_part(lo, hi, alpha, q)
+        if (congruence := _integral_congruence(alpha + q * rem, q * mod, den)) is None:
+            if alpha % gcd(q, den):
+                never = (f"a_{w} = {Fraction(alpha, den)} + {Fraction(q, den)}*a3_star "
+                         f"is never an integer at a2_star={a2}")
+                return None, (REASON_NON_INTEGER, never)
             conflict = f"integrality congruences on a3_star conflict at a2_star={a2}"
             return None, (REASON_NON_INTEGER, conflict)
-        rem, mod = merged
+        t0, step = congruence
+        rem, mod = rem + mod * t0, mod * step
     if lo > hi:
         empty = f"no a3_star in [0, {a3_hi}] keeps all counts nonnegative at a2_star={a2}"
         return None, (REASON_NEGATIVE, empty)

@@ -3,7 +3,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import ceil, comb, floor, gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -21,11 +21,12 @@ from gf2codes import (
     solve_weight_counts,
 )
 from gf2codes.moments import (
+    REASON_NEGATIVE,
+    REASON_NON_INTEGER,
     AffineForm,
-    _admissible_a3,
-    _count_failure,
+    Failure,
     _forced_failure,
-    _moment_rhs,
+    _scaled_rhs,
     _two_adic_valuation,
 )
 from gf2codes.prover import ProofReport, ProofStep, _braces
@@ -116,12 +117,21 @@ def free_column_nullspace(matrix: Gf2Matrix) -> Gf2Matrix:
     return Gf2Matrix.from_ints(basis, matrix.n_cols)
 
 
+def minus(f: AffineForm, g: AffineForm, factor: Fraction = Fraction(1)) -> AffineForm:
+    """f - factor * g, coefficient by coefficient."""
+    return AffineForm(
+        f.const - factor * g.const,
+        f.a2_coeff - factor * g.a2_coeff,
+        f.a3_coeff - factor * g.a3_coeff,
+    )
+
+
 def gauss_jordan_counts(n: int, d: int, weights) -> LinearCountSolution:
     """Gauss-Jordan elimination with pivot search on the Vandermonde system,
     kept as the oracle for ``solve_weight_counts`` (valid input only)."""
     ws = tuple(sorted(set(weights)))
     m = len(ws)
-    rhs = _moment_rhs(n, d)
+    rhs = [AffineForm(*[Fraction(x, 8) for x in row]) for row in _scaled_rhs(n, d)]
     rows = [[Fraction(w) ** k for w in ws] for k in range(m)]
     forms = [rhs[k] for k in range(m)]
     for col in range(m):
@@ -136,7 +146,7 @@ def gauss_jordan_counts(n: int, d: int, weights) -> LinearCountSolution:
             if i != col and rows[i][col] != 0:
                 f = rows[i][col]
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[col])]
-                forms[i] = forms[i].minus(forms[col], f)
+                forms[i] = minus(forms[i], forms[col], f)
     expressions = {w: forms[j] for j, w in enumerate(ws)}
     residuals = {}
     note = ""
@@ -144,8 +154,8 @@ def gauss_jordan_counts(n: int, d: int, weights) -> LinearCountSolution:
     for k in range(m, 4):
         lhs = AffineForm()
         for w in ws:
-            lhs = lhs.minus(expressions[w], -(Fraction(w) ** k))
-        residual = lhs.minus(rhs[k])
+            lhs = minus(lhs, expressions[w], -(Fraction(w) ** k))
+        residual = minus(lhs, rhs[k])
         residuals[k + 1] = residual
         if residual.is_constant() and residual.const != 0:
             consistent = False
@@ -321,13 +331,93 @@ def lp_vertex_reference(n: int, weights) -> Fraction:
     return best
 
 
+# The scan's per-a2_star helpers in rational arithmetic, for
+# ``full_scan_reference``: an oracle that shares no helper with the
+# library's integer scan.
+
+
+def _crt_merge(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int] | None:
+    """Combine x = r1 (mod m1) with x = r2 (mod m2); None if incompatible."""
+    g = gcd(m1, m2)
+    if (r2 - r1) % g:
+        return None
+    l = lcm(m1, m2)
+    step = m2 // g
+    k = ((r2 - r1) // g * pow(m1 // g, -1, step)) % step if step > 1 else 0
+    return (r1 + m1 * k) % l, l
+
+
+def _integral_congruence(u: Fraction, v: Fraction) -> tuple[int, int] | None:
+    """(r, M) with u + v*x an integer exactly when x = r (mod M); None if never."""
+    denom = lcm(u.denominator, v.denominator)
+    a, b = int(u * denom), int(v * denom)
+    g = gcd(b, denom)
+    if a % g:
+        return None
+    step = denom // g
+    return ((-a // g) * pow(b // g, -1, step)) % step if step > 1 else 0, step
+
+
+def _nonnegative_part(lo: int, hi: int, u: Fraction, v: Fraction) -> tuple[int, int]:
+    """The integers x in [lo, hi] with u + v*x >= 0 (empty when lo > hi)."""
+    if v > 0:
+        return max(lo, ceil(-u / v)), hi
+    if v < 0:
+        return lo, min(hi, floor(-u / v))
+    return (lo, hi) if u >= 0 else (lo, lo - 1)
+
+
+def _count_failure(sol: LinearCountSolution, a2: int, a3: int | Fraction) -> Failure | None:
+    """The first count that is not a nonnegative integer at (a2, a3), or None."""
+    for w in sol.weights:
+        value = sol.expressions[w].evaluate(a2, a3)
+        if value.denominator != 1:
+            return REASON_NON_INTEGER, f"a_{w} = {value} at (a2_star={a2}, a3_star={a3})"
+        if value < 0:
+            return REASON_NEGATIVE, f"a_{w} = {value} at (a2_star={a2}, a3_star={a3})"
+    return None
+
+
+def _admissible_a3(
+    sol: LinearCountSolution, a2: int, a3_hi: int
+) -> tuple[int | None, Failure | None]:
+    """Smallest a3 in [0, a3_hi] making every count a nonnegative integer.
+
+    With four weights and a2 fixed each count is alpha + beta * a3, beta != 0;
+    nonnegativity becomes an interval in a3 and integrality a congruence,
+    merged across counts.  Returns (a3, None) or (None, failure).
+    """
+    lo, hi, rem, mod = 0, a3_hi, 0, 1
+    for w, f in sol.expressions.items():
+        alpha, beta = f.const + f.a2_coeff * a2, f.a3_coeff
+        lo, hi = _nonnegative_part(lo, hi, alpha, beta)
+        congruence = _integral_congruence(alpha, beta)
+        if congruence is None:
+            never = f"a_{w} = {alpha} + {beta}*a3_star is never an integer at a2_star={a2}"
+            return None, (REASON_NON_INTEGER, never)
+        merged = _crt_merge(rem, mod, *congruence)
+        if merged is None:
+            conflict = f"integrality congruences on a3_star conflict at a2_star={a2}"
+            return None, (REASON_NON_INTEGER, conflict)
+        rem, mod = merged
+    if lo > hi:
+        empty = f"no a3_star in [0, {a3_hi}] keeps all counts nonnegative at a2_star={a2}"
+        return None, (REASON_NEGATIVE, empty)
+    first = lo + ((rem - lo) % mod)
+    if first > hi:
+        missed = (f"no integer-valued a3_star in [{lo}, {hi}] at a2_star={a2} "
+                  f"(need a3_star = {rem} mod {mod})")
+        return None, (REASON_NON_INTEGER, missed)
+    return first, None
+
+
 def full_scan_reference(n: int, d: int, weights) -> FeasibilityVerdict:
     """The unpruned feasibility scan, kept as the pruned scan's oracle.
 
     Checks every a2_star in [0, C(n,2)] in increasing order (or the one
-    equation 3 forces) with the library's per-a2_star helpers, and keeps the
-    failure at the first one checked as the certificate.  Inputs are taken
-    as valid; ``scanned`` is left at 0.
+    equation 3 forces) in rational arithmetic with the helpers above, and
+    keeps the failure at the first one checked as the certificate.  Inputs
+    are taken as valid; ``scanned`` is left at 0.
     """
     sol = solve_weight_counts(n, d, weights)
     if not sol.consistent:
@@ -346,7 +436,7 @@ def full_scan_reference(n: int, d: int, weights) -> FeasibilityVerdict:
                 return FeasibilityVerdict(INFEASIBLE, "negative count", certificate=certificate)
         eq3 = sol.residuals[3]
         forced_a2 = -eq3.const / eq3.a2_coeff
-        failure = _forced_failure(3, forced_a2, a2_hi)
+        failure = _forced_failure(3, *forced_a2.as_integer_ratio(), a2_hi)
         if failure is not None:
             return FeasibilityVerdict(INFEASIBLE, failure[0], certificate=failure[1])
         a2_values = (int(forced_a2),)
@@ -357,7 +447,7 @@ def full_scan_reference(n: int, d: int, weights) -> FeasibilityVerdict:
     for a2 in a2_values:
         if m <= 3:
             a3 = a3_base + a3_slope * a2
-            bad = _forced_failure(4, a3, a3_hi, a2)
+            bad = _forced_failure(4, *a3.as_integer_ratio(), a3_hi, a2)
         else:
             a3, bad = _admissible_a3(sol, a2, a3_hi)
         if bad is None:

@@ -20,7 +20,6 @@ from gf2codes import (
     INFEASIBLE,
     Gf2Matrix,
     LinearCode,
-    LinearCountSolution,
     LpBound,
     feasibility_check,
     lp_dimension_bound,
@@ -29,7 +28,7 @@ from gf2codes import (
     solve_weight_counts,
     spanning_form,
 )
-from gf2codes.moments import _integral_class
+from gf2codes.moments import _integral_class, _numerators
 
 
 def rhs_oracle(n, d, a2_star, a3_star):
@@ -330,33 +329,42 @@ def test_integral_class_matches_brute_force():
     while len(systems) < 12:
         n = rng.randrange(8, 40)
         weights = tuple(sorted(rng.sample(range(1, n + 1), 4)))
-        systems.append(solve_weight_counts(n, rng.randrange(1, 9), weights))
+        sol = solve_weight_counts(n, rng.randrange(1, 9), weights)
+        systems.append(list(sol.expressions.values()))
     # Synthetic systems (not moment solves), mostly integral at a seeded point.
     for _ in range(30):
         x0, y0 = rng.randrange(100), rng.randrange(100)
-        forms = {}
-        for w in range(4):
+        forms = []
+        for _ in range(4):
             den = rng.choice((1, 2, 3, 4, 6, 8, 9, 12))
             p, q = rng.randrange(-20, 21), rng.choice((-1, 1)) * rng.randrange(1, 20)
             c = rng.randrange(den) if rng.random() < 0.2 else 0
-            forms[w] = AffineForm(Fraction(c - p * x0 - q * y0, den), Fraction(p, den),
-                                  Fraction(q, den))
-        systems.append(LinearCountSolution(0, 0, tuple(forms), forms, {}, True))
+            forms.append(AffineForm(Fraction(c - p * x0 - q * y0, den), Fraction(p, den),
+                                    Fraction(q, den)))
+        systems.append(forms)
+    # Three-weight solves: no count involves a3*, and equation 4 forces
+    # a3* = -(const + a2_coeff*a2*)/a3_coeff, a form with a3 coefficient 0.
+    while len(systems) < 62:
+        n = rng.randrange(8, 40)
+        weights = tuple(sorted(rng.sample(range(1, n + 1), 3)))
+        sol = solve_weight_counts(n, rng.randrange(1, 9), weights)
+        eq4 = sol.residuals[4]
+        forced = AffineForm(-eq4.const / eq4.a3_coeff, -eq4.a2_coeff / eq4.a3_coeff)
+        systems.append([*sol.expressions.values(), forced])
     kinds = collections.Counter()
-    for sol in systems:
-        forms = list(sol.expressions.values())
+    for forms in systems:
         period = lcm(*(c.denominator for f in forms
                        for c in (f.const, f.a2_coeff, f.a3_coeff)))
         if period > 240:
             continue
-        congruence = _integral_class(sol)
+        congruence = _integral_class([_numerators(f) for f in forms])
         for a2 in range(period):
             in_class = congruence is not None and a2 % congruence[1] == congruence[0]
             reachable = any(all(f.evaluate(a2, a3).denominator == 1 for f in forms)
                             for a3 in range(period))
-            assert reachable == in_class, (sol, a2)
+            assert reachable == in_class, (forms, a2)
         kinds["none" if congruence is None else "class" if congruence[1] > 1 else "every"] += 1
-    assert kinds == {"none": 10, "class": 23, "every": 2}
+    assert kinds == {"none": 16, "class": 29, "every": 3}
 
 
 def lexicographic_oracle(n, d, weights):
@@ -433,8 +441,6 @@ def test_affine_form_str_and_arithmetic():
     f = AffineForm(Fraction(3), Fraction(-1), Fraction(0))
     assert str(f) == "3 - a2_star"
     assert f.evaluate(2, 99) == 1
-    g = f.minus(AffineForm(Fraction(1), Fraction(1), Fraction(2)), Fraction(2))
-    assert (g.const, g.a2_coeff, g.a3_coeff) == (1, -3, -4)
     assert str(AffineForm(Fraction(0))) == "0"
 
 

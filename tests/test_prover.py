@@ -394,6 +394,18 @@ def test_unrealizable_or_missing_weight_fails_a_step(monkeypatch, claim, failed_
     assert not {s.id: s for s in report.steps}[failed_step].status
 
 
+def test_barth_sextic_dimension_12_is_never_refuted(monkeypatch):
+    # Soundness anchor: Barth's sextic has 65 nodes, so by the n - 53 bound
+    # its code has dimension at least 12, with weights in {24,32,40,56}.  No
+    # replay may refute dimension 12 at a length of 65 or more.
+    for n in range(65, 100):
+        monkeypatch.setattr(prover, "_THEOREM_A", (n, 12, (24, 32, 40, 56)))
+        report = verify_theorem_a()
+        assert not report.overall, n
+        first_failure = next(s.id for s in report.steps if not s.status)
+        assert first_failure == ("length-window" if n <= 67 else "weight-40-exists"), n
+
+
 def test_theorem_a_step_ids_follow_the_claim(monkeypatch):
     # Ids name the claim's own numbers: the projected dimension, the weight
     # projected along, and at a deficit-2 length the a2_star minimum and the
