@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, gcd, lcm
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .codes import DEFAULT_ENUMERATION_CAP, LinearCode, WeightEnumerator, macwilliams_transform
 from .codes import _krawtchouk_rows
@@ -59,6 +59,8 @@ Failure = tuple[str, str]
 # A count, or the a3_star equation 4 forces, as integers (c, p, q, den)
 # worth (c + p*a2_star + q*a3_star)/den, den > 0.
 Numerators = tuple[int, int, int, int]
+# (rem, mod, base, slope, period), a lattice of ``_integral_class``.
+Lattice = tuple[int, int, int, int, int]
 
 
 @dataclass(frozen=True)
@@ -278,23 +280,6 @@ def solve_weight_counts(n: int, d: int, weights: Iterable[int]) -> LinearCountSo
     )
 
 
-def _two_adic_valuation(x: Fraction) -> int | None:
-    """2-adic valuation of a nonzero rational; None for zero."""
-    if x == 0:
-        return None
-    num, den = x.numerator, x.denominator
-    return (abs(num) & -abs(num)).bit_length() - ((den & -den).bit_length())
-
-
-def _integral_congruence(a: int, b: int, m: int) -> tuple[int, int] | None:
-    """(r, M) with m > 0 dividing a + b*x exactly when x = r (mod M); None if never."""
-    g = gcd(b, m)
-    if a % g:
-        return None
-    step = m // g
-    return (-a // g) * pow(b // g, -1, step) % step, step
-
-
 def _nonnegative_part(lo: int, hi: int, u: int, v: int) -> tuple[int, int]:
     """The integers x in [lo, hi] with u + v*x >= 0 (empty when lo > hi)."""
     if v > 0:
@@ -325,12 +310,12 @@ def feasibility_check(n: int, d: int, weights: Iterable[int]) -> FeasibilityVerd
     is (c + p*a2_star + q*a3_star)/den with integers (c, p, q, den), and a
     ``Fraction`` is built only for a printed certificate.  With m >= 3 an
     a2_star is checked only if a real a3_star keeps every count nonnegative
-    and some integer a3_star (for m = 3, the forced one) makes every count
-    an integer, one residue class (``_integral_class``); the others fail, so
-    the witness, the lexicographically least (a2_star, a3_star), is
-    unchanged.  Unless the system, a constant count or a forced a2_star
-    fails first, the certificate is the failure at the box's first a2_star
-    (0, or the forced value), checked or not.
+    and it lies on the lattice of points (``_integral_class``) where every
+    count, and a forced a3_star, is an integer, off which m = 4 reads the
+    integer a3_star; the others fail, so the witness, the lexicographically
+    least (a2_star, a3_star), is unchanged.  Unless the system, a constant
+    count or a forced a2_star fails first, the certificate is the failure at
+    the box's first a2_star (0, or the forced value), checked or not.
     """
     if n < 1 or not 1 <= d <= n:
         raise ValueError(f"need n >= 1 and 1 <= d <= n, got n={n}, d={d}")
@@ -351,12 +336,12 @@ def feasibility_check(n: int, d: int, weights: Iterable[int]) -> FeasibilityVerd
             if count < 0:
                 certificate = f"a_{w} = {count} is negative"
                 return FeasibilityVerdict(INFEASIBLE, REASON_NEGATIVE, certificate=certificate)
-        eq3 = sol.residuals[3]
-        forced_a2 = -eq3.const / eq3.a2_coeff
-        failure = _forced_failure(3, *forced_a2.as_integer_ratio(), a2_hi)
+        # Equation 3 forces a2_star = c/-p: its a2_star coefficient is -2^(d-1).
+        c, p, _, _ = _numerators(sol.residuals[3])
+        failure = _forced_failure(3, c, -p, a2_hi)
         if failure is not None:
             return FeasibilityVerdict(INFEASIBLE, failure[0], certificate=failure[1])
-        first_a2 = int(forced_a2)
+        first_a2 = c // -p
     counts = {w: _numerators(f) for w, f in sol.expressions.items()}
     # With m <= 3 equation 4 forces a3_star = -(c + p*a2_star)/q: its residual's
     # a3_star coefficient is 3*2^(d-2), so q > 0.
@@ -364,32 +349,35 @@ def feasibility_check(n: int, d: int, weights: Iterable[int]) -> FeasibilityVerd
     if 4 in sol.residuals:
         c, p, q, _ = _numerators(sol.residuals[4])
         a3_forced = (-c, -p, 0, q)
-    a2_values = (first_a2,) if m <= 2 else _a2_candidates(counts, a2_hi, a3_hi, a3_forced)
+    lattices, a2_values = [], (first_a2,)
+    if m > 2:
+        lattices, a2_values = _a2_candidates(counts, a2_hi, a3_hi, a3_forced)
 
     for scanned, a2 in enumerate(a2_values, 1):
-        a3, bad = _check_a2(counts, a2, a3_hi, a3_forced)
+        a3, bad = _check_a2(counts, lattices, a2, a3_hi, a3_forced)
         if bad is None:
             values = {w: (c + p * a2 + q * a3) // den for w, (c, p, q, den) in counts.items()}
             witness = {"a2_star": a2, "a3_star": a3, "counts": values}
             return FeasibilityVerdict(FEASIBLE, REASON_NONE, witness=witness, scanned=scanned)
-    reason, certificate = _check_a2(counts, first_a2, a3_hi, a3_forced)[1]
+    reason, certificate = _check_a2(counts, lattices, first_a2, a3_hi, a3_forced)[1]
     return FeasibilityVerdict(INFEASIBLE, reason, certificate=certificate, scanned=len(a2_values))
 
 
 def _a2_candidates(
     counts: Mapping[int, Numerators], a2_hi: int, a3_hi: int, a3_forced: Numerators | None
-) -> range:
-    """The a2_star in [0, a2_hi] that can still carry a witness.
+) -> tuple[list[Lattice | None], range]:
+    """``_integral_class``'s lattices and the a2_star in [0, a2_hi] that can carry a witness.
 
     Each count c + p*a2 + q*a3 >= 0 with q != 0, 0 <= a3 <= a3_hi and a forced
     a3 bound a3 by forms (c + s*a2)/den, den > 0, kept as (c, s, 0, den);
     eliminating a3 (Fourier-Motzkin) leaves upper - lower >= 0 for each pair,
-    like a count with q = 0.  a2 must also lie in the class where some
-    integer a3 makes every count, and a forced a3, an integer.
+    like a count with q = 0.  a2 must also lie on the last lattice, whose a3
+    (read off by the scan) make every count, and a forced a3, an integer.
     """
-    lattice = _integral_class([*counts.values(), a3_forced] if a3_forced else counts.values())
-    if lattice is None:
-        return range(0)
+    integral = [*counts.values(), a3_forced] if a3_forced else counts.values()
+    lattices = list(_integral_class(integral))
+    if lattices[-1] is None:
+        return lattices, range(0)
     lower, upper, forms = [(0, 0, 0, 1)], [(a3_hi, 0, 0, 1)], []
     if a3_forced is not None:
         lower.append(a3_forced)
@@ -403,44 +391,52 @@ def _a2_candidates(
             forms.append((c, p))
     forms += [(c_up * d_lo - c_lo * d_up, s_up * d_lo - s_lo * d_up)
               for c_lo, s_lo, _, d_lo in lower for c_up, s_up, _, d_up in upper]
-    lo, hi, (rem, mod) = 0, a2_hi, lattice
+    lo, hi, (rem, mod, *_) = 0, a2_hi, lattices[-1]
     for u, v in forms:
         lo, hi = _nonnegative_part(lo, hi, u, v)
-    return range(lo + (rem - lo) % mod, hi + 1, mod)
+    return lattices, range(lo + (rem - lo) % mod, hi + 1, mod)
 
 
-def _integral_class(forms: Iterable[Numerators]) -> tuple[int, int] | None:
-    """(r, M) such that some integer a3_star makes every form an integer
-    exactly when a2_star = r (mod M); None if no a2_star does.
+def _integral_class(forms: Iterable[Numerators]) -> Iterator[Lattice | None]:
+    """After each form, the lattice of integer points (a2_star, a3_star) at
+    which every form so far is an integer; None, and the end, if there are none.
 
-    Those integer points (a2, a3) form a lattice coset, kept as a2 = rem +
-    mod*t, a3 = base + slope*t + period*u with t, u integers, and cut down by
-    one form at a time.  The form (c + p*a2 + q*a3)/den is there (alpha +
-    beta*t + gamma*u)/den; some u makes it an integer exactly when g =
-    gcd(gamma, den) divides alpha + beta*t, a congruence on t, and u is then
-    fixed mod den/g, affine in t.  A form with q = 0 leaves a3 free.
+    A lattice (rem, mod, base, slope, period) holds a2 = rem + mod*t, a3 =
+    base + slope*t + period*u for all integers t, u.  It starts as Z^2, and on
+    it the form (c + p*a2 + q*a3)/den is (alpha + beta*t + gamma*u)/den: some
+    u makes that an integer exactly when g = gcd(gamma, den) divides alpha +
+    beta*t, so for t = t0 (mod step) or for no t, and u is then fixed mod
+    den/g, affine in t.  A form with q = 0 leaves a3 free.  The scan reads
+    each a3 class off these lattices and solves no other congruence.
     """
     rem, mod, base, slope, period = 0, 1, 0, 0, 1
     for c, p, q, den in forms:
         alpha, beta, gamma = c + p * rem + q * base, p * mod + q * slope, q * period
         g = gcd(gamma, den)
-        if (congruence := _integral_congruence(alpha, beta, g)) is None:
-            return None
-        t0, step = congruence
+        h = gcd(beta, g)
+        if alpha % h:
+            yield None
+            return
+        step = g // h
+        t0 = -alpha // h * pow(beta // h, -1, step) % step
         inverse = -pow(gamma // g, -1, den // g)
         u0, u1 = (alpha + beta * t0) // g * inverse, beta * step // g * inverse
         rem, mod = rem + mod * t0, mod * step
         base, slope = base + slope * t0 + period * u0, slope * step + period * u1
         period *= den // g
-    return rem, mod
+        yield rem, mod, base, slope, period
 
 
 def _check_a2(
-    counts: Mapping[int, Numerators], a2: int, a3_hi: int, a3_forced: Numerators | None
+    counts: Mapping[int, Numerators],
+    lattices: list[Lattice | None],
+    a2: int,
+    a3_hi: int,
+    a3_forced: Numerators | None,
 ) -> tuple[int | None, Failure | None]:
     """The a3_star taken at a2 (forced, else least admissible) and why it is no witness."""
     if a3_forced is None:
-        return _admissible_a3(counts, a2, a3_hi)
+        return _admissible_a3(counts, lattices, a2, a3_hi)
     c, p, _, den = a3_forced
     a3 = (c + p * a2) // den
     return a3, _forced_failure(4, c + p * a2, den, a3_hi, a2) or _count_failure(counts, a2, a3)
@@ -459,8 +455,9 @@ def _forced_failure(k: int, num: int, den: int, hi: int, a2: int | None = None) 
     claim = f"{where}equation {k} forces {name} = {value}"
     if value.denominator == 1:
         return REASON_INCONSISTENT, f"{claim}, outside [0, {hi}]"
+    # Over an even denominator the numerator is odd: v2 is minus the denominator's.
     detail = ""
-    if a2 is None and (v2 := _two_adic_valuation(value)) < 0:
+    if a2 is None and (v2 := 1 - (value.denominator & -value.denominator).bit_length()) < 0:
         detail = f" (2-adic valuation {v2} < 0)"
     return REASON_DIVISIBILITY, f"{claim}, not an integer{detail}"
 
@@ -476,35 +473,37 @@ def _count_failure(counts: Mapping[int, Numerators], a2: int, a3: int) -> Failur
 
 
 def _admissible_a3(
-    counts: Mapping[int, Numerators], a2: int, a3_hi: int
+    counts: Mapping[int, Numerators], lattices: list[Lattice | None], a2: int, a3_hi: int
 ) -> tuple[int | None, Failure | None]:
     """Smallest a3 in [0, a3_hi] making every count a nonnegative integer.
 
-    With four weights and a2 fixed each count is (alpha + q*a3)/den, q != 0;
-    nonnegativity becomes an interval in a3, and each count in turn narrows
-    the integer a3 = rem + mod*t by a congruence on t.  Returns (a3, None) or
-    (None, failure).
+    With four weights and a2 fixed each count is (alpha + q*a3)/den, q != 0,
+    nonnegative on an interval of a3.  The integer a3 are read off
+    ``lattices``, ``_integral_class``'s after each count: on the last, a2 =
+    rem + mod*t and they are (base + slope*t) mod period; off it, the first
+    lattice that misses a2 (each lies inside the one before) names the count
+    that fails.  Returns (a3, None) or (None, failure).
     """
-    lo, hi, rem, mod = 0, a3_hi, 0, 1
-    for w, (c, p, q, den) in counts.items():
+    lo, hi = 0, a3_hi
+    for (w, (c, p, q, den)), lattice in zip(counts.items(), lattices):
         alpha = c + p * a2
-        lo, hi = _nonnegative_part(lo, hi, alpha, q)
-        if (congruence := _integral_congruence(alpha + q * rem, q * mod, den)) is None:
+        if lattice is None or (a2 - lattice[0]) % lattice[1]:
             if alpha % gcd(q, den):
                 never = (f"a_{w} = {Fraction(alpha, den)} + {Fraction(q, den)}*a3_star "
                          f"is never an integer at a2_star={a2}")
                 return None, (REASON_NON_INTEGER, never)
             conflict = f"integrality congruences on a3_star conflict at a2_star={a2}"
             return None, (REASON_NON_INTEGER, conflict)
-        t0, step = congruence
-        rem, mod = rem + mod * t0, mod * step
+        lo, hi = _nonnegative_part(lo, hi, alpha, q)
     if lo > hi:
         empty = f"no a3_star in [0, {a3_hi}] keeps all counts nonnegative at a2_star={a2}"
         return None, (REASON_NEGATIVE, empty)
-    first = lo + ((rem - lo) % mod)
+    rem, mod, base, slope, period = lattice
+    a3 = (base + slope * ((a2 - rem) // mod)) % period
+    first = lo + (a3 - lo) % period
     if first > hi:
         missed = (f"no integer-valued a3_star in [{lo}, {hi}] at a2_star={a2} "
-                  f"(need a3_star = {rem} mod {mod})")
+                  f"(need a3_star = {a3} mod {period})")
         return None, (REASON_NON_INTEGER, missed)
     return first, None
 

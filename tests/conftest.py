@@ -21,13 +21,13 @@ from gf2codes import (
     solve_weight_counts,
 )
 from gf2codes.moments import (
+    REASON_DIVISIBILITY,
+    REASON_INCONSISTENT,
     REASON_NEGATIVE,
     REASON_NON_INTEGER,
     AffineForm,
     Failure,
-    _forced_failure,
     _scaled_rhs,
-    _two_adic_valuation,
 )
 from gf2codes.prover import ProofReport, ProofStep, _braces
 from gf2codes.search import DEFAULT_NODE_CAP, _word_tables
@@ -332,8 +332,36 @@ def lp_vertex_reference(n: int, weights) -> Fraction:
 
 
 # The scan's per-a2_star helpers in rational arithmetic, for
-# ``full_scan_reference``: an oracle that shares no helper with the
-# library's integer scan.
+# ``full_scan_reference`` (and the 2-adic valuation for
+# ``lemma_2_6_reference``): oracles that share no helper with the library's
+# integer scan.
+
+
+def _two_adic_valuation(x: Fraction) -> int | None:
+    """2-adic valuation of a nonzero rational; None for zero."""
+    if x == 0:
+        return None
+    num, den = x.numerator, x.denominator
+    return (abs(num) & -abs(num)).bit_length() - ((den & -den).bit_length())
+
+
+def _forced_failure(k: int, num: int, den: int, hi: int, a2: int | None = None) -> Failure | None:
+    """Why num/den (den > 0), forced by equation k, is not an integer in [0, hi], or None.
+
+    The forced parameter is a2_star when ``a2`` is None, else a3_star at
+    that a2_star; only an a2_star certificate carries the 2-adic detail.
+    """
+    if num % den == 0 and 0 <= num <= hi * den:
+        return None
+    value = Fraction(num, den)
+    name, where = ("a2_star", "") if a2 is None else ("a3_star", f"at a2_star={a2}, ")
+    claim = f"{where}equation {k} forces {name} = {value}"
+    if value.denominator == 1:
+        return REASON_INCONSISTENT, f"{claim}, outside [0, {hi}]"
+    detail = ""
+    if a2 is None and (v2 := _two_adic_valuation(value)) < 0:
+        detail = f" (2-adic valuation {v2} < 0)"
+    return REASON_DIVISIBILITY, f"{claim}, not an integer{detail}"
 
 
 def _crt_merge(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int] | None:

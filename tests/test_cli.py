@@ -257,6 +257,9 @@ FEASIBILITY_DIGESTS = [
     ((2, 1, "2"), "726038f4fe539fd0bf0aea404c2abf0b4cdf34d5381aaa0c97bae78d72a166e4"),
     ((6, 1, "2,4,6"), "f2d270c3a153413f0226d7357ea5551235c6a5377a8bb35fd2bcf79ab21406e1"),
     ((8, 1, "2,4,6,8"), "0113239e60db3eadbb4c5df475c25dd2f9bd52773e0bb5b013350dbe5cf99d55"),
+    # a four-weight witness past a2_star = 0, read off the lattice at the
+    # 271st a2_star scanned: (a2_star, a3_star) = (1079, 7989)
+    ((127, 12, "12,46,86,104"), "e69149fe5bd47000aad8f8c7cce0a426ce44fb0bb36dd2facba4e409c5c5bb57"),
     # the paper's cases: a_32 = -13 is negative; no a3_star in [0, 341376] ...
     ((32, 4, "24,32"), "aa3409f35ff1dd1646ad9f817a60023a54a5625ca53c25dab0c7a6da6df5e5cd"),
     ((128, 10, "24,32,40,56"), "7c75b40e2d2652bd5036b6014f3470cffeeed040ad7de5232ed33fb011b8bad7"),

@@ -253,12 +253,17 @@ def typed_witness(witness):
 
 
 # Four-weight cases where every a2_star of the real relaxation fails
-# integrality, and one where the integrality class leaves 91 to check.
+# integrality, one where the integrality class leaves 91 to check, and the
+# slowest scans of the benchmark's kind: hundreds of a2_star, each reading
+# its a3_star off the lattice (two feasible, the last infeasible).
 LATTICE_CASES = {
     (128, 11, (8, 86, 114, 122)): 0,
     (111, 5, (20, 22, 68, 92)): 0,
     (98, 7, (4, 38, 50, 84)): 0,
     (125, 12, (4, 18, 74, 112)): 91,
+    (127, 12, (12, 46, 86, 104)): 271,
+    (64, 4, (6, 26, 52, 54)): 225,
+    (123, 4, (10, 38, 52, 106)): 119,
 }
 
 
@@ -299,7 +304,7 @@ def test_feasibility_matches_full_scan_reference():
             reference.status, reference.reason, reference.certificate), (n, d, weights)
         assert typed_witness(verdict.witness) == typed_witness(reference.witness), (n, d, weights)
         checked += 1
-    assert checked == 8058
+    assert checked == 8061
 
 
 def test_feasibility_scans_only_kept_a2_values():
@@ -316,14 +321,17 @@ def test_feasibility_scans_only_kept_a2_values():
     # The counter stays out of equality.
     assert verdict == dataclasses.replace(verdict, scanned=0)
     # Four weights: only the a2_star some integer a3_star makes every count
-    # an integer at; the real relaxation keeps 3,784, 1,776, 3,104 and 631.
+    # an integer at; up to the witness the real relaxation keeps 3,784,
+    # 1,776, 3,104, 631, 271, 225 and 2,495.
     for case, scanned in LATTICE_CASES.items():
         assert feasibility_check(*case).scanned == scanned, case
 
 
 def test_integral_class_matches_brute_force():
     # Integrality at (a2*, a3*) depends only on both modulo the lcm of the
-    # coefficient denominators, so one period of each decides the class.
+    # coefficient denominators, so one period of each decides every lattice:
+    # after each form, the a2* with an integer a3* are its class, and there
+    # the integer a3* are exactly (base + slope*t) mod its a3* period.
     rng = random.Random(2026)
     systems = []
     while len(systems) < 12:
@@ -357,13 +365,22 @@ def test_integral_class_matches_brute_force():
                        for c in (f.const, f.a2_coeff, f.a3_coeff)))
         if period > 240:
             continue
-        congruence = _integral_class([_numerators(f) for f in forms])
+        scaled = [[int(c * period) for c in (f.const, f.a2_coeff, f.a3_coeff)] for f in forms]
+        lattices = list(_integral_class([_numerators(f) for f in forms]))
+        assert None not in lattices[:-1]
+        lattices += [None] * (len(forms) - len(lattices))
         for a2 in range(period):
-            in_class = congruence is not None and a2 % congruence[1] == congruence[0]
-            reachable = any(all(f.evaluate(a2, a3).denominator == 1 for f in forms)
-                            for a3 in range(period))
-            assert reachable == in_class, (forms, a2)
-        kinds["none" if congruence is None else "class" if congruence[1] > 1 else "every"] += 1
+            integral = set(range(period))
+            for (c, p, q), lattice in zip(scaled, lattices):
+                integral = {a3 for a3 in integral if (c + p * a2 + q * a3) % period == 0}
+                in_class = lattice is not None and (a2 - lattice[0]) % lattice[1] == 0
+                assert bool(integral) == in_class, (forms, a2)
+                if in_class:
+                    rem, mod, base, slope, step = lattice
+                    first = (base + slope * ((a2 - rem) // mod)) % step
+                    assert integral == set(range(first, period, step)), (forms, a2)
+        last = lattices[-1]
+        kinds["none" if last is None else "class" if last[1] > 1 else "every"] += 1
     assert kinds == {"none": 16, "class": 29, "every": 3}
 
 
