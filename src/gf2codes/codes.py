@@ -8,14 +8,12 @@ coordinate becomes one 2^t-bit set over a slice of 2^t messages, and the
 coordinates are added into bit-planes of per-message weights by a carry-save
 adder tree, about five big-int operations per coordinate, each covering up to
 2^14 messages; the transient memory is about n * 2^14 bits.  A counted dual is
-turned back into the code's distribution by the MacWilliams transform.
+turned back by the MacWilliams transform, a table-free packed Horner pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from math import comb
 
 from .gf2core import Gf2Matrix, Gf2Vector, nullspace_basis, rref_ints
 
@@ -254,35 +252,37 @@ class LinearCode:
         )
 
 
-# Each entry is an (n+1)^2 table, so the cache is bounded for long-lived
-# processes.  A perfbench workload process uses at most 13 lengths, so at 32
-# none of its hits becomes a miss.
-@lru_cache(maxsize=32)
-def _krawtchouk_rows(n: int) -> tuple[tuple[int, ...], ...]:
-    """Row i, for i = 0..n, holds the y^j coefficients of (1+y)^(n-i) (1-y)^i.
+def _krawtchouk_lanes(coeffs: tuple[int, ...] | list[int], size: int, group: int) -> list[int]:
+    """Lanes of sum_k coeffs[k] (1+Y)^(n-k) (1-Y)^k, n = len(coeffs) - 1, low first.
 
-    Row 0 is the binomial row; (1+y) P_{i+1} = (1-y) P_i gives each next row
-    from the previous one in O(n).
+    Y = X^group, X = 2^(8 size): the Y^j coefficient, sum_k coeffs[k] K_j(k),
+    comes from one Horner pass of O(n) big-int operations and is read back as
+    ``group`` lanes of size bytes, each of which must lie within X/2 of zero.
+    Adding X/2 to every lane keeps each in [0, X), so none borrows from the next.
     """
-    row = [comb(n, j) for j in range(n + 1)]
-    rows = [tuple(row)]
-    for _ in range(n):
-        prev = 0
-        nxt = []
-        for j in range(n + 1):
-            prev = row[j] - (row[j - 1] if j else 0) - prev
-            nxt.append(prev)
-        row = nxt
-        rows.append(tuple(row))
-    return tuple(rows)
+    shift = 8 * size * group
+    acc, power = 0, 1
+    for a in coeffs:
+        acc += acc << shift
+        if a:
+            acc += a * power
+        power -= power << shift
+    count, half = len(coeffs) * group, 1 << 8 * size - 1
+    bias = int.from_bytes((bytes(size - 1) + b"\x80") * count, "little")  # X/2 per lane
+    raw = (acc + bias).to_bytes(count * size, "little")
+    read = int.from_bytes  # looked up once, not once per lane
+    return [read(raw[i : i + size], "little") - half for i in range(0, count * size, size)]
 
 
 def macwilliams_transform(we: WeightEnumerator, d: int) -> WeightEnumerator:
     """Dual weight distribution from a dimension-d distribution, exactly.
 
-    Expands sum_i a_i (x+y)^(n-i) (x-y)^i in integer arithmetic and divides
-    by 2^d.  Any negative or non-divisible coefficient means the input was
-    not the distribution of a dimension-d code.
+    The y^j coefficient of sum_i a_i (1+y)^(n-i) (1-y)^i is sum_i a_i K_j(i);
+    one that is negative or not divisible by 2^d means the input was not the
+    distribution of a dimension-d code.  The sum is one int at y = 2^B, B =
+    n + d + 2 bits rounded up to bytes, whose lanes are exact for every input
+    accepted here: the counts are nonnegative and sum to 2^d, and |K_j(i)| <=
+    C(n, j) <= 2^n, so every coefficient lies within 2^(n+d) < 2^(B-1) of 0.
     """
     if d < 0:
         raise ValueError(f"negative dimension {d}")
@@ -291,12 +291,9 @@ def macwilliams_transform(we: WeightEnumerator, d: int) -> WeightEnumerator:
             f"distribution sums to {we.total()}, expected 2^{d} = {1 << d}"
         )
     n = we.n
-    acc = [0] * (n + 1)
-    for a, row in zip(we.counts, _krawtchouk_rows(n)):
-        if a:
-            acc = [c + a * k for c, k in zip(acc, row)]
+    size = (n + d + 9) // 8  # bytes per lane
     out = []
-    for j, c in enumerate(acc):
+    for j, c in enumerate(_krawtchouk_lanes(we.counts, size, 1)):
         if c < 0 or c % (1 << d):
             raise ValueError(
                 f"not a valid code distribution: transform coefficient at weight {j} "

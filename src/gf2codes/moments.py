@@ -28,7 +28,7 @@ from math import comb, gcd, lcm
 from typing import Iterable, Iterator, Mapping
 
 from .codes import DEFAULT_ENUMERATION_CAP, LinearCode, WeightEnumerator, macwilliams_transform
-from .codes import _krawtchouk_rows
+from .codes import _krawtchouk_lanes
 
 __all__ = [
     "AffineForm",
@@ -516,19 +516,23 @@ def lp_dimension_bound(n: int, weights: Iterable[int]) -> LpBound:
     sum_w A_w <= 2^n - 1, so every entering column has a positive entry.
     The tableau keeps only the nonbasic columns, as integers over the common
     denominator ``denom`` (the last pivot): fraction-free pivoting divides
-    exactly.  Weights outside [1, n] raise ValueError.
+    exactly.  Its rows are the lanes of one packed Krawtchouk sum, so no
+    table is kept between calls.  Weights outside [1, n] raise ValueError.
     """
     if n < 0:
         raise ValueError(f"negative length {n}")
     ws = sorted(set(weights))
     if any(w <= 0 or w > n for w in ws):
         raise ValueError(f"weights must lie in [1, {n}], got {ws}")
-    kraw = _krawtchouk_rows(n)
-    m = len(ws)
-    # Row j - 1: -sum_w K_j(w) A_w + s_j = K_j(0), right-hand side last; the
-    # objective row holds the reduced costs and the objective value.
-    rows = [[-kraw[w][j] for w in ws] + [kraw[0][j]] for j in range(1, n + 1)]
-    objective = [-1] * m + [0]
+    m, size = len(ws), (n + 9) // 8  # lanes of n + 2 bits hold |K_j(w)| <= C(n, j) <= 2^n
+    # Row j - 1, -sum_w K_j(w) A_w + s_j = K_j(0) with the right side last, is
+    # lane group j of the Krawtchouk sum of -X^i at ws[i] and X^m at 0.
+    coeffs = [1 << 8 * size * m] + [0] * n
+    for i, w in enumerate(ws):
+        coeffs[w] = -1 << 8 * size * i
+    lanes = _krawtchouk_lanes(coeffs, size, m + 1)
+    rows = [lanes[k : k + m + 1] for k in range(m + 1, len(lanes), m + 1)]
+    objective = [-1] * m + [0]  # the reduced costs, then the objective value
     # Variable i < m is A_{ws[i]}; variable m + j - 1 is the slack s_j.
     nonbasic = list(range(m))
     basic = list(range(m, m + n))
@@ -545,20 +549,24 @@ def lp_dimension_bound(n: int, weights: Iterable[int]) -> LpBound:
                 r = i
         pivot_row = rows[r]
         p = pivot_row[c]
+        others = [k for k in range(m + 1) if k != c]
         for row in rows + [objective]:
             if row is pivot_row:
                 continue
             f = row[c]
-            for k in range(m + 1):
+            for k in others:
                 row[k] = (p * row[k] - f * pivot_row[k]) // denom
             row[c] = -f
         pivot_row[c] = denom
         denom = p
         basic[r], nonbasic[c] = nonbasic[c], basic[r]
     # y_j is the reduced cost of s_j: zero while s_j is basic.
-    cost = dict(zip(nonbasic, objective))
+    multipliers = [Fraction(0)] * n
+    for v, cost in zip(nonbasic, objective):
+        if v >= m:
+            multipliers[v - m] = Fraction(cost, denom)
     return LpBound(
         dimension=(1 + objective[m] // denom).bit_length() - 1,
         optimum=Fraction(objective[m], denom),
-        multipliers=tuple([Fraction(cost.get(m + j, 0), denom) for j in range(n)]),
+        multipliers=tuple(multipliers),
     )

@@ -439,20 +439,52 @@ def _admissible_a3(
     return first, None
 
 
+def _a2_interval(sol: LinearCountSolution, a2_hi: int, a3_hi: int) -> tuple[int, int]:
+    """The integers a2 in [0, a2_hi] at which some real a3 in [0, a3_hi]
+    keeps every count nonnegative (and the equation 4 residual zero, when
+    there is one), as (lo, hi), empty when lo > hi.
+
+    Fourier-Motzkin: each constraint is c + p*a2 + q*a3 >= 0; every pair of
+    a lower (q > 0) and an upper (q < 0) bound on a3, and every constraint
+    without a3, leaves one constraint on a2 alone.
+    """
+    one, zero = Fraction(1), Fraction(0)
+    cons = [(f.const, f.a2_coeff, f.a3_coeff) for f in sol.expressions.values()]
+    cons += [(zero, zero, one), (Fraction(a3_hi), zero, -one)]
+    for f in sol.residuals.values():
+        cons += [(f.const, f.a2_coeff, f.a3_coeff), (-f.const, -f.a2_coeff, -f.a3_coeff)]
+    on_a2 = [(c, p) for c, p, q in cons if q == 0]
+    on_a2 += [
+        (-q2 * c1 + q1 * c2, -q2 * p1 + q1 * p2)
+        for c1, p1, q1 in cons if q1 > 0
+        for c2, p2, q2 in cons if q2 < 0
+    ]
+    lo, hi = 0, a2_hi
+    for c, p in on_a2:
+        if p > 0:
+            lo = max(lo, ceil(-c / p))
+        elif p < 0:
+            hi = min(hi, floor(-c / p))
+        elif c < 0:
+            return 0, -1
+    return lo, hi
+
+
 def full_scan_reference(n: int, d: int, weights) -> FeasibilityVerdict:
     """The unpruned feasibility scan, kept as the pruned scan's oracle.
 
-    Checks every a2_star in [0, C(n,2)] in increasing order (or the one
-    equation 3 forces) in rational arithmetic with the helpers above, and
-    keeps the failure at the first one checked as the certificate.  Inputs
-    are taken as valid; ``scanned`` is left at 0.
+    Checks a2_star = 0, then every a2_star of ``_a2_interval`` in increasing
+    order (or the one equation 3 forces), in rational arithmetic with the
+    helpers above, and keeps the failure at the first one checked as the
+    certificate.  No a2_star outside the interval can give a witness, so
+    this finds the same first witness as checking all of [0, C(n,2)].
+    Inputs are taken as valid; ``scanned`` is left at 0.
     """
     sol = solve_weight_counts(n, d, weights)
     if not sol.consistent:
         return FeasibilityVerdict(INFEASIBLE, "inconsistent system", certificate=sol.note)
     m = len(sol.weights)
     a2_hi, a3_hi = comb(n, 2), comb(n, 3)
-    a2_values = range(a2_hi + 1)
     if m <= 2:
         for w in sol.weights:
             count = sol.expressions[w].const
@@ -467,7 +499,10 @@ def full_scan_reference(n: int, d: int, weights) -> FeasibilityVerdict:
         failure = _forced_failure(3, *forced_a2.as_integer_ratio(), a2_hi)
         if failure is not None:
             return FeasibilityVerdict(INFEASIBLE, failure[0], certificate=failure[1])
-        a2_values = (int(forced_a2),)
+        a2_values = [int(forced_a2)]
+    else:
+        lo, hi = _a2_interval(sol, a2_hi, a3_hi)
+        a2_values = [0, *range(max(lo, 1), hi + 1)]
     if m <= 3:
         eq4 = sol.residuals[4]
         a3_base, a3_slope = -eq4.const / eq4.a3_coeff, -eq4.a2_coeff / eq4.a3_coeff

@@ -5,7 +5,13 @@ from math import comb
 
 import pytest
 
-from conftest import all_codewords, brute_distribution, free_column_nullspace, random_code
+from conftest import (
+    all_codewords,
+    brute_distribution,
+    free_column_nullspace,
+    krawtchouk,
+    random_code,
+)
 from gf2codes import (
     Gf2Matrix,
     Gf2Vector,
@@ -15,7 +21,7 @@ from gf2codes import (
     macwilliams_transform,
     parse_generator_text,
 )
-from gf2codes.codes import _SLICE_BITS, _krawtchouk_rows
+from gf2codes.codes import _SLICE_BITS, _krawtchouk_lanes
 
 
 def brute_dual_words(code: LinearCode) -> set[int]:
@@ -143,31 +149,89 @@ def test_even_weight_28_closed_form():
     )
 
 
+def krawtchouk_table(n: int) -> list[list[int]]:
+    """table[i][j] = K_j(i), from the definition."""
+    return [[krawtchouk(n, j, i) for j in range(n + 1)] for i in range(n + 1)]
+
+
+def transform_reference(table: list[list[int]], counts, d: int) -> tuple[int, ...] | str:
+    """sum_i a_i K_j(i) / 2^d for each j, or the error message for the
+    first coefficient that is negative or not a multiple of 2^d."""
+    out = []
+    for j in range(len(counts)):
+        c = sum(a * row[j] for a, row in zip(counts, table))
+        if c < 0 or c % (1 << d):
+            return (f"not a valid code distribution: transform coefficient at weight {j} "
+                    f"is {c}, not a nonnegative multiple of 2^{d}")
+        out.append(c >> d)
+    return tuple(out)
+
+
+def transform_or_message(we: WeightEnumerator, d: int) -> tuple[int, ...] | str:
+    try:
+        return macwilliams_transform(we, d).counts
+    except ValueError as exc:
+        return str(exc)
+
+
 def test_krawtchouk_rows_match_direct_sum():
-    """Row i, entry j: the coefficient of y^j in (1+y)^(n-i) (1-y)^i."""
+    """A point mass at w reads back the row K_j(w), negative values included.
+    Signed markers +-X^i at the i-th of several weights, read in groups of
+    lanes, give all their rows at once, interleaved, as Delsarte's LP reads
+    them."""
+    rng = random.Random(49)
     for n in range(49):
-        rows = _krawtchouk_rows(n)
-        assert len(rows) == n + 1
-        for i, row in enumerate(rows):
-            assert len(row) == n + 1
-            for j, value in enumerate(row):
-                assert value == sum(
-                    (-1 if k & 1 else 1) * comb(i, k) * comb(n - i, j - k)
-                    for k in range(max(0, j - (n - i)), min(i, j) + 1)
-                ), (n, i, j)
+        table = krawtchouk_table(n)
+        size = (n + 9) // 8
+        for w in range(n + 1):
+            mass = [0] * (n + 1)
+            mass[w] = 1
+            assert _krawtchouk_lanes(mass, size, 1) == table[w], (n, w)
+        for m in sorted({min(2, n + 1), min(4, n + 1), n + 1}):
+            ws = rng.sample(range(n + 1), m)
+            markers = [0] * (n + 1)
+            for i, w in enumerate(ws):
+                markers[w] = (-1) ** i << 8 * size * i
+            expected = [(-1) ** i * table[w][j] for j in range(n + 1) for i, w in enumerate(ws)]
+            assert _krawtchouk_lanes(markers, size, m) == expected, (n, ws)
 
 
-def test_krawtchouk_cache_is_bounded():
-    """The full space F_2^n transforms to the zero code through every row of
-    the table, at more lengths than the cache holds."""
-    bound = _krawtchouk_rows.cache_info().maxsize
-    assert bound is not None and bound < 40
-    for _ in range(2):
-        for n in range(60, 100):
-            full = WeightEnumerator(n, tuple([comb(n, i) for i in range(n + 1)]))
-            zero = WeightEnumerator(n, tuple([1] + [0] * n))
-            assert macwilliams_transform(full, n) == zero
-            assert _krawtchouk_rows.cache_info().currsize <= bound
+def test_macwilliams_matches_krawtchouk_sums():
+    """Random codes' distributions, and every point mass a_i = 2^d, whose
+    coefficients 2^d K_j(i) reach 2^d C(n, j) and go negative for i > 0."""
+    rng = random.Random(48)
+    for n in range(49):
+        table = krawtchouk_table(n)
+        for _ in range(3):
+            code = random_code(rng, n, rng.randrange(0, min(n, 12) + 1))
+            we = code.weight_distribution()
+            expected = transform_reference(table, we.counts, code.dimension)
+            assert macwilliams_transform(we, code.dimension).counts == expected, (n, code)
+        for d in sorted({0, 1, n}):
+            for i in range(n + 1):
+                counts = [0] * (n + 1)
+                counts[i] = 1 << d
+                we = WeightEnumerator(n, tuple(counts))
+                assert transform_or_message(we, d) == transform_reference(table, counts, d), (
+                    n, d, i)
+
+
+def test_macwilliams_round_trip_at_length_1000():
+    rng = random.Random(1000)
+    code = random_code(rng, 1000, 6)
+    assert code.dimension == 6
+    we = code.weight_distribution()
+    dual = macwilliams_transform(we, 6)
+    assert dual.total() == 1 << 994 and dual.counts[0] == 1
+    assert macwilliams_transform(dual, 994) == we
+
+
+def test_macwilliams_full_space_gives_zero_code():
+    for n in range(60, 100):
+        full = WeightEnumerator(n, tuple([comb(n, i) for i in range(n + 1)]))
+        zero = WeightEnumerator(n, tuple([1] + [0] * n))
+        assert macwilliams_transform(full, n) == zero
+        assert macwilliams_transform(zero, 0) == full
 
 
 def test_weight_distribution_cap(even_weight_4):
@@ -229,10 +293,19 @@ def test_macwilliams_agrees_with_dual_enumeration():
 
 
 def test_macwilliams_rejects_bad_input():
-    with pytest.raises(ValueError, match="expected 2"):
-        macwilliams_transform(WeightEnumerator(2, (1, 1, 1)), 1)
-    with pytest.raises(ValueError, match="not a valid code distribution"):
-        macwilliams_transform(WeightEnumerator(3, (1, 3, 0, 0)), 2)
+    cases = [
+        (WeightEnumerator(2, (1, 1, 1)), 1, "distribution sums to 3, expected 2^1 = 2"),
+        (WeightEnumerator(3, (1, 3, 0, 0)), 2,
+         "not a valid code distribution: transform coefficient at weight 1 is 6, "
+         "not a nonnegative multiple of 2^2"),
+        (WeightEnumerator(4, (0, 0, 0, 0, 4)), 2,
+         "not a valid code distribution: transform coefficient at weight 1 is -16, "
+         "not a nonnegative multiple of 2^2"),
+        (WeightEnumerator(1, (1, 0)), -1, "negative dimension -1"),
+    ]
+    for we, d, message in cases:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            macwilliams_transform(we, d)
 
 
 def test_predicate_profile_fixtures(golay, hamming_7_4, hamming_8_4, even_weight_4):

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -481,6 +482,18 @@ def test_lp_certificate_holds_in_plain_fractions():
             assert sum(v * -krawtchouk(n, j, w) for j, v in enumerate(y, 1)) >= 1, (n, ws, w)
         assert sum(v * comb(n, j) for j, v in enumerate(y, 1)) == lp.optimum, (n, ws)
         assert 2**lp.dimension <= 1 + lp.optimum < 2 ** (lp.dimension + 1), (n, ws)
+
+
+# sha256 of one line "n ws repr(LpBound)" per case of LP_CASES and the two
+# n = 66 cases below: dimension, optimum and every multiplier, pinned from
+# the LP when it read a cached Krawtchouk table.
+LP_DIGEST = "d2f4493ed2778d8032569f0091f077bf29f3faa06df5fd7dbbb07a65a0acc2a6"
+
+
+def test_lp_results_are_pinned():
+    cases = LP_CASES + [(66, (24, 32, 40, 56)), (66, (24, 32, 56))]
+    text = "".join(f"{n} {ws} {lp_dimension_bound(n, ws)!r}\n" for n, ws in cases)
+    assert hashlib.sha256(text.encode()).hexdigest() == LP_DIGEST
 
 
 def test_lp_matches_vertex_enumeration():
