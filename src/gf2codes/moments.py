@@ -11,9 +11,10 @@ weight-3 words in the dual (a2_star, a3_star):
 
 Given a prescribed set of nonzero weights this pins the counts as affine
 functions of (a2_star, a3_star); leftover moment equations become residual
-constraints.  Everything here is exact.  The count solve and the
-feasibility scan work on integer numerators over a cleared denominator; in
-them ``Fraction`` appears only in ``AffineForm`` and in printed certificates.
+constraints.  Everything here is exact.  The count solve yields integer
+numerators over a positive denominator; ``solve_weight_counts`` turns each
+into an ``AffineForm`` once, and the feasibility scan reads the numerators
+themselves, so it builds no ``AffineForm`` and a ``Fraction`` only to print.
 
 ``lp_dimension_bound`` is Delsarte's linear-programming bound: the dual
 distribution of any code with weights in W is nonnegative, which caps the
@@ -182,14 +183,8 @@ def _scaled_rhs(n: int, d: int) -> tuple[tuple[int, int, int], ...]:
     )
 
 
-def _form(numerators: Iterable[int], denominator: int) -> AffineForm:
-    return AffineForm(*(Fraction(x, denominator) for x in numerators))
-
-
-def _numerators(f: AffineForm) -> Numerators:
-    coeffs = [f.const, f.a2_coeff, f.a3_coeff]
-    den = lcm(*[x.denominator for x in coeffs])
-    return tuple([x.numerator * (den // x.denominator) for x in coeffs] + [den])
+def _form(x: Numerators) -> AffineForm:
+    return AffineForm(*[Fraction(v, x[3]) for v in x[:3]])
 
 
 def moment_identities_check(code: LinearCode, cap: int = DEFAULT_ENUMERATION_CAP) -> MomentReport:
@@ -225,14 +220,11 @@ def moment_identities_check(code: LinearCode, cap: int = DEFAULT_ENUMERATION_CAP
     )
 
 
-def solve_weight_counts(n: int, d: int, weights: Iterable[int]) -> LinearCountSolution:
-    """Solve the first |weights| moment equations for the counts, exactly.
-
-    Returns each count as an affine form in (a2_star, a3_star) plus the
-    residual forms of the unused equations.  The Vandermonde system on
-    distinct positive weights is always nonsingular, so failure can only be
-    a nonzero constant residual (flagged via ``consistent``).
-    """
+def _count_numerators(
+    n: int, d: int, weights: Iterable[int]
+) -> tuple[tuple[int, ...], dict[int, Numerators], dict[int, Numerators], str]:
+    """The count solve: the sorted weights, the counts and residuals (keyed as in
+    ``LinearCountSolution``) as ``Numerators``, and ``note`` ("" if consistent)."""
     ws = tuple(sorted(set(weights)))
     if not 1 <= len(ws) <= 4:
         raise ValueError(f"need between 1 and 4 distinct weights, got {len(ws)}")
@@ -241,41 +233,51 @@ def solve_weight_counts(n: int, d: int, weights: Iterable[int]) -> LinearCountSo
     if n < 1 or d < 0:
         raise ValueError(f"need n >= 1 and d >= 0, got n={n}, d={d}")
     rhs = _scaled_rhs(n, d)
-    # Each count and residual is kept as integer (const, a2, a3) numerators
-    # over one denominator, and becomes an AffineForm once, at the end.
-    scaled: dict[int, tuple[list[int], int]] = {}
+    counts: dict[int, Numerators] = {}
     for w in ws:
         # Row w of the inverse Vandermonde matrix: the coefficients, lowest
-        # degree first, of the product of (t - v) over v != w, divided by its
-        # value at w, so that it is 1 at w and 0 at the other weights.
+        # degree first, of the product of (t - v) over v < w and (v - t) over
+        # v > w over its value at w (> 0): 1 at w, 0 at the other weights.
         coeffs, at_w = [1], 1
         for v in ws:
             if v != w:
-                coeffs = [b - v * a for a, b in zip(coeffs + [0], [0] + coeffs)]
-                at_w *= w - v
-        scaled[w] = [sum(c * r[i] for c, r in zip(coeffs, rhs)) for i in range(3)], 8 * at_w
-    expressions = {w: _form(num, den) for w, (num, den) in scaled.items()}
-    den = lcm(*(den_w for _, den_w in scaled.values()))
-    residuals: dict[int, AffineForm] = {}
+                coeffs = [b - v * a if v < w else v * a - b
+                          for a, b in zip(coeffs + [0], [0] + coeffs)]
+                at_w *= abs(w - v)
+        counts[w] = tuple([sum(c * r[i] for c, r in zip(coeffs, rhs)) for i in range(3)]
+                          + [8 * at_w])
+    den = lcm(*(count[3] for count in counts.values()))
+    residuals: dict[int, Numerators] = {}
     note = ""
-    consistent = True
     for k in range(len(ws), 4):
-        num = [
-            sum(w**k * num_w[i] * (den // den_w) for w, (num_w, den_w) in scaled.items())
+        c, p, q, _ = residuals[k + 1] = tuple([
+            sum(w**k * count[i] * (den // count[3]) for w, count in counts.items())
             - rhs[k][i] * (den // 8)
             for i in range(3)
-        ]
-        residual = residuals[k + 1] = _form(num, den)
-        if residual.is_constant() and residual.const != 0:
-            consistent = False
-            note = f"equation {k + 1} reduces to {residual.const} = 0"
+        ] + [den])
+        if c and not p and not q:
+            note = f"equation {k + 1} reduces to {Fraction(c, den)} = 0"
+    return ws, counts, residuals, note
+
+
+def solve_weight_counts(n: int, d: int, weights: Iterable[int]) -> LinearCountSolution:
+    """Solve the first |weights| moment equations for the counts, exactly.
+
+    Returns each count as an affine form in (a2_star, a3_star) plus the
+    residual forms of the unused equations.  The Vandermonde system on
+    distinct positive weights is always nonsingular, so failure can only be
+    a nonzero constant residual (flagged via ``consistent``).  Each form is
+    built once from the integer numerators of ``_count_numerators``, which
+    ``feasibility_check`` reads directly, building no ``AffineForm``.
+    """
+    ws, counts, residuals, note = _count_numerators(n, d, weights)
     return LinearCountSolution(
         n=n,
         d=d,
         weights=ws,
-        expressions=expressions,
-        residuals=residuals,
-        consistent=consistent,
+        expressions={w: _form(x) for w, x in counts.items()},
+        residuals={k: _form(x) for k, x in residuals.items()},
+        consistent=not note,
         note=note,
     )
 
@@ -306,9 +308,10 @@ def feasibility_check(n: int, d: int, weights: Iterable[int]) -> FeasibilityVerd
       Vandermonde matrix), nonzero, and the least a3_star making every count
       a nonnegative integer is taken.
 
-    The scan works on integer numerators: each count, and a forced a3_star,
-    is (c + p*a2_star + q*a3_star)/den with integers (c, p, q, den), and a
-    ``Fraction`` is built only for a printed certificate.  With m >= 3 an
+    The scan reads the count solve's integer numerators and builds no
+    ``AffineForm``: each count, and a forced a3_star, is (c + p*a2_star +
+    q*a3_star)/den with integers (c, p, q, den), den > 0, and a ``Fraction``
+    is built only for a printed certificate.  With m >= 3 an
     a2_star is checked only if a real a3_star keeps every count nonnegative
     and it lies on the lattice of points (``_integral_class``) where every
     count, and a forced a3_star, is an integer, off which m = 4 reads the
@@ -319,38 +322,35 @@ def feasibility_check(n: int, d: int, weights: Iterable[int]) -> FeasibilityVerd
     """
     if n < 1 or not 1 <= d <= n:
         raise ValueError(f"need n >= 1 and 1 <= d <= n, got n={n}, d={d}")
-    sol = solve_weight_counts(n, d, weights)
-    if sol.weights[-1] > n:
-        raise ValueError(f"weights must lie in [1, {n}], got {list(sol.weights)}")
-    if not sol.consistent:
-        return FeasibilityVerdict(INFEASIBLE, REASON_INCONSISTENT, certificate=sol.note)
-    m = len(sol.weights)
+    ws, counts, residuals, note = _count_numerators(n, d, weights)
+    if ws[-1] > n:
+        raise ValueError(f"weights must lie in [1, {n}], got {list(ws)}")
+    if note:
+        return FeasibilityVerdict(INFEASIBLE, REASON_INCONSISTENT, certificate=note)
     a2_hi, a3_hi = comb(n, 2), comb(n, 3)
     first_a2 = 0
-    if m <= 2:
-        for w in sol.weights:
-            count = sol.expressions[w].const
-            if count.denominator != 1:
-                certificate = f"a_{w} = {count} is not an integer"
+    if len(ws) <= 2:
+        for w, (c, _, _, den) in counts.items():
+            if c % den:
+                certificate = f"a_{w} = {Fraction(c, den)} is not an integer"
                 return FeasibilityVerdict(INFEASIBLE, REASON_NON_INTEGER, certificate=certificate)
-            if count < 0:
-                certificate = f"a_{w} = {count} is negative"
+            if c < 0:
+                certificate = f"a_{w} = {c // den} is negative"
                 return FeasibilityVerdict(INFEASIBLE, REASON_NEGATIVE, certificate=certificate)
         # Equation 3 forces a2_star = c/-p: its a2_star coefficient is -2^(d-1).
-        c, p, _, _ = _numerators(sol.residuals[3])
+        c, p, _, _ = residuals[3]
         failure = _forced_failure(3, c, -p, a2_hi)
         if failure is not None:
             return FeasibilityVerdict(INFEASIBLE, failure[0], certificate=failure[1])
         first_a2 = c // -p
-    counts = {w: _numerators(f) for w, f in sol.expressions.items()}
     # With m <= 3 equation 4 forces a3_star = -(c + p*a2_star)/q: its residual's
     # a3_star coefficient is 3*2^(d-2), so q > 0.
     a3_forced = None
-    if 4 in sol.residuals:
-        c, p, q, _ = _numerators(sol.residuals[4])
+    if 4 in residuals:
+        c, p, q, _ = residuals[4]
         a3_forced = (-c, -p, 0, q)
     lattices, a2_values = [], (first_a2,)
-    if m > 2:
+    if len(ws) > 2:
         lattices, a2_values = _a2_candidates(counts, a2_hi, a3_hi, a3_forced)
 
     for scanned, a2 in enumerate(a2_values, 1):

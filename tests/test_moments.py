@@ -29,7 +29,7 @@ from gf2codes import (
     solve_weight_counts,
     spanning_form,
 )
-from gf2codes.moments import _integral_class, _numerators
+from gf2codes.moments import _count_numerators, _integral_class
 
 
 def rhs_oracle(n, d, a2_star, a3_star):
@@ -163,6 +163,16 @@ def test_solve_weight_counts_matches_gauss_jordan():
         for forms, ref_forms in ((sol.expressions, ref.expressions), (sol.residuals, ref.residuals)):
             assert [str(f) for f in forms.values()] == [str(f) for f in ref_forms.values()]
         consistent += sol.consistent
+        # The integer core behind the forms, which the feasibility scan reads:
+        # a negative den would equal the same forms but break its sign tests.
+        weights, counts, residuals, note = _count_numerators(n, d, ws)
+        assert (weights, note) == (sol.weights, sol.note)
+        for numerators, forms in ((counts, sol.expressions), (residuals, sol.residuals)):
+            assert list(numerators) == list(forms), (n, d, ws)
+            for key, (c, p, q, den) in numerators.items():
+                f = forms[key]
+                assert den > 0, (n, d, ws, key)
+                assert [Fraction(x, den) for x in (c, p, q)] == [f.const, f.a2_coeff, f.a3_coeff]
     assert 0 < consistent < len(cases)
 
 
@@ -308,6 +318,23 @@ def test_feasibility_matches_full_scan_reference():
     assert checked == 8061
 
 
+def test_feasibility_builds_no_affine_form(monkeypatch):
+    # The scan reads the count solve's integer numerators: with ``AffineForm``
+    # unusable every verdict is unchanged, ``scanned`` included.
+    def verdicts():
+        for n, d, weights in differential_cases():
+            v = feasibility_check(n, d, weights)
+            yield v.status, v.reason, v.certificate, typed_witness(v.witness), v.scanned
+
+    expected = list(verdicts())
+
+    def no_form(*args, **kwargs):
+        raise AssertionError("feasibility_check built an AffineForm")
+
+    monkeypatch.setattr("gf2codes.moments.AffineForm", no_form)
+    assert list(verdicts()) == expected
+
+
 def test_feasibility_scans_only_kept_a2_values():
     # The paper's case: the real relaxation is empty, so no a2_star is
     # checked (the full box has 8,129), and the certificate is still the
@@ -367,7 +394,7 @@ def test_integral_class_matches_brute_force():
         if period > 240:
             continue
         scaled = [[int(c * period) for c in (f.const, f.a2_coeff, f.a3_coeff)] for f in forms]
-        lattices = list(_integral_class([_numerators(f) for f in forms]))
+        lattices = list(_integral_class([(c, p, q, period) for c, p, q in scaled]))
         assert None not in lattices[:-1]
         lattices += [None] * (len(forms) - len(lattices))
         for a2 in range(period):
