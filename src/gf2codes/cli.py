@@ -13,6 +13,7 @@ import argparse
 import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
 from . import __version__
@@ -46,10 +47,43 @@ def _emit(args: argparse.Namespace, command: str, inputs: dict, payload: dict,
             "payload": payload,
             "version": __version__,
         }
-        print(json.dumps(document, indent=2))
+        print(_dumps(document))
     else:
         for line in human:
             print(line)
+
+
+def _dumps(value: object, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2)``, byte for byte.  With an indent the
+    stdlib takes its pure-Python encoder; this one writes the common cases
+    directly and hands floats and unsupported types to ``json.dumps``."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if type(value) is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    if type(value) is bool:
+        return "true" if value else "false"
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)) and value:
+        if all(type(item) is int for item in value):
+            items = map(int.__repr__, value)
+        else:
+            items = [_dumps(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if isinstance(value, dict) and value:
+        items = [_key(key) + ": " + _dumps(item, inner) for key, item in value.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    return json.dumps(value)
+
+
+def _key(key: object) -> str:
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if key is None or isinstance(key, (int, float)):
+        return '"' + _dumps(key) + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
 def _distribution_payload(we: WeightEnumerator) -> dict:
@@ -258,9 +292,10 @@ def _parse_range(text: str) -> tuple[int, int]:
         raise ValueError(f"--n-range expects A..B with integers, got {text!r}") from None
 
 
-# parse_args leaves the parser unchanged, so one parser serves every run().
+# Parsing leaves the parsers unchanged, so one set serves every run().
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and its {command name: subparser} map."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
                         help="emit a JSON report document")
@@ -326,13 +361,21 @@ def _build_parser() -> argparse.ArgumentParser:
             "--cap", type=int, default=DEFAULT_ENUMERATION_CAP, metavar="K",
             help="refuse to enumerate codes of dimension above K "
                  f"(default {DEFAULT_ENUMERATION_CAP})")
-    return parser
+    return parser, sub.choices
 
 
 def run(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        # The top-level parser hands everything after the command name to
+        # that command's parser, so parse with it alone; the top-level one
+        # parses again only to print its own usage and errors.
+        args, extra = None, True
+        if argv and argv[0] in commands:
+            args, extra = commands[argv[0]].parse_known_args(argv[1:])
+        if extra:
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

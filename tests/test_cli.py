@@ -6,16 +6,20 @@ import json
 import os
 import platform
 import random
+import re
 import shlex
+import signal
 import subprocess
 import sys
+from collections import OrderedDict
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import gf2codes
 from conftest import FIXTURES, random_code
-from gf2codes import __version__
+from gf2codes import __version__, cli
 from gf2codes.cli import run
 
 GOLAY = str(FIXTURES / "golay_24_12.txt")
@@ -23,21 +27,31 @@ EVEN4 = str(FIXTURES / "even_weight_4.txt")
 HAMMING16 = str(FIXTURES / "hamming_16_11.txt")
 
 
-def test_readme_examples_match_real_output(capsys, monkeypatch):
+README = FIXTURES.parent / "README.md"
+
+
+def _readme_examples() -> list[tuple[list[str], bool, list[str]]]:
     # Each "$ gf2codes ..." line of the README's example block, run from the
     # repository root, prints the lines under it; "| tail -1" keeps the last.
-    readme = FIXTURES.parent / "README.md"
-    block = readme.read_text().split("Examples, with real output:\n\n```text\n")[1]
-    examples = ("\n" + block.split("```")[0]).split("\n$ ")[1:]
-    monkeypatch.chdir(readme.parent)
-    for example in examples:
+    # Returns (arguments after "gf2codes", whether piped to tail, lines).
+    block = README.read_text().split("Examples, with real output:\n\n```text\n")[1]
+    examples = []
+    for example in ("\n" + block.split("```")[0]).split("\n$ ")[1:]:
         command, *expected = example.rstrip("\n").splitlines()
         argv = shlex.split(command)
         assert argv[0] == "gf2codes", command
         tail = argv[-3:] == ["|", "tail", "-1"]
-        run(argv[1:-3] if tail else argv[1:])
+        examples.append((argv[1:-3] if tail else argv[1:], tail, expected))
+    return examples
+
+
+def test_readme_examples_match_real_output(capsys, monkeypatch):
+    monkeypatch.chdir(README.parent)
+    examples = _readme_examples()
+    for argv, tail, expected in examples:
+        run(argv)
         out = capsys.readouterr().out.splitlines()
-        assert (out[-1:] if tail else out) == expected, command
+        assert (out[-1:] if tail else out) == expected, argv
     assert len(examples) == 4
 
 
@@ -298,23 +312,88 @@ def test_search_cli(capsys):
     assert captured.err == "error: weights must lie in [1, 3], got [2, 4]\n"
 
 
+SCHEMA_INVOCATIONS = [
+    ["analyze", GOLAY],
+    ["dual", EVEN4],
+    ["project", EVEN4, "--word", "0"],
+    ["shorten", GOLAY, "--coords", "0,1"],
+    ["moments", GOLAY],
+    ["feasibility", "--n", "3", "--d", "2", "--weights", "2"],
+    ["verify", "lemma-24-32-56"],
+    ["search", "--n", "3", "--weights", "2"],
+]
+
+
 def test_every_subcommand_emits_schema_json(capsys):
-    invocations = [
-        ["analyze", GOLAY],
-        ["dual", EVEN4],
-        ["project", EVEN4, "--word", "0"],
-        ["shorten", GOLAY, "--coords", "0,1"],
-        ["moments", GOLAY],
-        ["feasibility", "--n", "3", "--d", "2", "--weights", "2"],
-        ["verify", "lemma-24-32-56"],
-        ["search", "--n", "3", "--weights", "2"],
-    ]
-    for argv in invocations:
+    for argv in SCHEMA_INVOCATIONS:
         assert run(argv + ["--json"]) == 0, argv
         doc = json.loads(capsys.readouterr().out)
         assert set(doc) == {"command", "inputs", "payload", "version"}, argv
         assert doc["command"] == argv[0]
         assert json.loads(json.dumps(doc)) == doc
+
+
+_JSON_TEXT = ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "/", "a", " ", "\u00e9", "\u2028",
+              "\u4e2d", "\U0001f600", "\U00010000"]
+_JSON_SCALARS = [0, -1, 7, 2**64, -(2**64) - 1, 3**90, True, False, None, 0.5, -0.0, 1e300,
+                 float("nan"), float("inf"), float("-inf")]
+_JSON_KEYS = [0, -3, 2**70, True, False, None, 1.5, -0.0, float("nan"), float("inf")]
+
+
+def _random_text(rng: random.Random) -> str:
+    return "".join([rng.choice(_JSON_TEXT) for _ in range(rng.randrange(5))])
+
+
+def _random_json(rng: random.Random, depth: int) -> object:
+    # A JSON-native tree of the given depth at most: strings, scalars, lists
+    # of plain ints, lists, tuples and dicts with keys of every JSON key type.
+    kind = rng.randrange(5 if depth else 2)
+    if kind == 0:
+        return _random_text(rng)
+    if kind == 1:
+        return rng.choice(_JSON_SCALARS)
+    if kind == 2:
+        return [rng.randrange(-(2**66), 2**66) for _ in range(rng.randrange(5))]
+    items = [_random_json(rng, depth - 1) for _ in range(rng.randrange(4))]
+    if kind == 3:
+        return items if rng.random() < 0.5 else tuple(items)
+    return {rng.choice(_JSON_KEYS) if rng.random() < 0.3 else _random_text(rng): item
+            for item in items}
+
+
+def test_dumps_matches_stdlib_indent_2():
+    values = [_random_json(random.Random(seed), 4) for seed in range(3000)]
+    values += _JSON_TEXT + _JSON_SCALARS + [[], {}, (), [[]], {"a": {}}, ([], ()), [1, True, None]]
+    values += [{key: key} for key in _JSON_KEYS] + [{"".join(_JSON_TEXT): _JSON_TEXT}]
+    # Subclasses are encoded as their base type.
+    values += [OrderedDict([("b", [signal.SIGINT]), (signal.SIGTERM, {})]), [signal.SIGINT, 1]]
+    for value in values:
+        assert cli._dumps(value) == json.dumps(value, indent=2), value
+    for bad in (Fraction(1, 3), [0, {"a": Fraction(1, 3)}], {(1, 2): 0}, {"a": {1, 2}}):
+        with pytest.raises(TypeError) as expected:
+            json.dumps(bad, indent=2)
+        with pytest.raises(TypeError, match=re.escape(str(expected.value))):
+            cli._dumps(bad)
+
+
+def test_dumps_matches_stdlib_on_every_cli_document(capsys, monkeypatch):
+    # Every document the README examples and the schema invocations print.
+    documents = []
+    dumps = cli._dumps
+
+    def recording(value, indent="\n"):
+        if indent == "\n" and isinstance(value, dict):  # not a dict key
+            documents.append(value)
+        return dumps(value, indent)
+
+    monkeypatch.setattr(cli, "_dumps", recording)
+    monkeypatch.chdir(README.parent)
+    invocations = [argv for argv, _, _ in _readme_examples()] + SCHEMA_INVOCATIONS
+    for argv in invocations:
+        run(argv + ["--json"])
+        out = capsys.readouterr().out
+        assert out == dumps(documents[-1]) + "\n" == json.dumps(documents[-1], indent=2) + "\n"
+    assert len(documents) == len(invocations)
 
 
 def test_usage_and_input_errors(capsys, tmp_path):
@@ -434,6 +513,36 @@ def test_help_and_usage_text_match_golden_digests(capsys, monkeypatch):
     assert captured.out == ""
     assert _sha256(captured.err) == (
         "188fe1853206ca55119591971d771aa9dff02a80a516ba055be44334b59c98aa")
+
+
+# Cases that the top-level parser reports, with the stderr recorded on
+# Python 3.11 when it parsed every command line: a command is parsed by its
+# own parser, and the top-level one only when no command leads or arguments
+# are left over.  Later Pythons word argparse's usage and messages slightly
+# differently, so there the test compares with the top-level parser alone.
+TOP_LEVEL_USAGE = ("usage: gf2codes [-h]\n"
+                   "                {analyze,dual,project,shorten,moments,feasibility,verify,search}\n"
+                   "                ...\n")
+FALLBACK_ERRORS = [
+    (["no-such-command"], "argument command: invalid choice: 'no-such-command' (choose from "
+     "'analyze', 'dual', 'project', 'shorten', 'moments', 'feasibility', 'verify', 'search')"),
+    ([], "the following arguments are required: command"),
+    (["search", "--n", "3", "--weights", "2", "--cap", "1"], "unrecognized arguments: --cap 1"),
+    (["--json", "analyze", GOLAY], "unrecognized arguments: --json"),
+]
+
+
+def test_fallback_errors_match_golden_text(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    parser, _ = cli._build_parser()
+    for argv, message in FALLBACK_ERRORS:
+        assert run(argv) == 2, argv
+        captured = capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+        assert (exc.value.code, captured.out, captured.err) == (2, "", capsys.readouterr().err)
+        if sys.version_info < (3, 12):
+            assert captured.err == f"{TOP_LEVEL_USAGE}gf2codes: error: {message}\n", argv
 
 
 def test_repeated_runs_keep_no_state(capsys, monkeypatch):
