@@ -131,7 +131,7 @@ def _cmd_dual(args: argparse.Namespace) -> int:
     code = _load_code(args.path)
     dual = code.dual()
     payload = {"n": dual.n, "dimension": dual.dimension, "generator": _generator_payload(dual)}
-    human = [f"n={dual.n} k={dual.dimension}"] + _generator_payload(dual)
+    human = [f"n={dual.n} k={dual.dimension}"] + payload["generator"]
     _emit(args, "dual", {"path": args.path}, payload, human)
     return 0
 

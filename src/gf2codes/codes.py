@@ -4,18 +4,19 @@ A ``LinearCode`` is identified with its unique reduced row-echelon generator
 matrix (no zero rows), so two codes are equal exactly when they are the same
 subspace.  Weight distributions are counted over the message space of the
 smaller of the code and its dual, 2^min(k, n-k) words, bit-sliced: each
-coordinate becomes one 2^t-bit set over a slice of 2^t messages, and the
-coordinates are added into bit-planes of per-message weights by a carry-save
-adder tree, about five big-int operations per coordinate, each covering up to
-2^14 messages; the transient memory is about n * 2^14 bits.  A counted dual is
-turned back by the MacWilliams transform, a table-free packed Horner pass.
+coordinate becomes one 2^t-bit set over a slice of 2^t messages, an XOR of
+table sets picked by its column of one packed transpose, and the coordinates
+are added into bit-planes of per-message weights by a carry-save adder tree,
+about five big-int operations per coordinate, each covering up to 2^14
+messages; the transient memory is about (n + 80) * 2^14 bits.  A counted dual
+is turned back by the MacWilliams transform, a table-free packed Horner pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gf2core import Gf2Matrix, Gf2Vector, nullspace_basis, rref_ints
+from .gf2core import Gf2Matrix, Gf2Vector, nullspace_basis, rref_ints, transpose_ints
 
 __all__ = [
     "DEFAULT_ENUMERATION_CAP",
@@ -31,10 +32,13 @@ __all__ = [
 DEFAULT_ENUMERATION_CAP = 28
 
 # Messages per bit slice are 2^_SLICE_BITS.  Counting holds n column sets of
-# that many bits, plus 2 log2(n) planes and held sets, so it needs about
-# n * 2^_SLICE_BITS bits of transient memory: 256 KiB at n = 128.  A wider
-# slice saves little time and raises peak memory measurably.
+# that many bits, 2^5 + 2^5 + 2^4 table sets, and 2 log2(n) planes and held
+# sets, so it needs about (n + 80) * 2^_SLICE_BITS bits of transient memory:
+# 416 KiB at n = 128.  A wider slice saves little time and raises peak memory.
 _SLICE_BITS = 14
+# A slice column is the XOR of one set from each table of 2^_TABLE_BITS sets.
+_TABLE_BITS = 5
+_TABLE_MASK = (1 << _TABLE_BITS) - 1
 
 _DROP_BITS = str.maketrans("", "", "01")
 
@@ -154,29 +158,39 @@ class LinearCode:
 
         The low t = min(k, _SLICE_BITS) rows span 2^t messages; for each
         coordinate j, cols[j] has bit u set iff message u's word has
-        coordinate j set.  The high rows give 2^(k-t) coset offsets h, taken
-        in Gray order.  For each h, cols[j] (complemented where h has
-        coordinate j set) is added into bit-planes of the per-message weights
-        by carry-save: level b keeps planes[b] and may hold one more set of
-        weight 2^b, held[b], exactly when bit b of the number of columns added
-        is set.  A set arriving at a full level goes through a full adder with
-        the two there, which leaves their sum in planes[b] and sends the carry
-        up a level, so column j costs one full adder per trailing one bit of j,
-        five operations on average.  After the last column one pass of adders
-        folds the held sets into the planes, and splitting the messages on the
-        planes from the top gives the number of words of each weight.
+        coordinate j set: iff u & v has odd weight, v being column j of the
+        low rows' transpose.  So cols[j] is the XOR of tables[c][a], the u
+        with u & (a << 5c) odd, over the five-bit chunks a << 5c of v.  The
+        high rows give 2^(k-t) coset offsets h, taken in Gray order.  For each
+        h, cols[j] (complemented where h has coordinate j set) is added into
+        bit-planes of the per-message weights by carry-save: level b keeps
+        planes[b] and may hold one more set of weight 2^b, held[b], exactly
+        when bit b of the number of columns added is set.  A set arriving at a
+        full level goes through a full adder with the two there, which leaves
+        their sum in planes[b] and sends the carry up a level, so column j
+        costs one full adder per trailing one bit of j, five operations on
+        average.  After the last column one pass of adders folds the held sets
+        into the planes, and splitting the messages on the planes from the top
+        gives the number of words of each weight.
         """
         n = self.n
         rows = self.generator.row_bits()
         t = min(len(rows), _SLICE_BITS)
-        cols = [0] * n
-        for i, row in enumerate(rows[:t]):
-            # Message 2^i + u has the word of u plus row i.
-            half = 1 << i
-            ones = (1 << half) - 1
-            for j, c in enumerate(cols):
-                cols[j] = c | (c ^ ones if (row >> j) & 1 else c) << half
         full = (1 << (1 << t)) - 1
+        bits, clear = [0] * t, full
+        for i in reversed(range(t)):
+            clear = (clear ^ clear << (1 << i)) & full  # u with bit i clear
+            bits[i] = clear ^ full
+        tables = [[0] for _ in range(0, t, _TABLE_BITS)]
+        for i, bit in enumerate(bits):
+            tables[i // _TABLE_BITS] += [x ^ bit for x in tables[i // _TABLE_BITS]]
+        cols = []
+        for v in transpose_ints(rows[:t], n):
+            x = 0
+            for table in tables:
+                x ^= table[v & _TABLE_MASK]
+                v >>= _TABLE_BITS
+            cols.append(x)
         counts = [0] * (n + 1)
         high = rows[t:]
         depth = n.bit_length()

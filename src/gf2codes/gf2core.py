@@ -15,6 +15,9 @@ would start one, so the lists would fill to thousands of tuples each.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import chain
+import struct
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -177,6 +180,52 @@ def rref_ints(rows: Sequence[int]) -> tuple[list[int], list[int]]:
     return reduced + [0] * (len(rows) - len(reduced)), pivots
 
 
+_FIELD = {1: "B", 2: "H", 4: "I", 8: "Q"}  # struct codes of unsigned fields, by byte size
+
+
+def _by_columns(values: list[int], per_row: int) -> list[int]:
+    """A list read as rows of per_row entries, returned column by column."""
+    return list(chain.from_iterable([values[c::per_row] for c in range(per_row)]))
+
+
+@lru_cache(maxsize=64)
+def _swap_masks(block: int, bits: int) -> tuple[tuple[int, int], ...]:
+    """(shift, mask) per delta swap of ``transpose_ints``, largest first: at
+    level s, bit c of strip row r trades places with bit c - s of row r + s
+    wherever r & s is 0 and c & s is not, and the mask marks those bits."""
+    levels = []
+    for s in [block >> i for i in range(1, block.bit_length())]:
+        row = ((1 << s) - 1 << s) * ((1 << bits) - 1) // ((1 << 2 * s) - 1)
+        levels.append((s * (bits - 1), sum([row << r * bits for r in range(block) if not r & s])))
+    return tuple(levels)
+
+
+def transpose_ints(rows: Sequence[int], width: int) -> list[int]:
+    """Columns of bit-packed rows: bit i of column j is bit j of rows[i].
+
+    Padded with zeros to B x B blocks, B a power of two >= 8 covering the
+    shorter side, the matrix is held as one int, a strip of B rows whose row i
+    is rows i, B + i, ... side by side.  log2 B delta swaps (Hacker's Delight,
+    7-3) transpose all blocks at once: strip row i is then columns i, B + i, ...
+    """
+    if not rows or not width:
+        return [0] * width
+    block = max(8, 1 << (min(len(rows), width) - 1).bit_length())
+    size = -(-width // block) * block // 8  # bytes per padded row
+    padded = list(rows) + [0] * (-len(rows) % block)
+    order = padded if len(padded) == block else _by_columns(padded, block)
+    raw = (struct.pack(f"<{len(order)}{_FIELD[size]}", *order) if size in _FIELD
+           else b"".join([r.to_bytes(size, "little") for r in order]))
+    strip = int.from_bytes(raw, "little")
+    for shift, mask in _swap_masks(block, 8 * len(raw) // block):
+        t = (strip ^ strip >> shift) & mask
+        strip ^= t ^ t << shift
+    raw, span = strip.to_bytes(len(raw), "little"), len(padded) // 8  # span: bytes per column
+    fields = (list(struct.unpack(f"<{len(raw) // span}{_FIELD[span]}", raw)) if span in _FIELD
+              else [int.from_bytes(raw[i : i + span], "little") for i in range(0, len(raw), span)])
+    return _by_columns(fields, len(fields) // block)[:width]
+
+
 def rref(matrix: Gf2Matrix) -> RrefResult:
     """Reduced row-echelon form over GF(2), preserving row count."""
     work, pivots = rref_ints(matrix.row_bits())
@@ -192,24 +241,30 @@ def nullspace_basis(matrix: Gf2Matrix) -> Gf2Matrix:
     row has bit f is orthogonal to every row.  Its lowest bit is f, since
     such pivots lie above f, and no other word has bit f, so the words in
     increasing f are the canonical generator of the null space.  The result
-    has n_cols - rank rows; for an identity block it is empty.
+    has n_cols - rank rows; for an identity block it is empty.  With the rows
+    in pivot order, bit i of column f of their transpose is bit f of row i;
+    where rows i..i+m have the consecutive pivots q..q+m, shifting bits i..i+m
+    of that column up to q sets in word f exactly the pivots whose rows have
+    bit f, so each run of pivots costs one shift per word for the same words.
     """
-    reduced: list[int] = []
+    reduced: dict[int, int] = {}  # pivot bit -> its row
     for r in matrix.row_bits():
-        for row in reduced:
-            if (r >> (row.bit_length() - 1)) & 1:
+        for pivot, row in reduced.items():
+            if r & pivot:
                 r ^= row
         if r:
-            top = r.bit_length() - 1
-            reduced = [row ^ r if (row >> top) & 1 else row for row in reduced]
-            reduced.append(r)
-    words = {f: 1 << f for f in range(matrix.n_cols)}
-    for row in reduced:
-        top = row.bit_length() - 1
-        del words[top]
-        rest = row ^ 1 << top
-        while rest:
-            low = rest & -rest
-            words[low.bit_length() - 1] |= 1 << top
-            rest ^= low
-    return Gf2Matrix.from_ints(list(words.values()), matrix.n_cols)
+            top = 1 << r.bit_length() - 1
+            for pivot, row in reduced.items():
+                if row & top:
+                    reduced[pivot] = row ^ r  # a new value, not a new key
+            reduced[top] = r
+    cols = transpose_ints(sorted(reduced.values()), matrix.n_cols)  # rows in pivot order
+    rest = pivots = sum(reduced)
+    free = [f for f in range(matrix.n_cols) if not (pivots >> f) & 1]
+    words = [1 << f for f in free]
+    while rest:
+        run = rest & ~(rest + (low := rest & -rest))  # the lowest run of pivots
+        first, mask = (pivots & (low - 1)).bit_count(), run // low
+        words = [w | (cols[f] >> first & mask) * low for w, f in zip(words, free)]
+        rest ^= run
+    return Gf2Matrix.from_ints(words, matrix.n_cols)

@@ -6,10 +6,10 @@ exactly how weights and dimension change.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .codes import LinearCode
-from .gf2core import Gf2Matrix, Gf2Vector
+from .gf2core import Gf2Matrix, Gf2Vector, transpose_ints
 
 __all__ = [
     "projected_weight",
@@ -44,19 +44,10 @@ def projected_weight(weight_v: int, weight_v_plus_w: int, weight_w: int) -> int:
     return total // 2
 
 
-def _delete_coords(bits: int, keep: tuple[int, ...]) -> int:
-    out = 0
-    for new_pos, old_pos in enumerate(keep):
-        if (bits >> old_pos) & 1:
-            out |= 1 << new_pos
-    return out
-
-
-def _restrict(rows: Iterable[int], n: int, dropped: int) -> LinearCode:
+def _restrict(rows: Sequence[int], n: int, dropped: int) -> LinearCode:
     """Code spanned by bit-packed rows with the coordinates set in dropped deleted."""
-    keep = tuple([i for i in range(n) if not (dropped >> i) & 1])
-    restricted = [_delete_coords(r, keep) for r in rows]
-    return LinearCode.from_rows(Gf2Matrix.from_ints(restricted, len(keep)))
+    kept = [c for j, c in enumerate(transpose_ints(rows, n)) if not (dropped >> j) & 1]
+    return LinearCode.from_rows(Gf2Matrix.from_ints(transpose_ints(kept, len(rows)), len(kept)))
 
 
 def project(code: LinearCode, w: Gf2Vector) -> LinearCode:

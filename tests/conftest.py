@@ -117,6 +117,51 @@ def free_column_nullspace(matrix: Gf2Matrix) -> Gf2Matrix:
     return Gf2Matrix.from_ints(basis, matrix.n_cols)
 
 
+def per_bit_transpose(rows, width: int) -> list[int]:
+    """Column j of the bit-packed rows, assembled one bit at a time."""
+    return [sum([((r >> j) & 1) << i for i, r in enumerate(rows)]) for j in range(width)]
+
+
+def per_bit_nullspace(matrix: Gf2Matrix) -> Gf2Matrix:
+    """The null space word by word and bit by bit, kept as the oracle for
+    ``nullspace_basis``: the rows are reduced with each pivot at the row's
+    highest bit, then every set bit f below a pivot q adds q to free column
+    f's word."""
+    reduced: list[int] = []
+    for r in matrix.row_bits():
+        for row in reduced:
+            if (r >> (row.bit_length() - 1)) & 1:
+                r ^= row
+        if r:
+            top = r.bit_length() - 1
+            reduced = [row ^ r if (row >> top) & 1 else row for row in reduced]
+            reduced.append(r)
+    words = {f: 1 << f for f in range(matrix.n_cols)}
+    for row in reduced:
+        top = row.bit_length() - 1
+        del words[top]
+        rest = row ^ 1 << top
+        while rest:
+            low = rest & -rest
+            words[low.bit_length() - 1] |= 1 << top
+            rest ^= low
+    return Gf2Matrix.from_ints(list(words.values()), matrix.n_cols)
+
+
+def per_bit_restrict(rows, n: int, dropped: int) -> LinearCode:
+    """The code spanned by rows with the coordinates in dropped deleted, each
+    row rebuilt bit by bit: the oracle for ``transforms._restrict``."""
+    keep = [i for i in range(n) if not (dropped >> i) & 1]
+    restricted = []
+    for r in rows:
+        out = 0
+        for new_pos, old_pos in enumerate(keep):
+            if (r >> old_pos) & 1:
+                out |= 1 << new_pos
+        restricted.append(out)
+    return LinearCode.from_rows(Gf2Matrix.from_ints(restricted, len(keep)))
+
+
 def minus(f: AffineForm, g: AffineForm, factor: Fraction = Fraction(1)) -> AffineForm:
     """f - factor * g, coefficient by coefficient."""
     return AffineForm(

@@ -2,9 +2,16 @@ import random
 
 import pytest
 
-from conftest import column_scan_rref
+from conftest import (
+    FIXTURES,
+    column_scan_rref,
+    load_code,
+    per_bit_nullspace,
+    per_bit_transpose,
+    random_code,
+)
 from gf2codes import Gf2Matrix, Gf2Vector, LinearCode, nullspace_basis, rref
-from gf2codes.gf2core import rref_ints
+from gf2codes.gf2core import rref_ints, transpose_ints
 
 
 def test_weight_examples():
@@ -193,3 +200,58 @@ def test_nullspace_is_reduced_echelon():
         assert ns.n_rows == m.n_cols - rref(m).rank
         for b in ns.row_bits():
             assert all((b & row).bit_count() % 2 == 0 for row in m.row_bits())
+
+
+def _transpose_shapes():
+    """(rows, width): empty and 1 x 1, each side at 7/8/9 up to 127/128/129
+    (the block sizes' edges) against short, equal and long other sides,
+    1000 x 3, 3 x 1000, and random shapes."""
+    edges = [b + d for b in (8, 16, 32, 64, 128) for d in (-1, 0, 1)]
+    shapes = [(0, 0), (0, 5), (5, 0), (1, 1), (1000, 3), (3, 1000)]
+    for e in edges:
+        for other in (1, 3, e, 2 * e + 1, 300):
+            shapes += [(e, other), (other, e)]
+    rng = random.Random(53)
+    shapes += [(rng.randrange(0, 200), rng.randrange(0, 200)) for _ in range(150)]
+    return shapes
+
+
+def test_transpose_ints_matches_per_bit_transpose():
+    rng = random.Random(59)
+    for k, n in _transpose_shapes():
+        rows = [rng.getrandbits(n) for _ in range(k)]
+        if rows and rng.random() < 0.3:
+            rows[0] = (1 << n) - 1
+        cols = transpose_ints(rows, n)
+        assert cols == per_bit_transpose(rows, n), (k, n)
+        assert transpose_ints(cols, k) == rows, (k, n)
+
+
+def _pivot_runs_matrix(rng: random.Random, n: int, runs: int) -> Gf2Matrix:
+    """Rows whose highest bits fill `runs` separate runs of consecutive columns."""
+    tops: list[int] = []
+    start = rng.randrange(0, 3)
+    for _ in range(runs):
+        length = rng.randrange(1, 6)
+        tops += range(start, min(start + length, n))
+        start += length + rng.randrange(1, 4)
+    rows = [1 << q | rng.getrandbits(q) if q else 1 for q in tops]
+    rng.shuffle(rows)
+    return Gf2Matrix.from_ints(rows, n)
+
+
+def test_nullspace_matches_per_bit_oracle():
+    """Random shapes, every fixture, a [1000, 6] code and pivots in 1-6 runs."""
+    rng = random.Random(61)
+    cases = _nullspace_cases()
+    cases += [load_code(p.name).generator for p in sorted(FIXTURES.glob("*.txt"))]
+    cases.append(random_code(random.Random(1000), 1000, 6).generator)
+    for runs in range(1, 7):
+        for n in (runs * 9, 40, 130):
+            cases.append(_pivot_runs_matrix(rng, n, runs))
+    for _ in range(100):
+        n = rng.randrange(1, 200)
+        rows = [rng.getrandbits(n) for _ in range(rng.randrange(0, min(n, 40) + 1))]
+        cases.append(Gf2Matrix.from_ints(rows, n))
+    for m in cases:
+        assert nullspace_basis(m) == per_bit_nullspace(m), m.n_cols

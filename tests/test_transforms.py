@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import all_codewords, random_code
+from conftest import all_codewords, load_code, per_bit_restrict, random_code
 from gf2codes import (
     Gf2Matrix,
     Gf2Vector,
@@ -243,3 +243,36 @@ def test_spanning_form_preserves_weights():
             stripped.weight_distribution().nonzero()
             == code.weight_distribution().nonzero()
         )
+
+
+def test_surgery_matches_per_bit_deletion():
+    """project, shorten and spanning_form against rows rebuilt bit by bit."""
+    rng = random.Random(89)
+    codes = [load_code(name) for name in ("golay_24_12.txt", "hamming_16_11.txt",
+                                          "repetition_5.txt", "even_weight_4.txt")]
+    for _ in range(80):
+        n = rng.randrange(1, 200)
+        code = random_code(rng, n, rng.randrange(0, min(n, 20) + 1))
+        if rng.random() < 0.3:
+            dead = rng.getrandbits(n)
+            code = LinearCode.from_rows(
+                Gf2Matrix.from_ints([r & ~dead for r in code.generator.row_bits()], n))
+        codes.append(code)
+    codes.append(random_code(random.Random(1000), 1000, 6))
+    for code in codes:
+        rows = code.generator.row_bits()
+        union = 0
+        for r in rows:
+            union |= r
+        assert spanning_form(code) == per_bit_restrict(rows, code.n, ~union)
+        if rows:
+            w = rng.choice(rows) ^ (rng.choice(rows) if rng.random() < 0.5 else 0)
+            if w:
+                assert project(code, Gf2Vector(code.n, w)) == per_bit_restrict(rows, code.n, w)
+        coords = rng.sample(range(code.n), rng.randrange(0, min(code.n, 8) + 1))
+        vanishing = list(rows)  # spans the subcode vanishing on coords
+        for c in coords:
+            hit = next((r for r in vanishing if (r >> c) & 1), 0)
+            vanishing = [r ^ hit if (r >> c) & 1 else r for r in vanishing if r != hit]
+        dropped = sum(1 << c for c in coords)
+        assert shorten(code, coords) == per_bit_restrict(vanishing, code.n, dropped)
