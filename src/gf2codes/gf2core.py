@@ -185,7 +185,8 @@ _FIELD = {1: "B", 2: "H", 4: "I", 8: "Q"}  # struct codes of unsigned fields, by
 
 def _by_columns(values: list[int], per_row: int) -> list[int]:
     """A list read as rows of per_row entries, returned column by column."""
-    return list(chain.from_iterable([values[c::per_row] for c in range(per_row)]))
+    return values if per_row == len(values) else list(  # one row: no per_row 1-item slices
+        chain.from_iterable([values[c::per_row] for c in range(per_row)]))
 
 
 @lru_cache(maxsize=64)
@@ -212,15 +213,15 @@ def transpose_ints(rows: Sequence[int], width: int) -> list[int]:
         return [0] * width
     block = max(8, 1 << (min(len(rows), width) - 1).bit_length())
     size = -(-width // block) * block // 8  # bytes per padded row
-    padded = list(rows) + [0] * (-len(rows) % block)
-    order = padded if len(padded) == block else _by_columns(padded, block)
+    order = _by_columns(list(rows) + [0] * (-len(rows) % block), block)  # strip row by strip row
     raw = (struct.pack(f"<{len(order)}{_FIELD[size]}", *order) if size in _FIELD
            else b"".join([r.to_bytes(size, "little") for r in order]))
     strip = int.from_bytes(raw, "little")
-    for shift, mask in _swap_masks(block, 8 * len(raw) // block):
+    masks = _swap_masks if len(raw) <= 512 else _swap_masks.__wrapped__  # <= 64 x 6 x 512 bytes
+    for shift, mask in masks(block, 8 * len(raw) // block):
         t = (strip ^ strip >> shift) & mask
         strip ^= t ^ t << shift
-    raw, span = strip.to_bytes(len(raw), "little"), len(padded) // 8  # span: bytes per column
+    raw, span = strip.to_bytes(len(raw), "little"), len(order) // 8  # span: bytes per column
     fields = (list(struct.unpack(f"<{len(raw) // span}{_FIELD[span]}", raw)) if span in _FIELD
               else [int.from_bytes(raw[i : i + span], "little") for i in range(0, len(raw), span)])
     return _by_columns(fields, len(fields) // block)[:width]
@@ -242,10 +243,9 @@ def nullspace_basis(matrix: Gf2Matrix) -> Gf2Matrix:
     such pivots lie above f, and no other word has bit f, so the words in
     increasing f are the canonical generator of the null space.  The result
     has n_cols - rank rows; for an identity block it is empty.  With the rows
-    in pivot order, bit i of column f of their transpose is bit f of row i;
-    where rows i..i+m have the consecutive pivots q..q+m, shifting bits i..i+m
-    of that column up to q sets in word f exactly the pivots whose rows have
-    bit f, so each run of pivots costs one shift per word for the same words.
+    in pivot order, bit i of column f of their transpose is bit f of row i, so
+    if rows i..i+m have the consecutive pivots q..q+m, bits i..i+m of column f
+    shifted up to q are exactly those of word f's pivots: one shift per run.
     """
     reduced: dict[int, int] = {}  # pivot bit -> its row
     for r in matrix.row_bits():

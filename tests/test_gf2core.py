@@ -11,7 +11,7 @@ from conftest import (
     random_code,
 )
 from gf2codes import Gf2Matrix, Gf2Vector, LinearCode, nullspace_basis, rref
-from gf2codes.gf2core import rref_ints, transpose_ints
+from gf2codes.gf2core import _swap_masks, rref_ints, transpose_ints
 
 
 def test_weight_examples():
@@ -225,6 +225,17 @@ def test_transpose_ints_matches_per_bit_transpose():
         cols = transpose_ints(rows, n)
         assert cols == per_bit_transpose(rows, n), (k, n)
         assert transpose_ints(cols, k) == rows, (k, n)
+
+
+def test_transpose_caches_masks_of_small_strips_only():
+    """A strip of at most 512 bytes has B <= 64, so the 64 cached keys hold at
+    most 64 x 6 masks of 512 bytes; larger strips build their masks per call."""
+    _swap_masks.cache_clear()
+    assert transpose_ints([1] * 1000, 6) == [(1 << 1000) - 1] + [0] * 5  # 1000-byte strip
+    assert transpose_ints([1] * 17, 129)[0] == (1 << 17) - 1  # 32 rows of 20 bytes
+    assert _swap_masks.cache_info().currsize == 0
+    assert transpose_ints([1] * 17, 128)[0] == (1 << 17) - 1  # 32 rows of 16 bytes
+    assert _swap_masks.cache_info().currsize == 1
 
 
 def _pivot_runs_matrix(rng: random.Random, n: int, runs: int) -> Gf2Matrix:
