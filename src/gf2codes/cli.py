@@ -98,10 +98,6 @@ def _distribution_line(label: str, we: WeightEnumerator) -> str:
     return f"{label} {counts} at weights {weights}"
 
 
-def _generator_payload(code: LinearCode) -> list[str]:
-    return [str(row) for row in code.generator.rows]
-
-
 def _cmd_analyze(args: argparse.Namespace) -> int:
     code = _load_code(args.path)
     we = code.weight_distribution(cap=args.cap)
@@ -130,7 +126,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_dual(args: argparse.Namespace) -> int:
     code = _load_code(args.path)
     dual = code.dual()
-    payload = {"n": dual.n, "dimension": dual.dimension, "generator": _generator_payload(dual)}
+    payload = {"n": dual.n, "dimension": dual.dimension, "generator": dual.generator.row_strings()}
     human = [f"n={dual.n} k={dual.dimension}"] + payload["generator"]
     _emit(args, "dual", {"path": args.path}, payload, human)
     return 0
@@ -149,14 +145,14 @@ def _resolve_word(code: LinearCode, word: str) -> Gf2Vector:
         ) from None
     if not 0 <= index < code.dimension:
         raise ValueError(f"row index {index} outside [0, {code.dimension})")
-    return code.generator.rows[index]
+    return Gf2Vector(code.n, code.generator.rows[index])
 
 
 def _emit_surgery(args: argparse.Namespace, command: str, inputs: dict,
                   code: LinearCode, result: LinearCode) -> None:
     """Report the code a project or shorten produced from ``code``."""
     note = f"dimension {code.dimension} -> {result.dimension}"
-    generator = _generator_payload(result)
+    generator = result.generator.row_strings()
     payload = {"n": result.n, "dimension": result.dimension, "generator": generator,
                "note": note}
     human = [f"n={result.n} k={result.dimension} ({note})"] + generator
@@ -252,9 +248,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_search(args: argparse.Namespace) -> int:
     weights = _parse_ints(args.weights, "--weights")
     result = max_dimension_exhaustive(args.n, weights, node_cap=args.node_cap)
-    witness_rows = (
-        [str(row) for row in result.witness.rows] if result.witness is not None else None
-    )
+    witness_rows = result.witness.row_strings() if result.witness is not None else None
     payload = {
         "n": result.n,
         "weights": list(result.weights),

@@ -86,7 +86,7 @@ class LinearCode:
     generator: Gf2Matrix
 
     def __post_init__(self) -> None:
-        rows = self.generator.row_bits()
+        rows = self.generator.rows
         # dup: the columns set in two or more rows, where no pivot may sit.
         seen = dup = 0
         for r in rows:
@@ -110,7 +110,7 @@ class LinearCode:
         Dependent and zero rows are absorbed; the result's dimension is the
         rank of the input.
         """
-        work, pivots = rref_ints(matrix.row_bits())
+        work, pivots = rref_ints(matrix.rows)
         return cls(Gf2Matrix.from_ints(work[: len(pivots)], matrix.n_cols))
 
     @property
@@ -124,14 +124,14 @@ class LinearCode:
 
     def pivots(self) -> tuple[int, ...]:
         """Pivot column of each generator row (its lowest set coordinate)."""
-        return tuple([(r & -r).bit_length() - 1 for r in self.generator.row_bits()])
+        return tuple([(r & -r).bit_length() - 1 for r in self.generator.rows])
 
     def contains(self, v: Gf2Vector) -> bool:
         """Exact membership by reduction against the canonical generator."""
         if v.length != self.n:
             raise ValueError(f"vector length {v.length} does not match code length {self.n}")
         x = v.bits
-        for row, p in zip(self.generator.row_bits(), self.pivots()):
+        for row, p in zip(self.generator.rows, self.pivots()):
             if (x >> p) & 1:
                 x ^= row
         return x == 0
@@ -174,7 +174,7 @@ class LinearCode:
         gives the number of words of each weight.
         """
         n = self.n
-        rows = self.generator.row_bits()
+        rows = self.generator.rows
         t = min(len(rows), _SLICE_BITS)
         full = (1 << (1 << t)) - 1
         bits, clear = [0] * t, full
@@ -245,7 +245,7 @@ class LinearCode:
         Double evenness additionally needs each basis weight divisible by 4;
         with even pairwise meets this is closed under addition.
         """
-        rows = self.generator.row_bits()
+        rows = self.generator.rows
         union = 0
         for r in rows:
             union |= r
@@ -346,5 +346,8 @@ def parse_generator_text(text: str) -> Gf2Matrix:
 
 
 def format_generator_text(matrix: Gf2Matrix) -> str:
-    """Render a matrix in the text format accepted by parse_generator_text."""
-    return "\n".join(str(row) for row in matrix.rows) + "\n"
+    """Render a matrix in the text format accepted by parse_generator_text,
+    which has none for a matrix without rows or columns: that raises ValueError."""
+    if not matrix.rows or not matrix.n_cols:
+        raise ValueError("a matrix with no rows or no columns has no generator text")
+    return "\n".join(matrix.row_strings()) + "\n"

@@ -1,8 +1,8 @@
 """Bit-packed vectors and matrices over GF(2).
 
-Coordinate i of a vector is bit i of a Python int, so weight is a popcount,
-addition is XOR, and an inner product is a popcount parity.  All types are
-immutable; operations return fresh values.
+Coordinate i of a vector or of a matrix row (a plain int) is bit i, so weight
+is a popcount, addition is XOR, and an inner product is a popcount parity.
+All types are immutable; operations return fresh values.
 
 Tuples in this package are built from lists, ``tuple([...])``, never from a
 generator expression.  CPython starts a tuple from a generator at 10 slots
@@ -29,6 +29,16 @@ __all__ = [
 ]
 
 
+def _pack(coords: Sequence[int]) -> int:
+    """The int of an explicit 0/1 sequence, entry i giving bit i."""
+    bits = 0
+    for i, c in enumerate(coords):
+        if c not in (0, 1):
+            raise ValueError(f"coordinate {i} is {c!r}, expected 0 or 1")
+        bits |= c << i
+    return bits
+
+
 @dataclass(frozen=True)
 class Gf2Vector:
     """A vector in F_2^length; coordinate i is bit i of ``bits``."""
@@ -53,12 +63,7 @@ class Gf2Vector:
     @classmethod
     def from_coords(cls, coords: Sequence[int]) -> Gf2Vector:
         """Build from an explicit 0/1 sequence, entry i giving coordinate i."""
-        bits = 0
-        for i, c in enumerate(coords):
-            if c not in (0, 1):
-                raise ValueError(f"coordinate {i} is {c!r}, expected 0 or 1")
-            bits |= c << i
-        return cls(len(coords), bits)
+        return cls(len(coords), _pack(coords))
 
     @classmethod
     def from_support(cls, length: int, support: Iterable[int]) -> Gf2Vector:
@@ -104,27 +109,27 @@ class Gf2Vector:
             raise ValueError(f"length mismatch: {self.length} vs {other.length}")
 
     def __str__(self) -> str:
-        # Coordinate 0 comes first; format(0, "00b") would give "0", not "".
-        return format(self.bits, f"0{self.length}b")[::-1] if self.length else ""
+        # Coordinate 0 first; a leading 1 keeps length digits, then is cut.
+        return format(self.bits | 1 << self.length, "b")[:0:-1]
 
 
 @dataclass(frozen=True)
 class Gf2Matrix:
-    """A matrix over GF(2), stored as a tuple of equal-length rows."""
+    """A matrix over GF(2) with n_cols columns; column j of row i is bit j of rows[i]."""
 
-    rows: tuple[Gf2Vector, ...]
+    rows: tuple[int, ...]
     n_cols: int
 
     def __post_init__(self) -> None:
         if self.n_cols < 0:
             raise ValueError(f"negative column count {self.n_cols}")
         for i, row in enumerate(self.rows):
-            if row.length != self.n_cols:
-                raise ValueError(f"row {i} has length {row.length}, expected {self.n_cols}")
+            if row < 0 or row >> self.n_cols:
+                raise ValueError(f"row {i} is {row}, outside [0, 2^{self.n_cols})")
 
     @classmethod
     def from_ints(cls, rows: Sequence[int], n_cols: int) -> Gf2Matrix:
-        return cls(tuple([Gf2Vector(n_cols, r) for r in rows]), n_cols)
+        return cls(tuple(rows), n_cols)
 
     @classmethod
     def from_lists(cls, rows: Sequence[Sequence[int]]) -> Gf2Matrix:
@@ -135,17 +140,19 @@ class Gf2Matrix:
         for i, row in enumerate(rows):
             if len(row) != width:
                 raise ValueError(f"row {i} has length {len(row)}, expected {width}")
-        return cls(tuple([Gf2Vector.from_coords(row) for row in rows]), width)
+        return cls(tuple([_pack(row) for row in rows]), width)
 
     @property
     def n_rows(self) -> int:
         return len(self.rows)
 
-    def row_bits(self) -> tuple[int, ...]:
-        return tuple([row.bits for row in self.rows])
+    def row_strings(self) -> list[str]:
+        """Each row as '0'/'1' text, column 0 first."""
+        top = 1 << self.n_cols  # a leading 1 keeps n_cols digits, then is cut
+        return [format(row | top, "b")[:0:-1] for row in self.rows]
 
     def __str__(self) -> str:
-        return "\n".join(str(row) for row in self.rows)
+        return "\n".join(self.row_strings())
 
 
 @dataclass(frozen=True)
@@ -229,9 +236,8 @@ def transpose_ints(rows: Sequence[int], width: int) -> list[int]:
 
 def rref(matrix: Gf2Matrix) -> RrefResult:
     """Reduced row-echelon form over GF(2), preserving row count."""
-    work, pivots = rref_ints(matrix.row_bits())
-    reduced = Gf2Matrix.from_ints(work, matrix.n_cols)
-    return RrefResult(matrix=reduced, rank=len(pivots), pivots=tuple(pivots))
+    work, pivots = rref_ints(matrix.rows)
+    return RrefResult(Gf2Matrix.from_ints(work, matrix.n_cols), len(pivots), tuple(pivots))
 
 
 def nullspace_basis(matrix: Gf2Matrix) -> Gf2Matrix:
@@ -248,7 +254,7 @@ def nullspace_basis(matrix: Gf2Matrix) -> Gf2Matrix:
     shifted up to q are exactly those of word f's pivots: one shift per run.
     """
     reduced: dict[int, int] = {}  # pivot bit -> its row
-    for r in matrix.row_bits():
+    for r in matrix.rows:
         for pivot, row in reduced.items():
             if r & pivot:
                 r ^= row

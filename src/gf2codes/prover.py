@@ -16,7 +16,6 @@ Reports serialize to stable-ordered JSON so replays are diffable.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -100,9 +99,6 @@ class ProofReport:
             "overall": self.overall,
             "steps": [step.to_json_dict() for step in self.steps],
         }
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent)
 
 
 def min_union_length(weight_a: int, weight_b: int, sum_weight: int) -> int:

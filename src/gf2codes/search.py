@@ -44,20 +44,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
 from typing import Iterable
 
 from .codes import LinearCode
 from .gf2core import Gf2Matrix
-from .moments import feasibility_check, lp_dimension_bound
-from .transforms import spanning_form
+from .moments import lp_dimension_bound
 
 __all__ = [
     "DEFAULT_NODE_CAP",
     "MAX_SEARCH_LENGTH",
     "SearchResult",
     "max_dimension_exhaustive",
-    "cross_validate",
 ]
 
 DEFAULT_NODE_CAP = 10**8
@@ -209,33 +206,3 @@ def max_dimension_exhaustive(
         stop=stop,
         bound=lp_bound,
     )
-
-
-def cross_validate(
-    n_max: int,
-    weight_universe: Iterable[int],
-    node_cap: int = DEFAULT_NODE_CAP,
-) -> list[tuple[int, tuple[int, ...], bool]]:
-    """Check search witnesses against the moment feasibility test.
-
-    For every length up to n_max and every subset W of the universe, a
-    witness found by exhaustive search is re-embedded at its spanning
-    length and, with the weights of W that fit in that length, must not be
-    ruled out by feasibility_check: a disagreement would mean the necessary
-    condition is not actually necessary.  Returns (n, W, agree) triples.
-    """
-    universe = sorted(set(weight_universe))
-    results: list[tuple[int, tuple[int, ...], bool]] = []
-    for n in range(1, n_max + 1):
-        for r in range(len(universe) + 1):
-            for subset in combinations(universe, r):
-                wset = tuple([w for w in subset if w <= n])
-                found = max_dimension_exhaustive(n, wset, node_cap=node_cap)
-                agree = True
-                if found.max_dimension >= 1 and found.witness is not None:
-                    code = spanning_form(LinearCode.from_rows(found.witness))
-                    fitting = tuple([w for w in wset if w <= code.n])
-                    verdict = feasibility_check(code.n, code.dimension, fitting)
-                    agree = verdict.feasible
-                results.append((n, subset, agree))
-    return results

@@ -61,7 +61,7 @@ def project(code: LinearCode, w: Gf2Vector) -> LinearCode:
         raise ValueError("cannot project along the zero word")
     if not code.contains(w):
         raise ValueError("projection word is not a codeword")
-    return _restrict(code.generator.row_bits(), code.n, w.bits)
+    return _restrict(code.generator.rows, code.n, w.bits)
 
 
 def shorten(code: LinearCode, coords: Iterable[int]) -> LinearCode:
@@ -74,7 +74,7 @@ def shorten(code: LinearCode, coords: Iterable[int]) -> LinearCode:
     for c in coord_set:
         if not 0 <= c < code.n:
             raise ValueError(f"coordinate {c} outside [0, {code.n})")
-    rows = code.generator.row_bits()
+    rows = code.generator.rows
     # Clear each coordinate by adding one row set there to the other rows set
     # there and dropping that row.  The rows stay independent and span the
     # subcode vanishing on every coordinate cleared so far.
@@ -96,9 +96,8 @@ def subcode_avoiding(code: LinearCode, v: Gf2Vector) -> LinearCode:
         raise ValueError("cannot avoid the zero word: every subcode contains it")
     if not code.contains(v):
         raise ValueError("word to avoid is not a codeword")
-    rows = code.generator.row_bits()
     pivot_row = next(i for i, p in enumerate(code.pivots()) if (v.bits >> p) & 1)
-    remaining = [r for i, r in enumerate(rows) if i != pivot_row]
+    remaining = [r for i, r in enumerate(code.generator.rows) if i != pivot_row]
     # Deleting a row of a canonical generator leaves a canonical generator.
     return LinearCode(Gf2Matrix.from_ints(remaining, code.n))
 
@@ -107,7 +106,7 @@ def extend_span(code: LinearCode, v: Gf2Vector) -> LinearCode:
     """Span of the code and one more vector (same code if v already inside)."""
     if v.length != code.n:
         raise ValueError(f"vector length {v.length} does not match code length {code.n}")
-    rows = list(code.generator.row_bits()) + [v.bits]
+    rows = list(code.generator.rows) + [v.bits]
     return LinearCode.from_rows(Gf2Matrix.from_ints(rows, code.n))
 
 
@@ -118,6 +117,6 @@ def spanning_form(code: LinearCode) -> LinearCode:
     and has the same dimension and nonzero weights.
     """
     union = 0
-    for r in code.generator.row_bits():
+    for r in code.generator.rows:
         union |= r
-    return _restrict(code.generator.row_bits(), code.n, ~union)
+    return _restrict(code.generator.rows, code.n, ~union)

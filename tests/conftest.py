@@ -16,9 +16,12 @@ from gf2codes import (
     LinearCode,
     LinearCountSolution,
     SearchResult,
+    feasibility_check,
     lp_dimension_bound,
+    max_dimension_exhaustive,
     parse_generator_text,
     solve_weight_counts,
+    spanning_form,
 )
 from gf2codes.moments import (
     REASON_DIVISIBILITY,
@@ -61,7 +64,7 @@ def random_code(rng: random.Random, n: int, rows: int) -> LinearCode:
 def all_codewords(code: LinearCode) -> list[int]:
     """Every codeword as a bit-packed int, by span doubling (not Gray order)."""
     words = [0]
-    for row in code.generator.row_bits():
+    for row in code.generator.rows:
         words += [w ^ row for w in words]
     return words
 
@@ -104,7 +107,7 @@ def free_column_nullspace(matrix: Gf2Matrix) -> Gf2Matrix:
 
     Row f is e_f plus e_p for each pivot p whose reduced row has bit f.
     """
-    work, pivots = column_scan_rref(matrix.row_bits(), matrix.n_cols)
+    work, pivots = column_scan_rref(matrix.rows, matrix.n_cols)
     basis = []
     for free in range(matrix.n_cols):
         if free in pivots:
@@ -128,7 +131,7 @@ def per_bit_nullspace(matrix: Gf2Matrix) -> Gf2Matrix:
     highest bit, then every set bit f below a pivot q adds q to free column
     f's word."""
     reduced: list[int] = []
-    for r in matrix.row_bits():
+    for r in matrix.rows:
         for row in reduced:
             if (r >> (row.bit_length() - 1)) & 1:
                 r ^= row
@@ -324,6 +327,35 @@ def single_phase_search(n: int, weights, node_cap: int = DEFAULT_NODE_CAP) -> Se
         stop=stop,
         bound=lp_bound,
     )
+
+
+def cross_validate(
+    n_max: int, weight_universe, node_cap: int = DEFAULT_NODE_CAP
+) -> list[tuple[int, tuple[int, ...], bool]]:
+    """Check search witnesses against the moment feasibility test, which
+    must never rule out a code the search actually found.
+
+    For every length up to n_max and every subset W of the universe, a
+    witness found by exhaustive search is re-embedded at its spanning
+    length and, with the weights of W that fit in that length, checked by
+    feasibility_check: a disagreement would mean the necessary condition is
+    not actually necessary.  Returns (n, W, agree) triples.
+    """
+    universe = sorted(set(weight_universe))
+    results: list[tuple[int, tuple[int, ...], bool]] = []
+    for n in range(1, n_max + 1):
+        for r in range(len(universe) + 1):
+            for subset in combinations(universe, r):
+                wset = tuple([w for w in subset if w <= n])
+                found = max_dimension_exhaustive(n, wset, node_cap=node_cap)
+                agree = True
+                if found.max_dimension >= 1 and found.witness is not None:
+                    code = spanning_form(LinearCode.from_rows(found.witness))
+                    fitting = tuple([w for w in wset if w <= code.n])
+                    verdict = feasibility_check(code.n, code.dimension, fitting)
+                    agree = verdict.feasible
+                results.append((n, subset, agree))
+    return results
 
 
 def krawtchouk(n: int, j: int, w: int) -> int:

@@ -14,13 +14,12 @@ from fractions import Fraction
 import pytest
 
 import conftest
-from conftest import all_codewords, brute_distribution, load_code, random_code
+from conftest import all_codewords, brute_distribution, cross_validate, load_code, random_code
 from gf2codes import (
     Gf2Matrix,
     Gf2Vector,
     LinearCode,
     a56_sharpness_construction,
-    cross_validate,
     macwilliams_transform,
     max_dimension_exhaustive,
     min_union_length,
@@ -90,7 +89,7 @@ def test_criterion_3_moment_identities():
             assert moment_identities_check(code).all_hold
             checked += 1
         padded = LinearCode.from_rows(
-            Gf2Matrix.from_ints([r << 1 for r in code.generator.row_bits()], code.n + 1)
+            Gf2Matrix.from_ints([r << 1 for r in code.generator.rows], code.n + 1)
         )
         with pytest.raises(ValueError, match="spanning"):
             moment_identities_check(padded)

@@ -19,7 +19,7 @@ import pytest
 
 import gf2codes
 from conftest import FIXTURES, random_code
-from gf2codes import __version__, cli
+from gf2codes import __version__, cli, format_generator_text
 from gf2codes.cli import run
 
 GOLAY = str(FIXTURES / "golay_24_12.txt")
@@ -109,6 +109,16 @@ def test_dual_of_even_weight_code(capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "n=4 k=1"
     assert out[1:] == ["1111"]
+
+
+def test_dual_of_the_full_space_has_no_rows(capsys, tmp_path):
+    path = tmp_path / "full_4.txt"
+    path.write_text("1000\n0100\n0010\n0001\n")
+    assert run(["dual", str(path)]) == 0
+    assert capsys.readouterr().out == "n=4 k=0\n"
+    assert run(["dual", str(path), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    assert payload == {"n": 4, "dimension": 0, "generator": []}
 
 
 def test_project_by_index_and_by_bits(capsys):
@@ -592,7 +602,7 @@ def test_repeated_runs_leave_tuple_free_lists_empty(tmp_path):
         if code.dimension != k or not code.predicate_profile().is_spanning:
             continue
         path = tmp_path / f"code{len(paths)}.txt"
-        path.write_text("\n".join(str(row) for row in code.generator.rows) + "\n")
+        path.write_text(format_generator_text(code.generator))
         paths.append(str(path))
     commands = [["analyze"], ["dual"], ["project", "--word", "0"], ["shorten", "--coords", "0,1"]]
 

@@ -25,7 +25,7 @@ from gf2codes.codes import _SLICE_BITS, _krawtchouk_lanes
 
 
 def brute_dual_words(code: LinearCode) -> set[int]:
-    rows = code.generator.row_bits()
+    rows = code.generator.rows
     return {
         v
         for v in range(1 << code.n)
@@ -352,7 +352,7 @@ def test_spanning_iff_dual_has_no_weight_1():
 def test_doubly_even_implies_isotropic(golay, hamming_8_4):
     rng = random.Random(47)
     for base in (golay, hamming_8_4):
-        rows = base.generator.row_bits()
+        rows = base.generator.rows
         for _ in range(20):
             picked = [r for r in rows if rng.random() < 0.5]
             sub = LinearCode.from_rows(Gf2Matrix.from_ints(picked, base.n))
@@ -379,6 +379,17 @@ def test_contains(golay, repetition_5):
 def test_text_format_roundtrip(golay):
     text = format_generator_text(golay.generator)
     assert LinearCode.from_rows(parse_generator_text(text)) == golay
+
+
+def test_text_format_refuses_a_matrix_it_cannot_write():
+    # The dual of the full space has no rows, and parse_generator_text
+    # rejects a text without rows.
+    full = LinearCode.from_rows(Gf2Matrix.from_ints([1, 2, 4, 8], 4))
+    for matrix in (full.dual().generator, Gf2Matrix.from_ints([0], 0)):
+        with pytest.raises(ValueError, match="no rows or no columns"):
+            format_generator_text(matrix)
+    with pytest.raises(ValueError, match="no generator rows"):
+        parse_generator_text("\n")
 
 
 def test_text_format_ignores_comments_and_blanks():

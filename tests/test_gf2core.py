@@ -87,18 +87,45 @@ def test_matrix_ragged_rows_rejected():
         Gf2Matrix.from_lists([[1, 0], [1, 0, 1]])
 
 
+def test_matrix_rows_are_ints_checked_against_the_width():
+    m = Gf2Matrix.from_ints([0b101, 0, 0b111], 3)
+    assert m.rows == (0b101, 0, 0b111) and all(type(r) is int for r in m.rows)
+    assert Gf2Matrix.from_lists([[1, 0, 1], [0, 1, 1]]).rows == (0b101, 0b110)
+    with pytest.raises(ValueError, match=r"^row 1 is -1, outside \[0, 2\^3\)$"):
+        Gf2Matrix.from_ints([0b101, -1], 3)
+    with pytest.raises(ValueError, match=r"^row 2 is 8, outside \[0, 2\^3\)$"):
+        Gf2Matrix.from_ints([1, 2, 8], 3)
+    with pytest.raises(ValueError, match="row 0"):
+        Gf2Matrix.from_ints([1], 0)
+    with pytest.raises(ValueError, match="negative column count -1"):
+        Gf2Matrix.from_ints([], -1)
+    with pytest.raises(ValueError, match="coordinate 1 is 2"):
+        Gf2Matrix.from_lists([[1, 2]])
+
+
+def test_row_strings_list_columns_in_order():
+    rng = random.Random(43)
+    for n in range(70):
+        rows = [rng.getrandbits(n) for _ in range(3)]
+        m = Gf2Matrix.from_ints(rows, n)
+        assert m.row_strings() == [str(Gf2Vector(n, r)) for r in rows]
+        assert str(m) == "\n".join(m.row_strings())
+    assert Gf2Matrix.from_ints([0, 0], 0).row_strings() == ["", ""]
+    assert Gf2Matrix.from_ints([], 5).row_strings() == []
+
+
 def test_rref_hand_example():
     res = rref(Gf2Matrix.from_lists([[1, 0, 1], [0, 1, 1], [1, 1, 0]]))
     assert res.rank == 2
     assert res.pivots == (0, 1)
-    assert [str(r) for r in res.matrix.rows] == ["101", "011", "000"]
+    assert res.matrix.row_strings() == ["101", "011", "000"]
 
 
 def test_rref_zero_matrix_is_fixed():
     res = rref(Gf2Matrix.from_ints([0, 0], 4))
     assert res.rank == 0
     assert res.pivots == ()
-    assert res.matrix.row_bits() == (0, 0)
+    assert res.matrix.rows == (0, 0)
 
 
 def test_rref_identity_is_fixed():
@@ -115,8 +142,8 @@ def test_rref_idempotent_and_span_preserving():
         res = rref(m)
         assert rref(res.matrix) == res
         # every original row reduces to zero against the reduced rows
-        rows = res.matrix.row_bits()[: res.rank]
-        for orig in m.row_bits():
+        rows = res.matrix.rows[: res.rank]
+        for orig in m.rows:
             x = orig
             for row, p in zip(rows, res.pivots):
                 if (x >> p) & 1:
@@ -150,7 +177,7 @@ def test_nullspace_examples():
     ns = nullspace_basis(Gf2Matrix.from_lists([[1, 1, 1]]))
     assert ns.n_rows == 2
     even = Gf2Matrix.from_lists([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]])
-    assert nullspace_basis(even).row_bits() == (0b1111,)
+    assert nullspace_basis(even).rows == (0b1111,)
     identity = Gf2Matrix.from_ints([1, 2, 4, 8], 4)
     assert nullspace_basis(identity).n_rows == 0
 
@@ -163,8 +190,8 @@ def test_nullspace_orthogonal_independent_and_sized():
         m = Gf2Matrix.from_ints([rng.getrandbits(n) for _ in range(k)], n)
         ns = nullspace_basis(m)
         assert ns.n_rows == n - rref(m).rank
-        for b in ns.row_bits():
-            assert all((b & row).bit_count() % 2 == 0 for row in m.row_bits())
+        for b in ns.rows:
+            assert all((b & row).bit_count() % 2 == 0 for row in m.rows)
         assert rref(ns).rank == ns.n_rows
 
 
@@ -198,8 +225,8 @@ def test_nullspace_is_reduced_echelon():
         ns = nullspace_basis(m)
         assert LinearCode(ns) == LinearCode.from_rows(ns)
         assert ns.n_rows == m.n_cols - rref(m).rank
-        for b in ns.row_bits():
-            assert all((b & row).bit_count() % 2 == 0 for row in m.row_bits())
+        for b in ns.rows:
+            assert all((b & row).bit_count() % 2 == 0 for row in m.rows)
 
 
 def _transpose_shapes():

@@ -43,7 +43,6 @@ PUBLIC_NAMES = [
     "MAX_SEARCH_LENGTH",
     "SearchResult",
     "max_dimension_exhaustive",
-    "cross_validate",
     # transforms
     "projected_weight",
     "project",

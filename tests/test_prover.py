@@ -154,7 +154,7 @@ def test_concrete_codes_below_68_have_at_most_one_weight_56_word():
 def test_two_weight_scan_contradicts_high_dimensions():
     for d in (10, 11, 13, 16):
         report = verify_lemma_2_6(d)
-        assert report.overall, report.to_json()
+        assert report.overall, json.dumps(report.to_json_dict(), indent=2)
         scan = report.steps[1]
         assert scan.id == "divisibility-scan"
         assert scan.data["valuations_seen"] == [8]
@@ -195,8 +195,9 @@ LEMMA_2_6_RANGES = [(1, 256), (1, 1), (64, 64), (47, 49), (40, 70), (129, 200)]
 def test_two_weight_scan_matches_per_length_reference(n_range):
     # d < 6 makes 2^(d-4) or 2^(d-6) a fraction.
     for d in range(17):
-        want = lemma_2_6_reference(d, n_range).to_json()
-        assert verify_lemma_2_6(d, n_range).to_json() == want, (d, n_range)
+        want = json.dumps(lemma_2_6_reference(d, n_range).to_json_dict(), indent=2)
+        got = json.dumps(verify_lemma_2_6(d, n_range).to_json_dict(), indent=2)
+        assert got == want, (d, n_range)
 
 
 @pytest.mark.parametrize("n_range", [(1, 128), (64, 64)])
@@ -320,14 +321,14 @@ def test_dimension_bound_theorem_count_forms():
 
 
 def test_reports_serialize_deterministically():
-    a = verify_theorem_a().to_json()
-    b = verify_theorem_a().to_json()
+    a = json.dumps(verify_theorem_a().to_json_dict(), indent=2)
+    b = json.dumps(verify_theorem_a().to_json_dict(), indent=2)
     assert a == b
     doc = json.loads(a)
     assert set(doc) == {"theorem", "overall", "steps"}
     assert doc["overall"] is True
     assert len(doc["steps"]) == 18
-    lemma = json.loads(verify_lemma_2_6(10).to_json())
+    lemma = json.loads(json.dumps(verify_lemma_2_6(10).to_json_dict(), indent=2))
     assert json.dumps(lemma)  # already plain JSON types
 
 
@@ -363,7 +364,7 @@ def test_dimension_bound_theorem_accepts_weaker_claim(monkeypatch, claim, window
     # lengths; only the lengths inside it are refuted.
     monkeypatch.setattr(prover, "_THEOREM_A", claim)
     report = verify_theorem_a()
-    assert report.overall, report.to_json()
+    assert report.overall, json.dumps(report.to_json_dict(), indent=2)
     by_id = {s.id: s for s in report.steps}
     assert by_id["length-window"].data["length_window"] == window
     assert by_id["conclusion"].data["cases"] == window

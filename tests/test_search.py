@@ -3,11 +3,10 @@ from itertools import combinations
 
 import pytest
 
-from conftest import all_codewords, rref_dfs_reference, single_phase_search
+from conftest import all_codewords, cross_validate, rref_dfs_reference, single_phase_search
 from gf2codes import (
     Gf2Matrix,
     LinearCode,
-    cross_validate,
     lp_dimension_bound,
     max_dimension_exhaustive,
     search,
@@ -72,7 +71,7 @@ def test_witness_rows_are_already_canonical():
 
 def test_extended_witness():
     result = max_dimension_exhaustive(8, {4, 8})
-    assert result.witness.row_bits() == (105, 170, 204, 240)
+    assert result.witness.rows == (105, 170, 204, 240)
     code = LinearCode.from_rows(result.witness)
     weights = {w.bit_count() for w in all_codewords(code) if w}
     assert weights <= {4, 8}
@@ -110,7 +109,7 @@ def test_matches_naive_subspace_enumeration():
 
 
 def _rows(result):
-    return result.witness.row_bits() if result.witness is not None else None
+    return result.witness.rows if result.witness is not None else None
 
 
 def _assert_matches_reference(n, ws):

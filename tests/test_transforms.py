@@ -155,7 +155,7 @@ def test_shorten_matches_enumeration():
 def test_shorten_on_duplicated_column_pair_costs_one_dimension(hamming_7_4):
     # Duplicating a coordinate puts a weight-2 word in the dual; shortening
     # on both of its coordinates then removes a single constraint.
-    rows = hamming_7_4.generator.row_bits()
+    rows = hamming_7_4.generator.rows
     doubled = LinearCode.from_rows(
         Gf2Matrix.from_ints([(r << 1) | (r & 1) for r in rows], 8)
     )
@@ -170,7 +170,7 @@ def test_subcode_avoiding(golay):
     assert sub.dimension == 11
     assert not sub.contains(ones)
     for row in sub.generator.rows:
-        assert golay.contains(row)
+        assert golay.contains(Gf2Vector(24, row))
     w8 = next(r for r in all_codewords(golay) if r.bit_count() == 8)
     sub8 = subcode_avoiding(golay, Gf2Vector(24, w8))
     assert sub8.dimension == 11
@@ -201,14 +201,14 @@ def test_subcode_avoiding_random():
         sub = subcode_avoiding(code, v)
         assert sub.dimension == code.dimension - 1
         assert not sub.contains(v)
-        assert all(code.contains(r) for r in sub.generator.rows)
+        assert all(code.contains(Gf2Vector(code.n, r)) for r in sub.generator.rows)
         pivot_row = next(i for i, p in enumerate(code.pivots()) if (v.bits >> p) & 1)
-        rows = [r for i, r in enumerate(code.generator.row_bits()) if i != pivot_row]
+        rows = [r for i, r in enumerate(code.generator.rows) if i != pivot_row]
         assert sub == LinearCode.from_rows(Gf2Matrix.from_ints(rows, code.n))
 
 
 def test_extend_span(hamming_7_4, even_weight_4):
-    same = extend_span(hamming_7_4, hamming_7_4.generator.rows[0])
+    same = extend_span(hamming_7_4, Gf2Vector(7, hamming_7_4.generator.rows[0]))
     assert same == hamming_7_4
     outside = Gf2Vector.from_support(7, (0,))
     assert not hamming_7_4.contains(outside)
@@ -224,7 +224,7 @@ def test_extend_span(hamming_7_4, even_weight_4):
 
 
 def test_spanning_form_strips_dead_coordinates(hamming_7_4):
-    padded_rows = [r << 1 for r in hamming_7_4.generator.row_bits()]
+    padded_rows = [r << 1 for r in hamming_7_4.generator.rows]
     padded = LinearCode.from_rows(Gf2Matrix.from_ints(padded_rows, 9))
     assert not padded.predicate_profile().is_spanning
     stripped = spanning_form(padded)
@@ -256,11 +256,11 @@ def test_surgery_matches_per_bit_deletion():
         if rng.random() < 0.3:
             dead = rng.getrandbits(n)
             code = LinearCode.from_rows(
-                Gf2Matrix.from_ints([r & ~dead for r in code.generator.row_bits()], n))
+                Gf2Matrix.from_ints([r & ~dead for r in code.generator.rows], n))
         codes.append(code)
     codes.append(random_code(random.Random(1000), 1000, 6))
     for code in codes:
-        rows = code.generator.row_bits()
+        rows = code.generator.rows
         union = 0
         for r in rows:
             union |= r
