@@ -5,16 +5,21 @@ matrix (no zero rows), so two codes are equal exactly when they are the same
 subspace.  Weight distributions are counted over the message space of the
 smaller of the code and its dual, 2^min(k, n-k) words, bit-sliced: each
 coordinate becomes one 2^t-bit set over a slice of 2^t messages, an XOR of
-table sets picked by its column of one packed transpose, and the coordinates
-are added into bit-planes of per-message weights by a carry-save adder tree,
-about five big-int operations per coordinate, each covering up to 2^14
-messages; the transient memory is about (n + 80) * 2^14 bits.  A counted dual
-is turned back by the MacWilliams transform, a table-free packed Horner pass.
+table sets picked by its column of one packed transpose.  The coordinates
+are grouped by their column in the rows past the slice, which decides in
+which cosets of the slice their sets are complemented, and each group is
+added once into bit-planes of per-message weights by a carry-save adder
+tree, about five big-int operations per coordinate, each covering up to 2^14
+messages; each coset then adds the groups' planes, complemented where it
+must.  The transient memory is at most about 200 sets of 2^14 bits at n = 128.
+A counted dual is turned back by the MacWilliams transform, a table-free packed
+Horner pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 from .gf2core import Gf2Matrix, Gf2Vector, nullspace_basis, rref_ints, transpose_ints
 
@@ -31,10 +36,13 @@ __all__ = [
 # Enumeration above 2^28 codewords is almost certainly a mistake, not a plan.
 DEFAULT_ENUMERATION_CAP = 28
 
-# Messages per bit slice are 2^_SLICE_BITS.  Counting holds n column sets of
-# that many bits, 2^5 + 2^5 + 2^4 table sets, and 2 log2(n) planes and held
-# sets, so it needs about (n + 80) * 2^_SLICE_BITS bits of transient memory:
-# 416 KiB at n = 128.  A wider slice saves little time and raises peak memory.
+# Messages per bit slice are 2^_SLICE_BITS.  Counting holds sets of that many
+# bits: 2^5 + 2^5 + 2^4 table sets, the planes of each group's sum (about
+# log2(n) with k <= _SLICE_BITS, 40 at n = 128, k = 17), per coset the
+# complemented planes of its odd groups, and 2 log2(n) planes and held sets
+# of the adder; no column's set outlives its addition.  Traced peaks at
+# n = 128: 248 KiB at k = 14, 365 KiB at k = 17.  A wider slice saves little
+# time and raises peak memory.
 _SLICE_BITS = 14
 # A slice column is the XOR of one set from each table of 2^_TABLE_BITS sets.
 _TABLE_BITS = 5
@@ -157,21 +165,19 @@ class LinearCode:
         """Distribution of the span, counted over bit slices of messages.
 
         The low t = min(k, _SLICE_BITS) rows span 2^t messages; for each
-        coordinate j, cols[j] has bit u set iff message u's word has
+        coordinate j, its set has bit u set iff message u's word has
         coordinate j set: iff u & v has odd weight, v being column j of the
-        low rows' transpose.  So cols[j] is the XOR of tables[c][a], the u
+        low rows' transpose.  So the set is the XOR of tables[c][a], the u
         with u & (a << 5c) odd, over the five-bit chunks a << 5c of v.  The
-        high rows give 2^(k-t) coset offsets h, taken in Gray order.  For each
-        h, cols[j] (complemented where h has coordinate j set) is added into
-        bit-planes of the per-message weights by carry-save: level b keeps
-        planes[b] and may hold one more set of weight 2^b, held[b], exactly
-        when bit b of the number of columns added is set.  A set arriving at a
-        full level goes through a full adder with the two there, which leaves
-        their sum in planes[b] and sends the carry up a level, so column j
-        costs one full adder per trailing one bit of j, five operations on
-        average.  After the last column one pass of adders folds the held sets
-        into the planes, and splitting the messages on the planes from the top
-        gives the number of words of each weight.
+        high rows give 2^(k-t) cosets m of the slice, and in coset m the set
+        of coordinate j is complemented exactly when <g, m> is odd, g being
+        column j of the high rows' transpose.  So the coordinates are grouped
+        by g, and each group's sets are added once into the bit-planes of its
+        sum S_g by ``_carry_save``.  Coset m adds, per group, the planes of
+        S_g, or for odd <g, m> the planes XOR full, which hold 2^D - 1 - S_g
+        for a D-plane S_g: |G_g| - S_g plus a spare 2^D - 1 - |G_g| that the
+        split takes off each weight it files.  Splitting the messages on the
+        coset's planes from the top gives the number of words of each weight.
         """
         n = self.n
         rows = self.generator.rows
@@ -184,41 +190,29 @@ class LinearCode:
         tables = [[0] for _ in range(0, t, _TABLE_BITS)]
         for i, bit in enumerate(bits):
             tables[i // _TABLE_BITS] += [x ^ bit for x in tables[i // _TABLE_BITS]]
-        cols = []
-        for v in transpose_ints(rows[:t], n):
-            x = 0
-            for table in tables:
-                x ^= table[v & _TABLE_MASK]
-                v >>= _TABLE_BITS
-            cols.append(x)
+        columns = transpose_ints(rows, n)
+        groups = {0: columns}  # k <= _SLICE_BITS: one group and one coset
+        if len(rows) > t:
+            groups, low = {}, (1 << t) - 1
+            for v in columns:
+                groups.setdefault(v >> t, []).append(v & low)
+        sums = []  # (g, planes of S_g, spare)
+        for g, members in groups.items():
+            planes = _carry_save([(0, _slice_sets(members, tables))], len(members))
+            sums.append((g, planes, (1 << len(planes)) - 1 - len(members)))
+        total = n + sum(spare for _, _, spare in sums)  # sum of 2^D - 1 over groups
         counts = [0] * (n + 1)
-        high = rows[t:]
-        depth = n.bit_length()
-        h = 0
-        for m in range(1 << len(high)):
-            if m:
-                h ^= high[(m & -m).bit_length() - 1]
-            planes = [0] * depth
-            held = [0] * depth
-            for j, x in enumerate(cols):
-                if (h >> j) & 1:
-                    x ^= full
-                b = 0
-                while (j >> b) & 1:
-                    a = planes[b]
-                    y = held[b]
-                    s = a ^ y
-                    planes[b] = s ^ x
-                    x = a & y | s & x
-                    b += 1
-                held[b] = x
-            carry = 0
-            for b in range(depth):
-                a = planes[b]
-                y = held[b] if (n >> b) & 1 else 0
-                s = a ^ y
-                planes[b] = s ^ carry
-                carry = a & y | s & carry
+        for m in range(1 << (len(rows) - t)):
+            planes, offset = sums[0][1], 0
+            if len(sums) > 1:
+                levels: list[list[int]] = [[] for _ in range(total.bit_length())]
+                for g, group, spare in sums:
+                    if (g & m).bit_count() & 1:
+                        offset += spare
+                        group = [p ^ full for p in group]
+                    for b, p in enumerate(group):
+                        levels[b].append(p)
+                planes = _carry_save(enumerate(levels), total)
             # Depth first, so at most two sets per plane are held at once.
             stack = [(0, full, len(planes))]
             while stack:
@@ -230,7 +224,7 @@ class LinearCode:
                     top = s & planes[level]
                     stack += ((w, s ^ top, level), (w | 1 << level, top, level))
                 else:
-                    counts[w] += s.bit_count()
+                    counts[w - offset] += s.bit_count()
         return WeightEnumerator(n, tuple(counts))
 
     def dual(self) -> LinearCode:
@@ -264,6 +258,56 @@ class LinearCode:
             is_self_dual=is_isotropic and 2 * self.dimension == self.n,
             is_spanning=union == (1 << self.n) - 1,
         )
+
+
+def _slice_sets(columns: list[int], tables: list[list[int]]) -> Iterator[int]:
+    """Each column's slice set: the XOR of one table set per five bits of it."""
+    for v in columns:
+        x = 0
+        for table in tables:
+            x ^= table[v & _TABLE_MASK]
+            v >>= _TABLE_BITS
+        yield x
+
+
+def _carry_save(terms: Iterable[tuple[int, Iterable[int]]], total: int) -> list[int]:
+    """Bit-planes, low first, of the per-message sum of weighted sets.
+
+    terms yields (level, sets), each set adding 2^level to the messages in
+    it; total is the sum of those 2^level, the most any message can reach.
+    Level b keeps planes[b] and may hold one more set of weight 2^b, held[b],
+    exactly when bit b of the weight j added so far is set.  A set arriving at
+    a full level goes through a full adder with the two there, which leaves
+    their sum in planes[b] and sends the carry up a level, so a set costs one
+    full adder per one bit of j from its level up to the first zero, about
+    five big-int operations on average.  One pass of adders at the end folds
+    the held sets into the planes.
+    """
+    depth = total.bit_length()
+    planes = [0] * depth
+    held = [0] * depth
+    j = 0
+    for level, sets in terms:
+        step = 1 << level
+        for x in sets:
+            b = level
+            while (j >> b) & 1:
+                a = planes[b]
+                y = held[b]
+                s = a ^ y
+                planes[b] = s ^ x
+                x = a & y | s & x
+                b += 1
+            held[b] = x
+            j += step
+    carry = 0
+    for b in range(depth):
+        a = planes[b]
+        y = held[b] if (j >> b) & 1 else 0
+        s = a ^ y
+        planes[b] = s ^ carry
+        carry = a & y | s & carry
+    return planes
 
 
 def _krawtchouk_lanes(coeffs: tuple[int, ...] | list[int], size: int, group: int) -> list[int]:

@@ -169,22 +169,34 @@ def rref_ints(rows: Sequence[int]) -> tuple[list[int], list[int]]:
 
     Fully reduced: each pivot column is zero in every other row.  Nonzero rows
     end up on top in increasing pivot order, zero rows at the bottom.  Each
-    pivot is its row's lowest set bit.  A new row is cleared at every pivot
-    found so far; if anything is left, its lowest bit is a new pivot and is
-    cleared from the earlier rows.
+    pivot is its row's lowest set bit.  Forward, a new row is cleared at its
+    lowest bit while that bit is a pivot, and what is left, if anything, is
+    filed under its lowest bit as a new pivot.  Back, in decreasing pivot
+    order, each row is cleared at the higher pivots it has, whose rows are
+    already zero at every other pivot.
     """
-    reduced: list[int] = []
+    by_pivot: dict[int, int] = {}  # pivot bit -> row
     for r in rows:
-        for row in reduced:
-            if r & row & -row:
-                r ^= row
-        if r:
+        while r:
             low = r & -r
-            reduced = [row ^ r if row & low else row for row in reduced]
-            reduced.append(r)
-    reduced.sort(key=lambda row: row & -row)
-    pivots = [(row & -row).bit_length() - 1 for row in reduced]
-    return reduced + [0] * (len(rows) - len(reduced)), pivots
+            row = by_pivot.get(low)
+            if row is None:
+                by_pivot[low] = r
+                break
+            r ^= row
+    order = sorted(by_pivot)
+    above = 0  # the pivot bits already reduced
+    for low in reversed(order):
+        row = by_pivot[low]
+        hit = row & above
+        while hit:
+            bit = hit & -hit
+            row ^= by_pivot[bit]
+            hit ^= bit
+        by_pivot[low] = row
+        above |= low
+    reduced = [by_pivot[low] for low in order]
+    return reduced + [0] * (len(rows) - len(reduced)), [low.bit_length() - 1 for low in order]
 
 
 _FIELD = {1: "B", 2: "H", 4: "I", 8: "Q"}  # struct codes of unsigned fields, by byte size

@@ -10,6 +10,7 @@ from conftest import (
     brute_distribution,
     free_column_nullspace,
     krawtchouk,
+    load_code,
     random_code,
 )
 from gf2codes import (
@@ -22,6 +23,7 @@ from gf2codes import (
     parse_generator_text,
 )
 from gf2codes.codes import _SLICE_BITS, _krawtchouk_lanes
+from gf2codes.gf2core import transpose_ints
 
 
 def brute_dual_words(code: LinearCode) -> set[int]:
@@ -126,6 +128,77 @@ PLANE_CASES = [(1, 1)] + [
 def test_sliced_count_at_plane_boundaries(n, k):
     code = _code_of_dimension(random.Random(n * 100 + k), n, k)
     assert code._sliced_count().counts == brute_distribution(code)
+
+
+def _code_from_columns(columns: list[int], k: int) -> LinearCode:
+    """The code whose generator has column j = columns[j], bit i in row i."""
+    rows = [sum(((v >> i) & 1) << j for j, v in enumerate(columns)) for i in range(k)]
+    return LinearCode.from_rows(Gf2Matrix.from_ints(rows, len(columns)))
+
+
+def _group_sizes(code: LinearCode) -> dict[int, int]:
+    """Coordinates per high column g, the bits of the rows past the slice."""
+    sizes: dict[int, int] = {}
+    for v in transpose_ints(code.generator.rows, code.n):
+        sizes[v >> _SLICE_BITS] = sizes.get(v >> _SLICE_BITS, 0) + 1
+    return sizes
+
+
+# Each high row's coordinates other than its pivot also lie in low rows, so
+# its group holds its pivot, an empty slice set, and the given number more.
+@pytest.mark.parametrize("extra", [0, 1, 5], ids=str)
+def test_sliced_count_high_row_off_the_low_rows_only_at_its_pivot(extra):
+    rng = random.Random(41 + extra)
+    t, high = _SLICE_BITS, 2
+    columns = [1 << i for i in range(t + high)]
+    for i in range(high):
+        columns += [rng.randrange(1, 1 << t) | 1 << (t + i) for _ in range(extra)]
+    columns += [rng.randrange(1, 1 << t) for _ in range(6)]
+    code = _code_from_columns(columns, t + high)
+    assert code.dimension == t + high
+    low_support = 0
+    for r in code.generator.rows[:t]:
+        low_support |= r
+    for i in range(high):
+        assert code.generator.rows[t + i] & ~low_support == 1 << (t + i)
+        assert _group_sizes(code)[1 << i] == 1 + extra
+    assert code._sliced_count().counts == brute_distribution(code)
+
+
+def test_sliced_count_with_every_group_nonempty():
+    """Three high rows, so eight groups: all present, one of a single
+    coordinate, one of exactly 2^D - 1 (no spare) and one of 2^D."""
+    rng = random.Random(43)
+    t, high = _SLICE_BITS, 3
+    sizes = {0: 2, 1: 3, 2: 4, 3: 1, 4: 7, 5: 3, 6: 1, 7: 2}
+    columns = [1 << i for i in range(t + high)]
+    for g, size in sizes.items():
+        columns += [rng.randrange(1, 1 << t) | g << t for _ in range(size)]
+    code = _code_from_columns(columns, t + high)
+    assert code.dimension == t + high and code.n <= 40
+    found = _group_sizes(code)
+    assert set(found) == set(range(1 << high))
+    assert 1 in found.values() and 3 in found.values() and 8 in found.values()
+    assert code._sliced_count().counts == brute_distribution(code)
+
+
+@pytest.mark.parametrize(
+    "n,k", [(n, k) for k in range(15, 19) for n in (k, 21, 26) if n >= k], ids=str
+)
+def test_sliced_count_over_several_cosets_at_short_lengths(n, k):
+    code = _code_of_dimension(random.Random(n * 31 + k), n, k)
+    assert code._sliced_count().counts == brute_distribution(code)
+
+
+def test_reed_muller_2_5_fixture():
+    """RM(2,5), [32, 16, 8]: k = 16 counts the primal over four cosets."""
+    code = load_code("reed_muller_2_5.txt")
+    assert (code.n, code.dimension) == (32, 16)
+    assert code.weight_distribution().nonzero() == (
+        (0, 1), (8, 620), (12, 13888), (16, 36518), (20, 13888), (24, 620), (32, 1),
+    )
+    profile = code.predicate_profile()
+    assert profile.is_self_dual and profile.is_doubly_even
 
 
 def test_sliced_count_memory_is_bounded():

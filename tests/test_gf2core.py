@@ -153,11 +153,17 @@ def test_rref_idempotent_and_span_preserving():
 
 def test_rref_ints_matches_column_scan():
     """n <= 140, k <= 40: no rows, n = 0, zero, repeated and dependent rows,
-    and full rank."""
+    and full rank; and the analyze shapes, k 15-20 at n up to 128, as random
+    rows, as rows already reduced and with a dependent row added."""
     rng = random.Random(13)
     cases = [([], 0), ([0], 0), ([0, 0], 0)]
     for n in (1, 2, 63, 64, 65, 140):
         cases += [([], n), ([0, 0], n), ([1 << i for i in rng.sample(range(n), min(n, 40))], n)]
+    for k in range(15, 21):
+        for n in sorted({k, 26, 40, 64, 128} - set(range(k))):
+            rows = [rng.getrandbits(n) for _ in range(k)]
+            reduced = column_scan_rref(rows, n)[0]
+            cases += [(rows, n), (reduced, n), (reduced + [reduced[0] ^ reduced[-1]], n)]
     for _ in range(300):
         n = rng.randrange(0, 141)
         rows = [rng.getrandbits(n) for _ in range(rng.randrange(0, 41))]
