@@ -72,14 +72,7 @@ class ProofStep:
     data: Mapping[str, object]  # JSON-native values only: str, int, bool, lists
 
     def to_json_dict(self) -> dict[str, object]:
-        return {
-            "id": self.id,
-            "kind": self.kind,
-            "statement": self.statement,
-            "anchor": self.anchor,
-            "status": self.status,
-            "data": dict(self.data),
-        }
+        return {**vars(self), "data": dict(self.data)}
 
 
 @dataclass(frozen=True)
@@ -137,7 +130,7 @@ def verify_remark_a56(ambient: int) -> ProofStep:
     are then needed, so any ambient below 68 admits at most one such word.
     """
     low, top = min(_LEMMA_WEIGHTS), max(_LEMMA_WEIGHTS)
-    union = min_union_length(top, top, low)
+    union = _a56_union()
     overlap = 2 * top - union
     return ProofStep(
         id=f"a56-at-most-one-n{ambient}",
@@ -165,10 +158,10 @@ def verify_remark_a56(ambient: int) -> ProofStep:
     )
 
 
-def _a56_ambient_cap() -> int:
-    """Longest ambient in which the remark allows at most one weight-56 word."""
+def _a56_union() -> int:
+    """Fewest coordinates two weight-56 words span if their sum weighs >= 24."""
     low, top = min(_LEMMA_WEIGHTS), max(_LEMMA_WEIGHTS)
-    return min_union_length(top, top, low) - 1
+    return min_union_length(top, top, low)
 
 
 def a56_sharpness_construction() -> LinearCode:
@@ -178,10 +171,14 @@ def a56_sharpness_construction() -> LinearCode:
     coordinates, so their sum has weight 24 and all nonzero weights are
     >= 24 while a_56 = 2.  Every number follows from ``_LEMMA_WEIGHTS``.
     """
-    low, top = min(_LEMMA_WEIGHTS), max(_LEMMA_WEIGHTS)
-    length = min_union_length(top, top, low)
+    top, length = max(_LEMMA_WEIGHTS), _a56_union()
     v = (1 << top) - 1
     return LinearCode.from_rows(Gf2Matrix.from_ints([v, v << (length - top)], length))
+
+
+# Lemma 2.6's closed forms for a_24, a_32 and the second moment's inner term.
+_COUNT_FORMS = ("2^(d-4)*(64-n) - 4", "2^(d-4)*(n-48) + 3")
+_INNER_TERM = "9*2^(d-6)*(64-n) + 2^(d-2)*(n-48) + 3"
 
 
 def _closed_form_counts(n: int, d: int) -> tuple[Fraction, Fraction]:
@@ -265,16 +262,15 @@ def verify_lemma_2_6(d: int, n_range: tuple[int, int] = (1, 128)) -> ProofReport
             id="closed-form-counts",
             kind="arithmetic",
             statement=(
-                f"the first two moment equations give a_{pair[0]} = 2^(d-4)*(64-n) - 4 "
-                f"and a_{pair[1]} = 2^(d-4)*(n-48) + 3 at every length in range"
+                f"the first two moment equations give a_{pair[0]} = {_COUNT_FORMS[0]} "
+                f"and a_{pair[1]} = {_COUNT_FORMS[1]} at every length in range"
             ),
             anchor="lemma-2-6 / two-weight count solve",
             status=all_match,
             data={
                 "dimension": d,
                 "n_range": [lo, hi],
-                f"a{pair[0]}_formula": "2^(d-4)*(64-n) - 4",
-                f"a{pair[1]}_formula": "2^(d-4)*(n-48) + 3",
+                **{f"a{x}_formula": form for x, form in zip(pair, _COUNT_FORMS)},
                 "all_lengths_match": all_match,
             },
         ),
@@ -291,7 +287,7 @@ def verify_lemma_2_6(d: int, n_range: tuple[int, int] = (1, 128)) -> ProofReport
             data={
                 "dimension": d,
                 "required_valuation": required,
-                "lhs_factored": "2^8 * (9*2^(d-6)*(64-n) + 2^(d-2)*(n-48) + 3)",
+                "lhs_factored": f"2^8 * ({_INNER_TERM})",
                 "factored_matches_sum": factored_ok,
                 "valuations_seen": sorted(valuations),
                 "zero_lhs_lengths": zero_lhs_lengths,
@@ -311,7 +307,7 @@ def verify_lemma_2_6(d: int, n_range: tuple[int, int] = (1, 128)) -> ProofReport
             anchor="lemma-2-6 / inner term is odd",
             status=d >= 7,
             data={
-                "inner_term": "9*2^(d-6)*(64-n) + 2^(d-2)*(n-48) + 3",
+                "inner_term": _INNER_TERM,
                 "even_summands_from_dimension": 7,
                 "dimension": d,
                 "valuation_for_all_lengths": 8 if d >= 7 else None,
@@ -337,7 +333,7 @@ def verify_lemma_24_32_56() -> ProofReport:
     """
     top = max(_LEMMA_WEIGHTS)
     pair_weights = [x for x in _LEMMA_WEIGHTS if x != top]
-    cap = _a56_ambient_cap()
+    cap = _a56_union() - 1
     # Lemma 2.6 rules out two-weight codes of dimension _LEMMA_BOUND at every
     # length it scans, so they have dimension at most one less.
     two_weight = verify_lemma_2_6(_LEMMA_BOUND)
@@ -421,8 +417,9 @@ def verify_theorem_a() -> ProofReport:
     spanning length.  Higher dimensions are covered because any code of
     dimension above 13 contains a 13-dimensional subcode with the same
     weight constraint.  Every number is derived from ``_THEOREM_A``, the
-    three-weight lemma and the paper's stated a_56 forms.  Each spanning
-    length in the window is refuted by the block for its deficit.
+    three-weight lemma and the paper's stated a_56 forms.  Each deficit is one
+    spanning length, so one pass refutes deficits 0, 1 and 2, those the window
+    reaches; a window past the last stated a_56 form fails ``length-window``.
     """
     n_max, dim, weights = _THEOREM_A
     low, top = min(weights), max(weights)
@@ -431,7 +428,7 @@ def verify_theorem_a() -> ProofReport:
     outside = sorted(set(weights) - set(_LEMMA_WEIGHTS))
     lemma_weights = _braces(_LEMMA_WEIGHTS)
     bound = _LEMMA_BOUND
-    cap = _a56_ambient_cap()
+    cap = _a56_union() - 1
     lemma = verify_lemma_24_32_56()
     pdim = dim - 1
     steps: list[ProofStep] = []
@@ -458,11 +455,11 @@ def verify_theorem_a() -> ProofReport:
         return ProofReport(theorem=theorem, steps=tuple(steps))
     w = outside[0]
 
-    def count_solve(n: int, deficit: int) -> tuple[bool, str, Fraction]:
+    def count_solve(n: int, deficit: int) -> tuple[bool, str, Fraction, int]:
         """Solve the moment equations at length n; check the stated a_56 form.
 
-        Returns whether it matched, the stated rearrangement for a2_star, and
-        the least a2_star that a_56 >= 0 and a3_star >= 0 allow.
+        Returns whether it matched, the stated rearrangement for a2_star, the
+        least a2_star that a_56 >= 0 and a3_star >= 0 allow, and its ceiling.
         """
         want, printed, rearranged = _STATED_A56[deficit]
         sol = solve_weight_counts(n, dim, weights)
@@ -479,7 +476,7 @@ def verify_theorem_a() -> ProofReport:
         floor = Fraction(0)
         if form.a2_coeff > 0 >= form.a3_coeff:
             floor = -form.const / form.a2_coeff
-        return form == want, rearranged, floor
+        return form == want, rearranged, floor, math.ceil(floor)
 
     step(
         f"weight-{w}-exists", "cited-lemma",
@@ -526,14 +523,26 @@ def verify_theorem_a() -> ProofReport:
     )
 
     # A spanning length's deficit is how far its projection's length n - w
-    # exceeds 2 * pdim.  Each length in the window is refuted by the block for
-    # its deficit: 0 (a self-dual projection) or one with a stated a_56 form.
+    # exceeds 2 * pdim: 0 (a self-dual projection) or a stated a_56 form's key.
     base = w + 2 * pdim
     window = list(range(base, n_max + 1))
+    step(
+        "length-window", "arithmetic",
+        f"an isotropic dimension-{pdim} code needs ambient at least {2 * pdim}, "
+        f"so the spanning length n satisfies n - {w} >= {2 * pdim}; with "
+        f"n <= {n_max} the cases are n in {_braces(window)}",
+        "isotropic dimension caps the length deficit",
+        n_max - base <= max(_STATED_A56),
+        {
+            "isotropic_dimension": pdim,
+            "min_projection_ambient": 2 * pdim,
+            "length_window": window,
+        },
+    )
 
     # Deficit 0: the projection is self-dual.
-    def self_dual(n: int) -> None:
-        ambient = n - w
+    if base <= n_max:
+        n, ambient = base, base - w
         step(
             f"n{n}-projection-self-dual", "arithmetic",
             f"at n = {n} the projection is isotropic of dimension {pdim} in "
@@ -596,11 +605,10 @@ def verify_theorem_a() -> ProofReport:
 
     # Deficit k = 1: one weight-2 dual word z, which the projection cannot
     # have; shortening at it costs k dimensions and 2k coordinates.
-    def one_dual_pair(n: int) -> None:
-        k = n - base
-        ambient = n - w
-        matched, rearranged, floor = count_solve(n, k)
-        a2_min = math.ceil(floor)
+    k = 1
+    if base + k <= n_max:
+        n, ambient = base + k, base + k - w
+        matched, rearranged, floor, a2_min = count_solve(n, k)
         step(
             f"n{n}-dual-pair-exists", "arithmetic",
             f"rearranged, a2_star = {rearranged} >= {floor} > 0, so the dual "
@@ -645,11 +653,10 @@ def verify_theorem_a() -> ProofReport:
 
     # Deficit k = 2: two weight-2 dual words z1, z2, while the projection
     # allows at most one dual pair.
-    def two_dual_pairs(n: int) -> None:
-        k = n - base
-        ambient = n - w
-        matched, rearranged, floor = count_solve(n, k)
-        a2_min = math.ceil(floor)
+    k = 2
+    if base + k <= n_max:
+        n, ambient = base + k, base + k - w
+        matched, rearranged, floor, a2_min = count_solve(n, k)
         step(
             f"n{n}-dual-pairs-at-least-{a2_min}", "arithmetic",
             f"rearranged, a2_star = {rearranged} >= {floor}, and being an integer "
@@ -719,24 +726,6 @@ def verify_theorem_a() -> ProofReport:
                 "cited_bound": bound,
             },
         )
-
-    blocks = {0: self_dual, 1: one_dual_pair, 2: two_dual_pairs}
-    step(
-        "length-window", "arithmetic",
-        f"an isotropic dimension-{pdim} code needs ambient at least {2 * pdim}, "
-        f"so the spanning length n satisfies n - {w} >= {2 * pdim}; with "
-        f"n <= {n_max} the cases are n in {_braces(window)}",
-        "isotropic dimension caps the length deficit",
-        all(n - base in blocks for n in window),
-        {
-            "isotropic_dimension": pdim,
-            "min_projection_ambient": 2 * pdim,
-            "length_window": window,
-        },
-    )
-    for n in window:
-        if n - base in blocks:
-            blocks[n - base](n)
 
     step(
         "conclusion", "structural",

@@ -374,6 +374,37 @@ def test_dimension_bound_theorem_accepts_weaker_claim(monkeypatch, claim, window
 
 
 @pytest.mark.parametrize(
+    "claim, replayed",
+    [
+        ((67, 13, (24, 32, 40, 56)), [64, 65, 66]),
+        ((66, 12, (24, 32, 40, 56)), [62, 63, 64]),
+        ((70, 13, (24, 32, 40, 56)), [64, 65, 66]),
+    ],
+    ids=["length-67", "dimension-12", "length-70"],
+)
+def test_window_past_deficit_two_still_replays_each_deficit(monkeypatch, claim, replayed):
+    # Each deficit is one spanning length.  A window that runs past deficit 2
+    # fails length-window, yet deficits 0, 1 and 2 are still replayed, in
+    # order and at their own lengths, and the lengths past them get no steps.
+    monkeypatch.setattr(prover, "_THEOREM_A", claim)
+    report = verify_theorem_a()
+    by_id = {s.id: s for s in report.steps}
+    assert not by_id["length-window"].status
+    assert by_id["length-window"].data["length_window"] == list(range(replayed[0], claim[0] + 1))
+    per_length = [s for s in report.steps if re.match(r"n\d+-", s.id)]
+    lengths = [int(re.match(r"n(\d+)-", s.id)[1]) for s in per_length]
+    assert lengths == sorted(lengths) and sorted(set(lengths)) == replayed
+    openers = [s.id for s in per_length if s.id.endswith(("-projection-self-dual", "-count-solve"))]
+    assert openers == [f"n{replayed[0]}-projection-self-dual", f"n{replayed[1]}-count-solve",
+                       f"n{replayed[2]}-count-solve"]
+    if claim[1] == 13:
+        # The same deficits as the stated claim, so the same steps.
+        monkeypatch.setattr(prover, "_THEOREM_A", (66, 13, (24, 32, 40, 56)))
+        stated = [s for s in verify_theorem_a().steps if re.match(r"n\d+-", s.id)]
+        assert per_length == stated
+
+
+@pytest.mark.parametrize(
     "claim, failed_step",
     [
         ((66, 13, (24, 32, 41, 56)), "n66-count-solve"),
