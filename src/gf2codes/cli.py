@@ -14,14 +14,13 @@ import functools
 import json
 import sys
 from json.encoder import encode_basestring_ascii
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import __version__
 from .codes import (
     DEFAULT_ENUMERATION_CAP,
     LinearCode,
     WeightEnumerator,
-    macwilliams_transform,
     parse_generator_text,
 )
 from .gf2core import Gf2Vector
@@ -39,7 +38,8 @@ def _load_code(path: str) -> LinearCode:
 
 
 def _emit(args: argparse.Namespace, command: str, inputs: dict, payload: dict,
-          human: list[str]) -> None:
+          human: Callable[[], list[str]]) -> None:
+    """Print the ``--json`` document, or else the lines ``human()`` builds."""
     if args.json:
         document = {
             "command": command,
@@ -49,7 +49,7 @@ def _emit(args: argparse.Namespace, command: str, inputs: dict, payload: dict,
         }
         print(_dumps(document))
     else:
-        for line in human:
+        for line in human():
             print(line)
 
 
@@ -100,8 +100,7 @@ def _distribution_line(label: str, we: WeightEnumerator) -> str:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     code = _load_code(args.path)
-    we = code.weight_distribution(cap=args.cap)
-    dual_we = macwilliams_transform(we, code.dimension)
+    we, dual_we = code._weight_distributions(args.cap)
     # The fields in order.  dataclasses.asdict would do the same but builds
     # a tuple from a generator on every call (see gf2core's module docs).
     profile_payload = vars(code.predicate_profile())
@@ -112,14 +111,13 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         "dual_weight_distribution": _distribution_payload(dual_we),
         "profile": profile_payload,
     }
-    human = [
+    _emit(args, "analyze", {"path": args.path}, payload, lambda: [
         f"n={code.n} k={code.dimension}",
         _distribution_line("distribution", we),
         _distribution_line("dual distribution", dual_we),
         "profile: " + " ".join(f"{k[3:]}={'yes' if v else 'no'}"
                                for k, v in profile_payload.items()),
-    ]
-    _emit(args, "analyze", {"path": args.path}, payload, human)
+    ])
     return 0
 
 
@@ -127,8 +125,8 @@ def _cmd_dual(args: argparse.Namespace) -> int:
     code = _load_code(args.path)
     dual = code.dual()
     payload = {"n": dual.n, "dimension": dual.dimension, "generator": dual.generator.row_strings()}
-    human = [f"n={dual.n} k={dual.dimension}"] + payload["generator"]
-    _emit(args, "dual", {"path": args.path}, payload, human)
+    _emit(args, "dual", {"path": args.path}, payload,
+          lambda: [f"n={dual.n} k={dual.dimension}", *payload["generator"]])
     return 0
 
 
@@ -155,8 +153,8 @@ def _emit_surgery(args: argparse.Namespace, command: str, inputs: dict,
     generator = result.generator.row_strings()
     payload = {"n": result.n, "dimension": result.dimension, "generator": generator,
                "note": note}
-    human = [f"n={result.n} k={result.dimension} ({note})"] + generator
-    _emit(args, command, inputs, payload, human)
+    _emit(args, command, inputs, payload,
+          lambda: [f"n={result.n} k={result.dimension} ({note})", *generator])
 
 
 def _cmd_project(args: argparse.Namespace) -> int:
@@ -186,15 +184,14 @@ def _cmd_moments(args: argparse.Namespace) -> int:
         "identities": list(report.identity_status),
         "all_hold": report.all_hold,
     }
-    human = [
+    _emit(args, "moments", {"path": args.path}, payload, lambda: [
         f"n={report.n} k={report.d}",
         f"moments (orders 0..3): {', '.join(str(m) for m in report.moments)}",
         f"a2_star={report.a2_star} a3_star={report.a3_star}",
         "identities: " + " ".join(
             f"eq{idx + 1}={'ok' if ok else 'FAIL'}" for idx, ok in enumerate(report.identity_status)
         ),
-    ]
-    _emit(args, "moments", {"path": args.path}, payload, human)
+    ])
     return 0
 
 
@@ -210,11 +207,14 @@ def _cmd_feasibility(args: argparse.Namespace) -> int:
         "witness": dict(verdict.witness) if verdict.witness is not None else None,
         "certificate": verdict.certificate,
     }
-    human = [f"status: {verdict.status}", f"reason: {verdict.reason}"]
-    if verdict.witness is not None:
-        human.append(f"witness: {json.dumps(dict(verdict.witness))}")
-    if verdict.certificate is not None:
-        human.append(f"certificate: {verdict.certificate}")
+    def human() -> list[str]:
+        lines = [f"status: {verdict.status}", f"reason: {verdict.reason}"]
+        if verdict.witness is not None:
+            lines.append(f"witness: {json.dumps(dict(verdict.witness))}")
+        if verdict.certificate is not None:
+            lines.append(f"certificate: {verdict.certificate}")
+        return lines
+
     _emit(args, "feasibility", {"n": args.n, "d": args.d, "weights": list(weights)},
           payload, human)
     return 0
@@ -237,11 +237,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         report = verify_theorem_a()
         inputs = {"claim": args.claim}
     payload = report.to_json_dict()
-    human = [f"claim: {report.theorem}"]
-    for step in report.steps:
-        human.append(f"  [{'ok' if step.status else 'FAIL'}] {step.id}: {step.statement}")
-    human.append(f"overall: {'PASS' if report.overall else 'FAIL'}")
-    _emit(args, "verify", inputs, payload, human)
+    _emit(args, "verify", inputs, payload, lambda: [
+        f"claim: {report.theorem}",
+        *(f"  [{'ok' if step.status else 'FAIL'}] {step.id}: {step.statement}"
+          for step in report.steps),
+        f"overall: {'PASS' if report.overall else 'FAIL'}",
+    ])
     return 0 if report.overall else 1
 
 
@@ -257,15 +258,13 @@ def _cmd_search(args: argparse.Namespace) -> int:
         "nodes_explored": result.nodes_explored,
         "complete": result.complete,
     }
-    human = [
+    _emit(args, "search", {"n": args.n, "weights": list(weights),
+                           "node_cap": args.node_cap}, payload, lambda: [
         f"max dimension {result.max_dimension} for weights "
         f"{{{','.join(str(w) for w in result.weights)}}} in F^{result.n}"
         + ("" if result.complete else " (INCOMPLETE: node cap reached)"),
-    ]
-    if witness_rows:
-        human.extend(witness_rows)
-    _emit(args, "search", {"n": args.n, "weights": list(weights),
-                           "node_cap": args.node_cap}, payload, human)
+        *(witness_rows or ()),
+    ])
     return 0
 
 

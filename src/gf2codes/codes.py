@@ -161,6 +161,16 @@ class LinearCode:
             return macwilliams_transform(self.dual()._sliced_count(), self.n - d)
         return self._sliced_count()
 
+    def _weight_distributions(self, cap: int) -> tuple[WeightEnumerator, WeightEnumerator]:
+        """This code's distribution and its dual's, from one count of the
+        smaller side and one MacWilliams transform."""
+        d = self.dimension
+        if 2 * d > self.n and d <= cap:  # over the cap, weight_distribution raises
+            dual_we = self.dual().weight_distribution(cap)
+            return macwilliams_transform(dual_we, self.n - d), dual_we
+        we = self.weight_distribution(cap)
+        return we, macwilliams_transform(we, d)
+
     def _sliced_count(self) -> WeightEnumerator:
         """Distribution of the span, counted over bit slices of messages.
 

@@ -42,8 +42,8 @@ __all__ = [
 _THEOREM_A = (66, 13, (24, 32, 40, 56))
 # Lemma 2.6: the two weights whose counts its closed forms give.
 _LEMMA_2_6_WEIGHTS = (24, 32)
-# The most lengths a Lemma 2.6 replay accepts: its report lists every length,
-# so its time and size grow with the range.
+# The most lengths a Lemma 2.6 replay accepts: its scan is solved in closed
+# form, but its report can list every length, so its size grows with the range.
 _LEMMA_2_6_MAX_LENGTHS = 4096
 # The three-weight lemma: its weights, and the dimension bound it proves in
 # every ambient too short for two words of the largest weight.
@@ -190,6 +190,78 @@ def _factored_lhs(n: int, d: int) -> Fraction:
     return 256 * (Fraction(2) ** (d - 6) * 9 * (64 - n) + Fraction(2) ** (d - 2) * (n - 48) + 3)
 
 
+def _v2(x: int) -> int:
+    """2-adic valuation of a nonzero integer."""
+    return (x & -x).bit_length() - 1
+
+
+def _root_class(a: int, b: int, k: int) -> tuple[int, int] | None:
+    """The t with 2^k dividing a + b*t, as (residue, period), or None.
+
+    For b = 2^e * (odd) with e < k, 2^e must divide a, and then t is one
+    class modulo 2^(k - e); if 2^k divides b, every t or none qualifies.
+    """
+    e = min(_v2(b), k) if b else k
+    if a % (1 << e):
+        return None
+    period = 1 << k - e
+    return -(a >> e) * pow(b >> e, -1, period) % period, period
+
+
+def _meet(x: tuple[int, int] | None, y: tuple[int, int] | None) -> tuple[int, int] | None:
+    """The intersection of two residue classes whose periods are powers of two."""
+    if x is None or y is None:
+        return None
+    if x[1] > y[1]:
+        x, y = y, x
+    return y if (y[0] - x[0]) % x[1] == 0 else None
+
+
+def _affine_scan(lo: int, hi: int, lhs: tuple[int, int], counts: list[tuple[int, int]],
+                 shift: int, required: int) -> tuple[list[int], ...]:
+    """Lemma 2.6's divisibility scan of the lengths [lo, hi], in closed form.
+
+    At t = n - lo the left side is L + S*t for lhs = (L, S), and each count
+    is c + s*t for (c, s) in counts, all scaled by 2^shift.  Returns the
+    left side's 2-adic valuations less shift, then the lengths where it is
+    zero, where 2^(required + shift) divides it (no contradiction), where
+    every count is a nonnegative multiple of 2^shift (admissible), and
+    where both of the last two hold.  Each list of lengths is the part of
+    an interval in one residue class modulo a power of two.
+    """
+    span = hi - lo
+    L, S = lhs
+    if L and (not S or _v2(L) < _v2(S)):  # every length has L's valuation
+        valuations = [_v2(L) - shift]
+    else:  # 2^v exactly divides L + S*t iff 2^(v+1) divides L - 2^v + S*t
+        top = max(abs(L), abs(L + S * span)).bit_length()
+        valuations = [v - shift for v in range(top)
+                      if (cls := _root_class(L - (1 << v), S, v + 1)) and cls[0] <= span]
+    if S:
+        root, rem = divmod(-L, S)
+        zero = [lo + root] if not rem and 0 <= root <= span else []
+    else:
+        zero = list(range(lo, hi + 1)) if not L else []
+    first, last, integral = 0, span, (0, 1)
+    for c, s in counts:
+        if s > 0:
+            first = max(first, -(c // s))
+        elif s < 0:
+            last = min(last, c // -s)
+        elif c < 0:
+            last = -1
+        integral = _meet(integral, _root_class(c, s, shift))
+    divisible = _root_class(L, S, required + shift)
+
+    def lengths(cls: tuple[int, int] | None, first: int = 0, last: int = span) -> list[int]:
+        if cls is None:
+            return []
+        return list(range(lo + first + (cls[0] - first) % cls[1], lo + last + 1, cls[1]))
+
+    return (valuations, zero, lengths(divisible), lengths(integral, first, last),
+            lengths(_meet(integral, divisible), first, last))
+
+
 def verify_lemma_2_6(d: int, n_range: tuple[int, int] = (1, 128)) -> ProofReport:
     """Replay the two-weight {24, 32} divisibility contradiction at dimension d.
 
@@ -206,9 +278,10 @@ def verify_lemma_2_6(d: int, n_range: tuple[int, int] = (1, 128)) -> ProofReport
     in n; so are the closed forms, the left side sum of w^2 * a_w and its
     factored form.  Two affine functions that agree at two lengths agree at
     every length, so agreement at both ends proves it for the whole range.
-    The scan then steps the closed-form counts and the left side from one
-    length to the next by their exact increments, as integers scaled by
-    2^max(0, 4 - d).  The report lists lengths, so a range of more than
+    The scan takes the closed-form counts and the left side as affine
+    integers in n, scaled by 2^max(0, 4 - d), and ``_affine_scan`` solves
+    each of its conditions as a residue class of lengths, without visiting
+    them one by one.  The report lists lengths, so a range of more than
     ``_LEMMA_2_6_MAX_LENGTHS`` raises.
     """
     lo, hi = n_range
@@ -231,31 +304,14 @@ def verify_lemma_2_6(d: int, n_range: tuple[int, int] = (1, 128)) -> ProofReport
         factored_ok &= sum(w * w * c for w, c in zip(pair, counts)) == _factored_lhs(n, d)
 
     required = d - 1
-    valuations: set[int] = set()
-    zero_lhs_lengths: list[int] = []
-    no_contradiction: list[int] = []
-    admissible: list[int] = []
-    admissible_no_contradiction: list[int] = []
     shift = max(0, 4 - d)
     scale = 1 << shift
     counts = [int(c * scale) for c in _closed_form_counts(lo, d)]
     slopes = [int(c * scale) - a for a, c in zip(counts, _closed_form_counts(lo + 1, d))]
     lhs, lhs_slope = (sum(w * w * c for w, c in zip(pair, cs)) for cs in (counts, slopes))
-    for n in range(lo, hi + 1):
-        v2 = (lhs & -lhs).bit_length() - 1 - shift if lhs else None
-        if v2 is None:
-            zero_lhs_lengths.append(n)
-        else:
-            valuations.add(v2)
-        contradiction = v2 is not None and v2 < required
-        if not contradiction:
-            no_contradiction.append(n)
-        if all(c >= 0 and c % scale == 0 for c in counts):
-            admissible.append(n)
-            if not contradiction:
-                admissible_no_contradiction.append(n)
-        counts = [c + s for c, s in zip(counts, slopes)]
-        lhs += lhs_slope
+    valuations, zero_lhs_lengths, no_contradiction, admissible, admissible_no_contradiction = (
+        _affine_scan(lo, hi, (lhs, lhs_slope), list(zip(counts, slopes)), shift, required)
+    )
 
     steps = (
         ProofStep(
@@ -289,7 +345,7 @@ def verify_lemma_2_6(d: int, n_range: tuple[int, int] = (1, 128)) -> ProofReport
                 "required_valuation": required,
                 "lhs_factored": f"2^8 * ({_INNER_TERM})",
                 "factored_matches_sum": factored_ok,
-                "valuations_seen": sorted(valuations),
+                "valuations_seen": valuations,
                 "zero_lhs_lengths": zero_lhs_lengths,
                 "lengths_without_contradiction": no_contradiction,
                 "admissible_lengths": admissible,

@@ -19,7 +19,7 @@ import pytest
 
 import gf2codes
 from conftest import FIXTURES, random_code
-from gf2codes import __version__, cli, format_generator_text
+from gf2codes import __version__, cli, codes, format_generator_text
 from gf2codes.cli import run
 
 GOLAY = str(FIXTURES / "golay_24_12.txt")
@@ -341,6 +341,35 @@ def test_every_subcommand_emits_schema_json(capsys):
         assert set(doc) == {"command", "inputs", "payload", "version"}, argv
         assert doc["command"] == argv[0]
         assert json.loads(json.dumps(doc)) == doc
+
+
+def test_json_output_builds_no_human_lines(capsys, monkeypatch):
+    # Under --json the human lines are never built; without it they are.
+    built = []
+    emit, line = cli._emit, cli._distribution_line
+    monkeypatch.setattr(cli, "_emit", lambda args, command, inputs, payload, human: emit(
+        args, command, inputs, payload, lambda: built.append(command) or human()))
+    monkeypatch.setattr(cli, "_distribution_line",
+                        lambda label, we: built.append(label) or line(label, we))
+    for argv in SCHEMA_INVOCATIONS + [["analyze", HAMMING16], ["verify", "theorem-a"]]:
+        assert run(argv + ["--json"]) == 0, argv
+        assert built == [], argv
+        assert run(argv) == 0, argv
+        assert built[0] == argv[0], argv
+        built.clear()
+    capsys.readouterr()
+
+
+def test_analyze_transforms_once(capsys, monkeypatch):
+    calls = []
+    transform = codes.macwilliams_transform
+    monkeypatch.setattr(codes, "macwilliams_transform",
+                        lambda we, d: calls.append(d) or transform(we, d))
+    for path, counted in ((GOLAY, 12), (HAMMING16, 5)):
+        assert run(["analyze", path, "--json"]) == 0
+        assert calls == [counted], path
+        calls.clear()
+    capsys.readouterr()
 
 
 _JSON_TEXT = ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "/", "a", " ", "\u00e9", "\u2028",

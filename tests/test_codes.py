@@ -22,6 +22,7 @@ from gf2codes import (
     macwilliams_transform,
     parse_generator_text,
 )
+from gf2codes import codes
 from gf2codes.codes import _SLICE_BITS, _krawtchouk_lanes
 from gf2codes.gf2core import transpose_ints
 
@@ -310,6 +311,31 @@ def test_macwilliams_full_space_gives_zero_code():
 def test_weight_distribution_cap(even_weight_4):
     with pytest.raises(ValueError, match="cap 2"):
         even_weight_4.weight_distribution(cap=2)
+
+
+def test_weight_distributions_count_once_and_transform_once(monkeypatch):
+    # Both sides of a code, for either rate: one count of the smaller side
+    # and one MacWilliams transform, equal to brute force on each side.
+    calls = []
+    transform = macwilliams_transform
+    count = LinearCode._sliced_count
+    monkeypatch.setattr(codes, "macwilliams_transform",
+                        lambda we, d: calls.append("transform") or transform(we, d))
+    monkeypatch.setattr(LinearCode, "_sliced_count",
+                        lambda code: calls.append(code.dimension) or count(code))
+    rng = random.Random(11)
+    for n in range(1, 15):
+        for rows in range(n + 1):
+            code = random_code(rng, n, rows)
+            calls.clear()
+            we, dual_we = code._weight_distributions(cap=n)
+            k = code.dimension
+            assert calls == [min(k, n - k), "transform"], (n, k)
+            assert we.counts == brute_distribution(code)
+            assert dual_we.counts == brute_distribution(code.dual())
+    high_rate = LinearCode.from_rows(Gf2Matrix.from_ints([1 << i for i in range(12)], 13))
+    with pytest.raises(ValueError, match="^dimension 12 exceeds enumeration cap 11;"):
+        high_rate._weight_distributions(cap=11)
 
 
 def test_zero_dimensional_code():

@@ -188,16 +188,68 @@ def test_two_weight_scan_vacuous_outside_admissible_window():
     assert report.steps[1].data["admissible_lengths"] == []
 
 
-LEMMA_2_6_RANGES = [(1, 256), (1, 1), (64, 64), (47, 49), (40, 70), (129, 200)]
+LEMMA_2_6_RANGES = [(1, 256), (1, 1), (64, 64), (47, 49), (40, 70), (129, 200), (3, 130),
+                    (1, 4096)]
+# The reference solves the moment equations at every length, so the longest
+# range is replayed at a fractional-count dimension and at the bound only.
+LEMMA_2_6_REFERENCE_DIMENSIONS = {(1, 4096): (3, 10)}
 
 
 @pytest.mark.parametrize("n_range", LEMMA_2_6_RANGES, ids=lambda r: f"{r[0]}-{r[1]}")
 def test_two_weight_scan_matches_per_length_reference(n_range):
     # d < 6 makes 2^(d-4) or 2^(d-6) a fraction.
-    for d in range(17):
+    for d in LEMMA_2_6_REFERENCE_DIMENSIONS.get(n_range, range(17)):
         want = json.dumps(lemma_2_6_reference(d, n_range).to_json_dict(), indent=2)
         got = json.dumps(verify_lemma_2_6(d, n_range).to_json_dict(), indent=2)
         assert got == want, (d, n_range)
+
+
+def _affine_scan_per_length(lo, hi, lhs, counts, shift, required):
+    """``prover._affine_scan`` by evaluating every length."""
+    valuations, zero, no_contradiction, admissible, both = set(), [], [], [], []
+    for t, n in enumerate(range(lo, hi + 1)):
+        value = lhs[0] + lhs[1] * t
+        if value:
+            valuations.add((value & -value).bit_length() - 1 - shift)
+        else:
+            zero.append(n)
+        ok = value % (1 << required + shift) == 0
+        if ok:
+            no_contradiction.append(n)
+        if all(c + s * t >= 0 and (c + s * t) % (1 << shift) == 0 for c, s in counts):
+            admissible.append(n)
+            if ok:
+                both.append(n)
+    return sorted(valuations), zero, no_contradiction, admissible, both
+
+
+def test_affine_scan_matches_per_length_loop():
+    rng = random.Random(2026)
+    seen = dict.fromkeys(["flat lhs", "flat count", "zero inside", "zero outside", "one length",
+                          "admissible", "admissible without contradiction"], 0)
+    for _ in range(3000):
+        shift = rng.randint(0, 4)  # counts scaled by 1 to 16
+        lo = rng.randint(1, 300)  # most ranges start off every period
+        hi = lo + rng.choice([0, rng.randint(1, 40), rng.randint(1, 400)])
+        span = hi - lo
+        slope = rng.choice([0, rng.randint(-99, 99) << rng.randint(0, 10)])
+        # Put the left side's zero anywhere from well before to well after the range.
+        root = rng.randint(-span - 9, 2 * span + 9)
+        lhs = (-slope * root if rng.random() < 0.5 else rng.randint(-9999, 9999), slope)
+        counts = [(rng.randint(-600, 600), rng.choice([0, rng.randint(-64, 64)]))
+                  for _ in range(rng.randint(1, 3))]
+        required = rng.randint(0, 8)
+        got = prover._affine_scan(lo, hi, lhs, counts, shift, required)
+        want = _affine_scan_per_length(lo, hi, lhs, counts, shift, required)
+        assert got == want, (lo, hi, lhs, counts, shift, required)
+        seen["flat lhs"] += slope == 0
+        seen["flat count"] += any(s == 0 for _, s in counts)
+        seen["zero inside"] += bool(want[1]) and slope != 0
+        seen["zero outside"] += lhs[0] == -slope * root and not want[1]
+        seen["one length"] += span == 0
+        seen["admissible"] += bool(want[3]) and shift > 0
+        seen["admissible without contradiction"] += bool(want[4]) and want[4] != want[3]
+    assert min(seen.values()) >= 20, seen
 
 
 @pytest.mark.parametrize("n_range", [(1, 128), (64, 64)])
