@@ -28,7 +28,7 @@ from fractions import Fraction
 from math import comb, gcd, lcm
 from typing import Iterable, Iterator, Mapping
 
-from .codes import DEFAULT_ENUMERATION_CAP, LinearCode, WeightEnumerator, macwilliams_transform
+from .codes import DEFAULT_ENUMERATION_CAP, LinearCode, WeightEnumerator
 from .codes import _krawtchouk_lanes
 
 __all__ = [
@@ -190,16 +190,15 @@ def _form(x: Numerators) -> AffineForm:
 def moment_identities_check(code: LinearCode, cap: int = DEFAULT_ENUMERATION_CAP) -> MomentReport:
     """Check all four moment identities for a spanning code, exactly.
 
-    The dual counts a2_star, a3_star are obtained from the dual distribution
-    via the transform, so the check exercises the identities end to end.
+    Both distributions come from one count and one MacWilliams transform
+    (``LinearCode._weight_distributions``), so the identities are checked end to end.
     """
     if not code.predicate_profile().is_spanning:
         raise ValueError(
             "moment identities require a spanning code (no identically-zero coordinate); "
             "apply spanning_form first"
         )
-    we = code.weight_distribution(cap=cap)
-    dual_we = macwilliams_transform(we, code.dimension)
+    we, dual_we = code._weight_distributions(cap)
     a2_star = dual_we.count(2) if code.n >= 2 else 0
     a3_star = dual_we.count(3) if code.n >= 3 else 0
     moments = tuple([power_moment(we, k) for k in range(4)])
@@ -282,8 +281,14 @@ def solve_weight_counts(n: int, d: int, weights: Iterable[int]) -> LinearCountSo
     )
 
 
+def _v2(x: int) -> int:
+    """2-adic valuation of a nonzero integer."""
+    return (x & -x).bit_length() - 1
+
+
 def _nonnegative_part(lo: int, hi: int, u: int, v: int) -> tuple[int, int]:
-    """The integers x in [lo, hi] with u + v*x >= 0 (empty when lo > hi)."""
+    """The integers x in [lo, hi] with u + v*x >= 0 (empty when lo > hi): the
+    feasibility scan's a2_star and a3_star, ``prover._affine_scan``'s lengths."""
     if v > 0:
         return max(lo, -(u // v)), hi
     if v < 0:
@@ -407,7 +412,8 @@ def _integral_class(forms: Iterable[Numerators]) -> Iterator[Lattice | None]:
     u makes that an integer exactly when g = gcd(gamma, den) divides alpha +
     beta*t, so for t = t0 (mod step) or for no t, and u is then fixed mod
     den/g, affine in t.  A form with q = 0 leaves a3 free.  The scan reads
-    each a3 class off these lattices and solves no other congruence.
+    each a3 class off these lattices and solves no other congruence; so does
+    ``prover._affine_scan``, whose forms (c, s, 0, 2^k) take a2 = n - lo.
     """
     rem, mod, base, slope, period = 0, 1, 0, 0, 1
     for c, p, q, den in forms:
@@ -457,7 +463,7 @@ def _forced_failure(k: int, num: int, den: int, hi: int, a2: int | None = None) 
         return REASON_INCONSISTENT, f"{claim}, outside [0, {hi}]"
     # Over an even denominator the numerator is odd: v2 is minus the denominator's.
     detail = ""
-    if a2 is None and (v2 := 1 - (value.denominator & -value.denominator).bit_length()) < 0:
+    if a2 is None and (v2 := -_v2(value.denominator)) < 0:
         detail = f" (2-adic valuation {v2} < 0)"
     return REASON_DIVISIBILITY, f"{claim}, not an integer{detail}"
 

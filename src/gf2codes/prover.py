@@ -23,7 +23,7 @@ from typing import Mapping
 
 from .codes import LinearCode
 from .gf2core import Gf2Matrix
-from .moments import AffineForm, solve_weight_counts
+from .moments import AffineForm, _integral_class, _nonnegative_part, _v2, solve_weight_counts
 from .transforms import projected_weight
 
 __all__ = [
@@ -190,31 +190,11 @@ def _factored_lhs(n: int, d: int) -> Fraction:
     return 256 * (Fraction(2) ** (d - 6) * 9 * (64 - n) + Fraction(2) ** (d - 2) * (n - 48) + 3)
 
 
-def _v2(x: int) -> int:
-    """2-adic valuation of a nonzero integer."""
-    return (x & -x).bit_length() - 1
-
-
-def _root_class(a: int, b: int, k: int) -> tuple[int, int] | None:
-    """The t with 2^k dividing a + b*t, as (residue, period), or None.
-
-    For b = 2^e * (odd) with e < k, 2^e must divide a, and then t is one
-    class modulo 2^(k - e); if 2^k divides b, every t or none qualifies.
-    """
-    e = min(_v2(b), k) if b else k
-    if a % (1 << e):
-        return None
-    period = 1 << k - e
-    return -(a >> e) * pow(b >> e, -1, period) % period, period
-
-
-def _meet(x: tuple[int, int] | None, y: tuple[int, int] | None) -> tuple[int, int] | None:
-    """The intersection of two residue classes whose periods are powers of two."""
-    if x is None or y is None:
-        return None
-    if x[1] > y[1]:
-        x, y = y, x
-    return y if (y[0] - x[0]) % x[1] == 0 else None
+def _classes(forms: list[tuple[int, int, int]]) -> list[tuple[int, int] | None]:
+    """After each (c, s, k), ``_integral_class``'s (rem, mod): the t = rem
+    (mod mod) at which every (c + s*t)/2^k so far is an integer, or None."""
+    classes = [x and x[:2] for x in _integral_class([(c, s, 0, 1 << k) for c, s, k in forms])]
+    return classes + [None] * (len(forms) - len(classes))
 
 
 def _affine_scan(lo: int, hi: int, lhs: tuple[int, int], counts: list[tuple[int, int]],
@@ -227,39 +207,36 @@ def _affine_scan(lo: int, hi: int, lhs: tuple[int, int], counts: list[tuple[int,
     zero, where 2^(required + shift) divides it (no contradiction), where
     every count is a nonnegative multiple of 2^shift (admissible), and
     where both of the last two hold.  Each list of lengths is the part of
-    an interval in one residue class modulo a power of two.
+    an interval in one residue class modulo a power of two, which
+    ``moments._integral_class`` solves (through ``_classes``); the counts'
+    sign interval comes from ``moments._nonnegative_part``.
     """
     span = hi - lo
     L, S = lhs
     if L and (not S or _v2(L) < _v2(S)):  # every length has L's valuation
         valuations = [_v2(L) - shift]
-    else:  # 2^v exactly divides L + S*t iff 2^(v+1) divides L - 2^v + S*t
+    else:  # 2^v exactly divides L + S*t iff 2^(v+1) divides L - 2^v + S*t, and v >= v2(S)
         top = max(abs(L), abs(L + S * span)).bit_length()
-        valuations = [v - shift for v in range(top)
-                      if (cls := _root_class(L - (1 << v), S, v + 1)) and cls[0] <= span]
+        valuations = [v - shift for v in range(_v2(S) if S else top, top)
+                      if (cls := _classes([(L - (1 << v), S, v + 1)])[0]) and cls[0] <= span]
     if S:
         root, rem = divmod(-L, S)
         zero = [lo + root] if not rem and 0 <= root <= span else []
     else:
         zero = list(range(lo, hi + 1)) if not L else []
-    first, last, integral = 0, span, (0, 1)
+    first, last = 0, span
     for c, s in counts:
-        if s > 0:
-            first = max(first, -(c // s))
-        elif s < 0:
-            last = min(last, c // -s)
-        elif c < 0:
-            last = -1
-        integral = _meet(integral, _root_class(c, s, shift))
-    divisible = _root_class(L, S, required + shift)
+        first, last = _nonnegative_part(first, last, c, s)
+    divisible = (L, S, required + shift)
+    # One pass over the counts, then the left side; (0, 1) holds every t.
+    *_, integral, both = [(0, 1), *_classes([(c, s, shift) for c, s in counts] + [divisible])]
 
     def lengths(cls: tuple[int, int] | None, first: int = 0, last: int = span) -> list[int]:
-        if cls is None:
-            return []
-        return list(range(lo + first + (cls[0] - first) % cls[1], lo + last + 1, cls[1]))
+        return [] if cls is None else list(range(lo + first + (cls[0] - first) % cls[1],
+                                                 lo + last + 1, cls[1]))
 
-    return (valuations, zero, lengths(divisible), lengths(integral, first, last),
-            lengths(_meet(integral, divisible), first, last))
+    return (valuations, zero, lengths(_classes([divisible])[0]),
+            lengths(integral, first, last), lengths(both, first, last))
 
 
 def verify_lemma_2_6(d: int, n_range: tuple[int, int] = (1, 128)) -> ProofReport:
@@ -280,7 +257,8 @@ def verify_lemma_2_6(d: int, n_range: tuple[int, int] = (1, 128)) -> ProofReport
     every length, so agreement at both ends proves it for the whole range.
     The scan takes the closed-form counts and the left side as affine
     integers in n, scaled by 2^max(0, 4 - d), and ``_affine_scan`` solves
-    each of its conditions as a residue class of lengths, without visiting
+    each of its conditions as a residue class of lengths with the feasibility
+    scan's ``_integral_class`` and ``_nonnegative_part``, without visiting
     them one by one.  The report lists lengths, so a range of more than
     ``_LEMMA_2_6_MAX_LENGTHS`` raises.
     """

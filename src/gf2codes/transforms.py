@@ -25,7 +25,8 @@ def projected_weight(weight_v: int, weight_v_plus_w: int, weight_w: int) -> int:
     """Weight of v after deleting the support of w, from three weights only.
 
     Coordinates of v inside the support of w split it: |v| = inside + outside
-    and |v + w| = |w| - inside + outside, so outside = (|v| + |v+w| - |w|) / 2.
+    and |v + w| = |w| - inside + outside, so outside = (|v| + |v+w| - |w|) / 2;
+    inside = (|v| - |v+w| + |w|) / 2 lies in [0, |w|] when ||v| - |v+w|| <= |w|.
     """
     triple = (weight_v, weight_v_plus_w, weight_w)
     if min(triple) < 0:
@@ -41,6 +42,8 @@ def projected_weight(weight_v: int, weight_v_plus_w: int, weight_w: int) -> int:
         raise ValueError(
             f"unrealizable weight triple {triple}: |v| + |v+w| - |w| = {total} is odd"
         )
+    if abs(weight_v - weight_v_plus_w) > weight_w:
+        raise ValueError(f"unrealizable weight triple {triple}: ||v| - |v+w|| > |w|")
     return total // 2
 
 

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import itertools
 import random
+import sys
 from fractions import Fraction
 from math import comb, lcm, prod
 
@@ -12,6 +13,7 @@ from conftest import (
     full_scan_reference,
     gauss_jordan_counts,
     krawtchouk,
+    load_code,
     lp_vertex_reference,
     random_code,
 )
@@ -29,6 +31,7 @@ from gf2codes import (
     solve_weight_counts,
     spanning_form,
 )
+from gf2codes import codes
 from gf2codes.moments import _count_numerators, _integral_class
 
 
@@ -90,6 +93,29 @@ def test_moment_identities_reject_non_spanning():
     dead_coord = LinearCode.from_rows(Gf2Matrix.from_ints([0b110, 0b010], 4))
     with pytest.raises(ValueError, match="spanning"):
         moment_identities_check(dead_coord)
+
+
+def test_moment_identities_transform_once_on_a_high_rate_code():
+    # [16, 11]: the 2^5 words of the dual are counted, and one MacWilliams
+    # transform gives the code's distribution; the dual's a2*, a3* are read
+    # off the count itself, not off a second transform.  Calls are counted by
+    # code object, so a transform reached through any module's name counts.
+    target = codes.macwilliams_transform.__code__
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is target:
+            calls.append(frame.f_locals["d"])
+
+    code = load_code("hamming_16_11.txt")
+    sys.setprofile(profile)
+    try:
+        report = moment_identities_check(code)
+    finally:
+        sys.setprofile(None)
+    assert report.all_hold
+    assert (report.a2_star, report.a3_star) == (0, 0)
+    assert calls == [5]
 
 
 def test_solve_weight_counts_two_weight_closed_form():
@@ -387,8 +413,20 @@ def test_integral_class_matches_brute_force():
         eq4 = sol.residuals[4]
         forced = AffineForm(-eq4.const / eq4.a3_coeff, -eq4.a2_coeff / eq4.a3_coeff)
         systems.append([*sol.expressions.values(), forced])
+    # Lemma 2.6's scan (``prover._affine_scan``): one-variable forms
+    # (c + s*t)/2^k, no a3* coefficient, s zero or negative as well, mostly
+    # integral at a seeded t.
+    scan_from = len(systems)
+    while len(systems) < scan_from + 30:
+        t0, forms = rng.randrange(100), []
+        for _ in range(rng.randint(1, 4)):
+            k, s = rng.randint(0, 6), rng.choice([0, rng.randint(-64, 64)])
+            c = (rng.randint(-300, 300) << k) - s * t0
+            c += rng.randrange(1 << k) if rng.random() < 0.2 else 0
+            forms.append(AffineForm(Fraction(c, 1 << k), Fraction(s, 1 << k)))
+        systems.append(forms)
     kinds = collections.Counter()
-    for forms in systems:
+    for i, forms in enumerate(systems):
         period = lcm(*(c.denominator for f in forms
                        for c in (f.const, f.a2_coeff, f.a3_coeff)))
         if period > 240:
@@ -408,8 +446,10 @@ def test_integral_class_matches_brute_force():
                     first = (base + slope * ((a2 - rem) // mod)) % step
                     assert integral == set(range(first, period, step)), (forms, a2)
         last = lattices[-1]
-        kinds["none" if last is None else "class" if last[1] > 1 else "every"] += 1
-    assert kinds == {"none": 16, "class": 29, "every": 3}
+        kind = "none" if last is None else "class" if last[1] > 1 else "every"
+        kinds[("scan " if i >= scan_from else "") + kind] += 1
+    assert kinds == {"none": 16, "class": 29, "every": 3,
+                     "scan none": 3, "scan class": 18, "scan every": 9}
 
 
 def lexicographic_oracle(n, d, weights):

@@ -33,6 +33,28 @@ def test_projected_weight_rejects_impossible_triples():
         projected_weight(2, 2, 40)
     with pytest.raises(ValueError, match="unrealizable weight triple.*nonnegative"):
         projected_weight(-1, 2, 3)
+    # |v| = 10 and |w| = 4 force |v + w| >= 6, in either order.
+    with pytest.raises(ValueError, match=r"unrealizable weight triple \(10, 2, 4\).*> \|w\|"):
+        projected_weight(10, 2, 4)
+    with pytest.raises(ValueError, match=r"unrealizable weight triple \(2, 10, 4\).*> \|w\|"):
+        projected_weight(2, 10, 4)
+
+
+def test_projected_weight_raises_exactly_without_a_pair_of_supports():
+    # w is the first |w| coordinates; v ranges over every support in the
+    # |v| + |w| coordinates that any pair with these weights needs at most.
+    for wv in range(6):
+        for wvw in range(6):
+            for ww in range(6):
+                w = (1 << ww) - 1
+                outside = {(v & ~w).bit_count() for v in range(1 << (wv + ww))
+                           if v.bit_count() == wv and (v ^ w).bit_count() == wvw}
+                try:
+                    got = projected_weight(wv, wvw, ww)
+                except ValueError:
+                    assert not outside, (wv, wvw, ww)
+                    continue
+                assert outside == {got}, (wv, wvw, ww)
 
 
 def test_projected_weight_matches_coordinate_count():
