@@ -97,28 +97,12 @@ class ProofReport:
 def min_union_length(weight_a: int, weight_b: int, sum_weight: int) -> int:
     """Minimal ambient length carrying v, w with |v|, |w|, |v+w| as given.
 
-    The overlap r of the two supports satisfies |v+w| = weight_a + weight_b
-    - 2r, and the union has weight_a + weight_b - r coordinates, so the
-    union is smallest when the sum weight is smallest.  The triple must be
-    realizable: matching parity and |weight_a - weight_b| <= sum_weight <=
-    weight_a + weight_b.
+    The union of the two supports is supp(w) plus the part of v outside it,
+    whose size ``transforms.projected_weight`` derives; it is (weight_a +
+    weight_b + sum_weight)/2, smallest when the sum weight is smallest.  An
+    unrealizable triple raises there, printed as (|v|, |v+w|, |w|).
     """
-    if min(weight_a, weight_b, sum_weight) < 0:
-        raise ValueError(
-            f"unrealizable weight triple ({weight_a}, {weight_b}, {sum_weight}): "
-            "weights must be nonnegative"
-        )
-    if (weight_a + weight_b - sum_weight) % 2:
-        raise ValueError(
-            f"unrealizable weight triple ({weight_a}, {weight_b}, {sum_weight}): "
-            f"|v+w| must have the parity of |v| + |w|"
-        )
-    if not abs(weight_a - weight_b) <= sum_weight <= weight_a + weight_b:
-        raise ValueError(
-            f"unrealizable weight triple ({weight_a}, {weight_b}, {sum_weight}): "
-            f"|v+w| must lie between {abs(weight_a - weight_b)} and {weight_a + weight_b}"
-        )
-    return (weight_a + weight_b + sum_weight) // 2
+    return weight_b + projected_weight(weight_a, sum_weight, weight_b)
 
 
 def verify_remark_a56(ambient: int) -> ProofStep:
@@ -208,8 +192,9 @@ def _affine_scan(lo: int, hi: int, lhs: tuple[int, int], counts: list[tuple[int,
     every count is a nonnegative multiple of 2^shift (admissible), and
     where both of the last two hold.  Each list of lengths is the part of
     an interval in one residue class modulo a power of two, which
-    ``moments._integral_class`` solves (through ``_classes``); the counts'
-    sign interval comes from ``moments._nonnegative_part``.
+    ``moments._integral_class`` solves (through ``_classes``).  The counts'
+    sign interval comes from ``moments._nonnegative_part``, and so do the
+    zero lengths: those where the left side is both >= 0 and <= 0.
     """
     span = hi - lo
     L, S = lhs
@@ -219,11 +204,8 @@ def _affine_scan(lo: int, hi: int, lhs: tuple[int, int], counts: list[tuple[int,
         top = max(abs(L), abs(L + S * span)).bit_length()
         valuations = [v - shift for v in range(_v2(S) if S else top, top)
                       if (cls := _classes([(L - (1 << v), S, v + 1)])[0]) and cls[0] <= span]
-    if S:
-        root, rem = divmod(-L, S)
-        zero = [lo + root] if not rem and 0 <= root <= span else []
-    else:
-        zero = list(range(lo, hi + 1)) if not L else []
+    first, last = _nonnegative_part(*_nonnegative_part(0, span, L, S), -L, -S)
+    zero = list(range(lo + first, lo + last + 1))
     first, last = 0, span
     for c, s in counts:
         first, last = _nonnegative_part(first, last, c, s)
@@ -717,9 +699,7 @@ def verify_theorem_a() -> ProofReport:
             },
         )
         pair_sum = 2 * forced + w
-        matching = sorted(
-            {tuple(sorted((wv, wvw))) for wv in weights for wvw in weights if wv + wvw == pair_sum}
-        )
+        matching = sorted({tuple(sorted(row[:2])) for row in pair_table if row[2] == forced})
         remark = verify_remark_a56(n)
         step(
             f"n{n}-weight{forced}-from-{top}", "arithmetic",

@@ -27,6 +27,8 @@ def projected_weight(weight_v: int, weight_v_plus_w: int, weight_w: int) -> int:
     Coordinates of v inside the support of w split it: |v| = inside + outside
     and |v + w| = |w| - inside + outside, so outside = (|v| + |v+w| - |w|) / 2;
     inside = (|v| - |v+w| + |w|) / 2 lies in [0, |w|] when ||v| - |v+w|| <= |w|.
+    So some two supports have these weights exactly when ||v| - |w|| <= |v+w|
+    <= |v| + |w| with the parity of |v| + |w|; the package tests that only here.
     """
     triple = (weight_v, weight_v_plus_w, weight_w)
     if min(triple) < 0:
@@ -36,14 +38,19 @@ def projected_weight(weight_v: int, weight_v_plus_w: int, weight_w: int) -> int:
     total = weight_v + weight_v_plus_w - weight_w
     if total < 0:
         raise ValueError(
-            f"unrealizable weight triple {triple}: |v| + |v+w| - |w| = {total} < 0"
+            f"unrealizable weight triple {triple}: |v| + |v+w| - |w| = {total} < 0; "
+            f"|v+w| must lie between {abs(weight_v - weight_w)} and {weight_v + weight_w}"
         )
     if total % 2:
         raise ValueError(
-            f"unrealizable weight triple {triple}: |v| + |v+w| - |w| = {total} is odd"
+            f"unrealizable weight triple {triple}: |v| + |v+w| - |w| = {total} is odd; "
+            "|v+w| must have the parity of |v| + |w|"
         )
     if abs(weight_v - weight_v_plus_w) > weight_w:
-        raise ValueError(f"unrealizable weight triple {triple}: ||v| - |v+w|| > |w|")
+        raise ValueError(
+            f"unrealizable weight triple {triple}: ||v| - |v+w|| > |w|; "
+            f"|v+w| must lie between {abs(weight_v - weight_w)} and {weight_v + weight_w}"
+        )
     return total // 2
 
 

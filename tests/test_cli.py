@@ -206,6 +206,8 @@ def test_verify_json_keeps_exit_code(capsys):
 def test_verify_bad_range(capsys):
     assert run(["verify", "lemma-2-6", "--n-range", "1-128"]) == 2
     assert "expects A..B" in capsys.readouterr().err
+    assert run(["verify", "lemma-2-6", "--n-range", "a..b"]) == 2
+    assert "expects A..B with integers, got 'a..b'" in capsys.readouterr().err
 
 
 # SHA-256 of stdout for each replay, pinned so that rewriting a verifier

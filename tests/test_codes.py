@@ -53,6 +53,16 @@ def test_direct_construction_requires_canonical_rows():
     # The second bit in row 0's pivot column sits in a later row.
     with pytest.raises(ValueError, match="not fully reduced"):
         LinearCode(Gf2Matrix.from_lists([[1, 0, 0], [1, 1, 0]]))
+    # Row 1's pivot, coordinate 0, comes before row 0's, coordinate 1.
+    with pytest.raises(ValueError, match="not in echelon order"):
+        LinearCode(Gf2Matrix.from_ints([0b10, 0b01], 2))
+
+
+def test_weight_enumerator_rejects_bad_counts():
+    with pytest.raises(ValueError, match="^expected 3 counts, got 2$"):
+        WeightEnumerator(2, (1, 1))
+    with pytest.raises(ValueError, match="^negative count -1 at weight 1$"):
+        WeightEnumerator(2, (1, -1, 0))
 
 
 def test_golay_fixture_shape(golay):

@@ -85,6 +85,8 @@ def test_weight_of_sum_identity():
 def test_matrix_ragged_rows_rejected():
     with pytest.raises(ValueError, match="row 1"):
         Gf2Matrix.from_lists([[1, 0], [1, 0, 1]])
+    with pytest.raises(ValueError, match="empty row list"):
+        Gf2Matrix.from_lists([])
 
 
 def test_matrix_rows_are_ints_checked_against_the_width():

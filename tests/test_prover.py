@@ -10,6 +10,8 @@ from gf2codes import (
     Gf2Matrix,
     LinearCode,
     a56_sharpness_construction,
+    feasibility_check,
+    lp_dimension_bound,
     min_union_length,
     verify_lemma_2_6,
     verify_lemma_24_32_56,
@@ -57,6 +59,8 @@ def test_min_union_length_rejects_unrealizable_triples():
         min_union_length(5, 3, 0)
     with pytest.raises(ValueError, match="nonnegative"):
         min_union_length(-1, 2, 3)
+    with pytest.raises(ValueError, match="between 4 and 6"):
+        min_union_length(1, 5, 2)
 
 
 def test_min_union_length_matches_vector_search():
@@ -463,8 +467,10 @@ def test_window_past_deficit_two_still_replays_each_deficit(monkeypatch, claim, 
         ((66, 13, (24, 32, 50, 56)), "projection-dimension-12"),
         ((66, 13, (11, 24, 32, 56)), "length-window"),
         ((66, 13, (24, 32, 56)), "weight-outside-lemma-exists"),
+        ((56, 14, (24, 28, 32, 56)), "n56-weight26-from-56"),
     ],
-    ids=["odd-weight-41", "weight-50", "odd-weight-11", "no-weight-outside-lemma"],
+    ids=["odd-weight-41", "weight-50", "odd-weight-11", "no-weight-outside-lemma",
+         "weight-28-impossible-pair"],
 )
 def test_unrealizable_or_missing_weight_fails_a_step(monkeypatch, claim, failed_step):
     # Pairs (|v|, |v+w|) no word realizes are skipped by the scan (for weight
@@ -472,10 +478,31 @@ def test_unrealizable_or_missing_weight_fails_a_step(monkeypatch, claim, failed_
     # weight to project along stops at its first step.  Weight 41 leaves the
     # window {65, 66} with a block for each deficit, but the moment equations
     # at n = 66 do not give the stated a_56 form of deficit 1.
+    # Projecting along weight 28, the pair {24, 56} sums to 80 as a projected
+    # weight of 26 needs, but |v| = 24 and |w| = 28 force |v+w| <= 52, so no
+    # pair realizes it and the deficit-2 step at n = 56 cites none.
     monkeypatch.setattr(prover, "_THEOREM_A", claim)
     report = verify_theorem_a()
     assert not report.overall
     assert not {s.id: s for s in report.steps}[failed_step].status
+
+
+def test_theorem_a_at_length_62_rests_on_the_replay_alone(monkeypatch):
+    # Dimension 12 at length 62: the window is the one self-dual length 62, and
+    # its four deficit-0 steps carry the claim.  Neither the LP bound nor the
+    # moments rule the dimension out there, so the replay is the only evidence.
+    monkeypatch.setattr(prover, "_THEOREM_A", (62, 12, (24, 32, 40, 56)))
+    report = verify_theorem_a()
+    assert report.overall
+    by_id = {s.id: s for s in report.steps}
+    assert by_id["length-window"].data["length_window"] == [62]
+    assert [s.id for s in report.steps if s.id.startswith("n62-")] == [
+        "n62-projection-self-dual", "n62-projected-weights-small", "n62-unique-56",
+        "n62-contradiction",
+    ]
+    assert lp_dimension_bound(62, (24, 32, 40, 56)).dimension == 13
+    for d in (12, 13):
+        assert feasibility_check(62, d, (24, 32, 40, 56)).status == "feasible"
 
 
 def test_barth_sextic_dimension_12_is_never_refuted(monkeypatch):
