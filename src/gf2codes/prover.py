@@ -23,7 +23,8 @@ from typing import Mapping
 
 from .codes import LinearCode
 from .gf2core import Gf2Matrix
-from .moments import AffineForm, _integral_class, _nonnegative_part, _v2, solve_weight_counts
+from .moments import (AffineForm, _count_numerators, _integral_class, _nonnegative_part, _v2,
+                      solve_weight_counts)
 from .transforms import projected_weight
 
 __all__ = [
@@ -160,18 +161,18 @@ def a56_sharpness_construction() -> LinearCode:
     return LinearCode.from_rows(Gf2Matrix.from_ints([v, v << (length - top)], length))
 
 
-# Lemma 2.6's closed forms for a_24, a_32 and the second moment's inner term.
+# Lemma 2.6's closed forms for a_24, a_32 and the second moment's inner term;
+# the helpers below return 16 times their values, integers at every d >= 0.
 _COUNT_FORMS = ("2^(d-4)*(64-n) - 4", "2^(d-4)*(n-48) + 3")
 _INNER_TERM = "9*2^(d-6)*(64-n) + 2^(d-2)*(n-48) + 3"
 
 
-def _closed_form_counts(n: int, d: int) -> tuple[Fraction, Fraction]:
-    scale = Fraction(2) ** (d - 4)
-    return scale * (64 - n) - 4, scale * (n - 48) + 3
+def _closed_form_counts(n: int, d: int) -> tuple[int, int]:
+    return 2**d * (64 - n) - 64, 2**d * (n - 48) + 48
 
 
-def _factored_lhs(n: int, d: int) -> Fraction:
-    return 256 * (Fraction(2) ** (d - 6) * 9 * (64 - n) + Fraction(2) ** (d - 2) * (n - 48) + 3)
+def _factored_lhs(n: int, d: int) -> int:
+    return 9 * 2 ** (d + 6) * (64 - n) + 2 ** (d + 10) * (n - 48) + 3 * 2**12
 
 
 def _classes(forms: list[tuple[int, int, int]]) -> list[tuple[int, int] | None]:
@@ -237,12 +238,12 @@ def verify_lemma_2_6(d: int, n_range: tuple[int, int] = (1, 128)) -> ProofReport
     in n; so are the closed forms, the left side sum of w^2 * a_w and its
     factored form.  Two affine functions that agree at two lengths agree at
     every length, so agreement at both ends proves it for the whole range.
-    The scan takes the closed-form counts and the left side as affine
-    integers in n, scaled by 2^max(0, 4 - d), and ``_affine_scan`` solves
-    each of its conditions as a residue class of lengths with the feasibility
-    scan's ``_integral_class`` and ``_nonnegative_part``, without visiting
-    them one by one.  The report lists lengths, so a range of more than
-    ``_LEMMA_2_6_MAX_LENGTHS`` raises.
+    Every number is an integer, 16 times its value: a solved count c/den of
+    ``moments._count_numerators`` matches a closed form a if 16*c == a*den.
+    ``_affine_scan`` (shift 4) solves each condition of the scan as a residue
+    class of lengths with the feasibility scan's ``_integral_class`` and
+    ``_nonnegative_part``, without visiting them one by one.  The report lists
+    lengths, so a range of more than ``_LEMMA_2_6_MAX_LENGTHS`` raises.
     """
     lo, hi = n_range
     pair = _LEMMA_2_6_WEIGHTS
@@ -259,18 +260,17 @@ def verify_lemma_2_6(d: int, n_range: tuple[int, int] = (1, 128)) -> ProofReport
     all_match = factored_ok = True
     for n in sorted({lo, hi}):
         counts = _closed_form_counts(n, d)
-        sol = solve_weight_counts(n, d, pair)
-        all_match &= sol.expressions == {w: AffineForm(c) for w, c in zip(pair, counts)}
+        solved = _count_numerators(n, d, pair)[1]  # two weights: constants c/den
+        all_match &= all((16 * c, p, q) == (a * den, 0, 0)
+                         for a, (c, p, q, den) in zip(counts, map(solved.get, pair)))
         factored_ok &= sum(w * w * c for w, c in zip(pair, counts)) == _factored_lhs(n, d)
 
     required = d - 1
-    shift = max(0, 4 - d)
-    scale = 1 << shift
-    counts = [int(c * scale) for c in _closed_form_counts(lo, d)]
-    slopes = [int(c * scale) - a for a, c in zip(counts, _closed_form_counts(lo + 1, d))]
+    counts = _closed_form_counts(lo, d)
+    slopes = [c - a for a, c in zip(counts, _closed_form_counts(lo + 1, d))]
     lhs, lhs_slope = (sum(w * w * c for w, c in zip(pair, cs)) for cs in (counts, slopes))
     valuations, zero_lhs_lengths, no_contradiction, admissible, admissible_no_contradiction = (
-        _affine_scan(lo, hi, (lhs, lhs_slope), list(zip(counts, slopes)), shift, required)
+        _affine_scan(lo, hi, (lhs, lhs_slope), list(zip(counts, slopes)), 4, required)
     )
 
     steps = (
@@ -478,9 +478,9 @@ def verify_theorem_a() -> ProofReport:
         least a2_star that a_56 >= 0 and a3_star >= 0 allow, and its ceiling.
         """
         want, printed, rearranged = _STATED_A56[deficit]
-        sol = solve_weight_counts(n, dim, weights)
-        form = sol.expressions[top]
-        counts = {f"a{x}": str(f) for x, f in sol.expressions.items()}
+        sol = solve_weight_counts(n, dim, weights) if len(set(weights)) <= 4 else None
+        form = sol.expressions[top] if sol else None
+        counts = {f"a{x}": str(f) for x, f in sol.expressions.items()} if sol else {}
         step(
             f"n{n}-count-solve", "arithmetic",
             f"at spanning length {n} and dimension {dim} the four moment equations "
@@ -490,7 +490,7 @@ def verify_theorem_a() -> ProofReport:
             {"n": n, "dimension": dim, **counts, "expected_a56": str(want)},
         )
         floor = Fraction(0)
-        if form.a2_coeff > 0 >= form.a3_coeff:
+        if form and form.a2_coeff > 0 >= form.a3_coeff:
             floor = -form.const / form.a2_coeff
         return form == want, rearranged, floor, math.ceil(floor)
 

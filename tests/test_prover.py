@@ -196,7 +196,7 @@ LEMMA_2_6_RANGES = [(1, 256), (1, 1), (64, 64), (47, 49), (40, 70), (129, 200), 
                     (1, 4096)]
 # The reference solves the moment equations at every length, so the longest
 # range is replayed at a fractional-count dimension and at the bound only.
-LEMMA_2_6_REFERENCE_DIMENSIONS = {(1, 4096): (3, 10)}
+LEMMA_2_6_REFERENCE_DIMENSIONS = {(1, 4096): (3, 10), (1, 256): range(31)}
 
 
 @pytest.mark.parametrize("n_range", LEMMA_2_6_RANGES, ids=lambda r: f"{r[0]}-{r[1]}")
@@ -264,10 +264,29 @@ def test_two_weight_scan_solves_only_at_range_ends(monkeypatch, n_range):
         calls.append(n)
         return solve(n, d, weights)
 
-    solve = prover.solve_weight_counts
-    monkeypatch.setattr(prover, "solve_weight_counts", counting)
+    solve = prover._count_numerators
+    monkeypatch.setattr(prover, "_count_numerators", counting)
     assert verify_lemma_2_6(10, n_range).overall
     assert sorted(calls) == sorted(set(n_range))
+
+
+def test_two_weight_scan_builds_no_fraction(monkeypatch):
+    # The replay computes in integers, 16 times each closed form, and checks
+    # them against the count solve's numerators: with ``Fraction`` and
+    # ``AffineForm`` unusable every report is unchanged.
+    def reports():
+        return [json.dumps(verify_lemma_2_6(d, n_range).to_json_dict())
+                for d in (0, 3, 9, 10, 14) for n_range in LEMMA_2_6_RANGES]
+
+    expected = reports()
+
+    def no_fraction(*args, **kwargs):
+        raise AssertionError("the Lemma 2.6 replay built a Fraction or an AffineForm")
+
+    for name in ("gf2codes.prover.Fraction", "gf2codes.prover.AffineForm",
+                 "gf2codes.moments.AffineForm"):
+        monkeypatch.setattr(name, no_fraction)
+    assert reports() == expected
 
 
 def test_two_weight_scan_rejects_mutated_closed_form(monkeypatch):
@@ -468,9 +487,10 @@ def test_window_past_deficit_two_still_replays_each_deficit(monkeypatch, claim, 
         ((66, 13, (11, 24, 32, 56)), "length-window"),
         ((66, 13, (24, 32, 56)), "weight-outside-lemma-exists"),
         ((56, 14, (24, 28, 32, 56)), "n56-weight26-from-56"),
+        ((66, 13, (24, 32, 40, 48, 56)), "n65-count-solve"),
     ],
     ids=["odd-weight-41", "weight-50", "odd-weight-11", "no-weight-outside-lemma",
-         "weight-28-impossible-pair"],
+         "weight-28-impossible-pair", "five-weights"],
 )
 def test_unrealizable_or_missing_weight_fails_a_step(monkeypatch, claim, failed_step):
     # Pairs (|v|, |v+w|) no word realizes are skipped by the scan (for weight
@@ -480,7 +500,8 @@ def test_unrealizable_or_missing_weight_fails_a_step(monkeypatch, claim, failed_
     # at n = 66 do not give the stated a_56 form of deficit 1.
     # Projecting along weight 28, the pair {24, 56} sums to 80 as a projected
     # weight of 26 needs, but |v| = 24 and |w| = 28 force |v+w| <= 52, so no
-    # pair realizes it and the deficit-2 step at n = 56 cites none.
+    # pair realizes it and the deficit-2 step at n = 56 cites none.  Five
+    # weights are more than the moment equations pin, so the count solve fails.
     monkeypatch.setattr(prover, "_THEOREM_A", claim)
     report = verify_theorem_a()
     assert not report.overall
