@@ -195,7 +195,8 @@ def test_two_weight_scan_vacuous_outside_admissible_window():
 LEMMA_2_6_RANGES = [(1, 256), (1, 1), (64, 64), (47, 49), (40, 70), (129, 200), (3, 130),
                     (1, 4096)]
 # The reference solves the moment equations at every length, so the longest
-# range is replayed at a fractional-count dimension and at the bound only.
+# range is replayed at a fractional-count dimension and at the bound only, and
+# (1, 256) at every d up to 30, far past the bound.
 LEMMA_2_6_REFERENCE_DIMENSIONS = {(1, 4096): (3, 10), (1, 256): range(31)}
 
 
