@@ -14,12 +14,13 @@ the words of weight in W, a new row r must lie in A(C), and
 A(C + <r>) = A(C) & (A(C) translated by r).  Every word the finished code
 adds to C is admissible and has its lowest bit on a free pivot still ahead,
 so the rows still to come number at most the nonempty free buckets and at
-most floor(log2(1 + admissible words in them)); a branch that cannot beat
-the best code found so far is cut.  Only the bucket of the first free pivot
-f0 is explored.  A later free pivot f whose column the current rows leave
-equal to f0's can be swapped with f0: that fixes the current code and maps
-each extension whose first new pivot is f to one whose first new pivot is
-f0.
+most floor(log2(1 + admissible words in them)), both counted over the mask
+of free pivots.  A branch that cannot beat the best code found so far is
+cut, and counting stops once the branch must be explored.  Only the bucket
+of the first free pivot f0 is explored.  A later free pivot f whose column
+the current rows leave equal to f0's can be swapped with f0: that fixes the
+current code and maps each extension whose first new pivot is f to one
+whose first new pivot is f0.
 
 Weight sets are invariant under coordinate permutations, so the search
 runs in two phases.  The proof phase finds the maximum D.  A heaviest word
@@ -137,24 +138,42 @@ def max_dimension_exhaustive(
     wset = frozenset(weights)
     lp_bound = lp_dimension_bound(n, wset).dimension  # also checks the weights
 
-    keep, lowest, by_weight = _word_tables(n)
+    # Keyed by the bit 2^q, which is also the shift that translates a set by it.
+    keep_at, lowest_at, by_weight = _word_tables(n)
+    keep = {1 << q: words for q, words in enumerate(keep_at)}
+    lowest = {1 << q: words for q, words in enumerate(lowest_at)}
+    full = (1 << n) - 1
     best_rows: list[int] = []
     rows: list[int] = []
     nodes = 0
     goal = lp_bound  # D in the witness phase
 
+    # Explored iff min(nonempty, floor(log2(1 + total))) > slack over the free
+    # buckets, i.e. nonempty > slack and total >= need; both grow, so stop there.
     def extend(last_pivot: int, union: int, admissible: int) -> None:
-        free = [q for q in range(last_pivot + 1, n) if not (union >> q) & 1]
-        counts = [(admissible & lowest[q]).bit_count() for q in free]
-        bound = min(len(counts) - counts.count(0), (1 + sum(counts)).bit_length() - 1)
-        if len(rows) + bound <= len(best_rows):
-            return
-        bucket = admissible & lowest[free[0]]
+        free = ~union & full & -(1 << last_pivot + 1)
+        slack = len(best_rows) - len(rows)
+        need = (2 << slack) - 1
+        nonempty = total = 0
+        bits = free
+        while bits:
+            b = bits & -bits
+            bits ^= b
+            count = (admissible & lowest[b]).bit_count()
+            if count:
+                nonempty += 1
+                total += count
+                if nonempty > slack and total >= need:
+                    break
+        else:
+            return  # every free bucket counted: the branch cannot beat the best
+        first = free & -free
+        bucket = admissible & lowest[first]
         while bucket:
             low = bucket & -bucket
             bucket ^= low
             row = low.bit_length() - 1
-            take(row, free[0], union | row, admissible)
+            take(row, first.bit_length() - 1, union | row, admissible)
 
     def take(row: int, pivot: int, union: int, admissible: int) -> None:
         nonlocal nodes, best_rows
@@ -162,10 +181,11 @@ def max_dimension_exhaustive(
         if nodes > node_cap:
             raise _Stopped("node-cap")
         shifted = admissible
-        for j in range(pivot, n):
-            if (row >> j) & 1:
-                step = 1 << j
-                shifted = ((shifted & keep[j]) << step) | ((shifted >> step) & keep[j])
+        bits = row
+        while bits:
+            b = bits & -bits
+            bits ^= b
+            shifted = ((shifted & keep[b]) << b) | ((shifted >> b) & keep[b])
         rows.append(row)
         if len(rows) > len(best_rows):
             best_rows = list(rows)

@@ -337,3 +337,35 @@ def test_proof_phase_prunes_cases_the_lp_bound_does_not_settle():
         assert result.complete and result.stop == "exhausted", (n, ws)
         assert result.max_dimension == dimension < result.bound, (n, ws)
         assert result.nodes_explored == nodes, (n, ws)
+
+
+# nodes_explored on every case of perfbench's search grid, in its order: n = 8
+# then 9, weight sets of size 1 to 3 in lexicographic order; 7,808 in all.
+BENCHMARK_GRID_NODES = (
+    2, 10, 2, 21, 2, 2, 2, 2, 11, 2, 22, 2, 2, 2, 2, 15, 53, 11, 9, 7, 11, 19, 2, 4, 2,
+    2, 26, 17, 22, 63, 6, 2, 2, 2, 2, 2, 24, 56, 11, 9, 7, 12, 58, 2, 5, 2, 2, 22, 18,
+    23, 64, 4, 2, 2, 4, 2, 4, 62, 39, 26, 18, 16, 98, 51, 56, 47, 22, 40, 12, 12, 34, 8,
+    25, 65, 73, 235, 4, 2, 4, 4, 5, 2, 18, 49, 92, 18, 106, 63, 7, 7, 2, 2, 2, 11, 2,
+    22, 2, 7, 2, 2, 2, 12, 2, 23, 2, 8, 2, 2, 2, 17, 69, 13, 17, 9, 7, 12, 56, 2, 4, 2,
+    2, 2, 30, 191, 34, 81, 23, 6, 2, 5, 2, 8, 8, 8, 2, 2, 2, 27, 72, 13, 17, 9, 7, 13,
+    106, 2, 5, 2, 2, 2, 23, 192, 35, 82, 24, 31, 2, 6, 2, 4, 9, 9, 4, 2, 4, 80, 48, 36,
+    22, 20, 18, 181, 170, 83, 51, 70, 44, 56, 36, 14, 22, 51, 18, 12, 38, 8, 221, 578,
+    282, 304, 57, 122, 2, 4, 2, 37, 5, 6, 5, 2, 4, 231, 325, 118, 130, 207, 185, 192,
+    85, 35, 82, 6, 5, 7, 5, 2, 6, 9, 9, 9, 2,
+)
+
+
+def test_node_counts_are_pinned():
+    # Every prune decision shows in these counts: a change to the pruning
+    # must change them on purpose, and a faster bookkeeping must keep them.
+    grid = [
+        max_dimension_exhaustive(n, ws).nodes_explored
+        for n in (8, 9)
+        for r in range(1, 4)
+        for ws in combinations(range(1, n + 1), r)
+    ]
+    assert tuple(grid) == BENCHMARK_GRID_NODES
+    larger = ((10, (2, 4, 6), 707), (11, (4, 6, 8), 14791), (11, (3, 5, 6), 291), (12, (4, 8), 23),
+              (15, (8,), 6231))
+    for n, ws, nodes in larger:
+        assert max_dimension_exhaustive(n, ws).nodes_explored == nodes, (n, ws)
