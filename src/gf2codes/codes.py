@@ -18,10 +18,11 @@ Horner pass.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .gf2core import Gf2Matrix, Gf2Vector, nullspace_basis, rref_ints, transpose_ints
+from .gf2core import _FIELD, Gf2Matrix, Gf2Vector, nullspace_basis, rref_ints, transpose_ints
 
 __all__ = [
     "DEFAULT_ENUMERATION_CAP",
@@ -326,7 +327,9 @@ def _krawtchouk_lanes(coeffs: tuple[int, ...] | list[int], size: int, group: int
     Y = X^group, X = 2^(8 size): the Y^j coefficient, sum_k coeffs[k] K_j(k),
     comes from one Horner pass of O(n) big-int operations and is read back as
     ``group`` lanes of size bytes, each of which must lie within X/2 of zero.
-    Adding X/2 to every lane keeps each in [0, X), so none borrows from the next.
+    Adding X/2 to every lane keeps each in [0, X), so none borrows from the
+    next; flipping each lane's top bit back leaves it in two's complement,
+    read by one ``struct.unpack`` where a lane is 1, 2, 4 or 8 bytes wide.
     """
     shift = 8 * size * group
     acc, power = 0, 1
@@ -335,11 +338,13 @@ def _krawtchouk_lanes(coeffs: tuple[int, ...] | list[int], size: int, group: int
         if a:
             acc += a * power
         power -= power << shift
-    count, half = len(coeffs) * group, 1 << 8 * size - 1
+    count = len(coeffs) * group
     bias = int.from_bytes((bytes(size - 1) + b"\x80") * count, "little")  # X/2 per lane
-    raw = (acc + bias).to_bytes(count * size, "little")
+    raw = ((acc + bias) ^ bias).to_bytes(count * size, "little")
+    if size in _FIELD:
+        return list(struct.unpack(f"<{count}{_FIELD[size].lower()}", raw))  # signed codes
     read = int.from_bytes  # looked up once, not once per lane
-    return [read(raw[i : i + size], "little") - half for i in range(0, count * size, size)]
+    return [read(raw[i : i + size], "little", signed=True) for i in range(0, count * size, size)]
 
 
 def macwilliams_transform(we: WeightEnumerator, d: int) -> WeightEnumerator:

@@ -18,7 +18,8 @@ themselves, so it builds no ``AffineForm`` and a ``Fraction`` only to print.
 
 ``lp_dimension_bound`` is Delsarte's linear-programming bound: the dual
 distribution of any code with weights in W is nonnegative, which caps the
-number of nonzero words and hence the dimension.
+number of nonzero words and hence the dimension.  Its simplex runs in
+integers, and ``Fraction``s are built only for the ``LpBound``.
 """
 
 from __future__ import annotations
@@ -515,7 +516,25 @@ def _admissible_a3(
 
 
 def lp_dimension_bound(n: int, weights: Iterable[int]) -> LpBound:
-    """Solve Delsarte's LP for length n and weight set W exactly.
+    """Delsarte's LP for length n and weight set W, solved exactly in integers
+    by ``_lp_max`` and read as ``Fraction``s.  Weights outside [1, n] raise ValueError.
+    """
+    dimension, objective, denom, nonbasic = _lp_max(n, weights)
+    m = len(nonbasic)
+    # y_j is the reduced cost of s_j: zero while s_j is basic.
+    multipliers = [Fraction(0)] * n
+    for v, cost in zip(nonbasic, objective):
+        if v >= m:
+            multipliers[v - m] = Fraction(cost, denom)
+    return LpBound(
+        dimension=dimension,
+        optimum=Fraction(objective[m], denom),
+        multipliers=tuple(multipliers),
+    )
+
+
+def _lp_max(n: int, weights: Iterable[int]) -> tuple[int, list[int], int, list[int]]:
+    """Delsarte's LP in integers: (dimension, objective, denom, nonbasic).
 
     Simplex with Bland's rule from the origin, which is feasible since the
     right-hand sides K_j(0) are binomials; summing the constraints gives
@@ -523,7 +542,9 @@ def lp_dimension_bound(n: int, weights: Iterable[int]) -> LpBound:
     The tableau keeps only the nonbasic columns, as integers over the common
     denominator ``denom`` (the last pivot): fraction-free pivoting divides
     exactly.  Its rows are the lanes of one packed Krawtchouk sum, so no
-    table is kept between calls.  Weights outside [1, n] raise ValueError.
+    table is kept between calls.  ``objective`` holds the final reduced
+    costs of the variables in ``nonbasic`` (i < m: A_{ws[i]}; m + j - 1:
+    the slack s_j), then the optimum, all times ``denom``.
     """
     if n < 0:
         raise ValueError(f"negative length {n}")
@@ -539,7 +560,6 @@ def lp_dimension_bound(n: int, weights: Iterable[int]) -> LpBound:
     lanes = _krawtchouk_lanes(coeffs, size, m + 1)
     rows = [lanes[k : k + m + 1] for k in range(m + 1, len(lanes), m + 1)]
     objective = [-1] * m + [0]  # the reduced costs, then the objective value
-    # Variable i < m is A_{ws[i]}; variable m + j - 1 is the slack s_j.
     nonbasic = list(range(m))
     basic = list(range(m, m + n))
     denom = 1
@@ -566,13 +586,4 @@ def lp_dimension_bound(n: int, weights: Iterable[int]) -> LpBound:
         pivot_row[c] = denom
         denom = p
         basic[r], nonbasic[c] = nonbasic[c], basic[r]
-    # y_j is the reduced cost of s_j: zero while s_j is basic.
-    multipliers = [Fraction(0)] * n
-    for v, cost in zip(nonbasic, objective):
-        if v >= m:
-            multipliers[v - m] = Fraction(cost, denom)
-    return LpBound(
-        dimension=(1 + objective[m] // denom).bit_length() - 1,
-        optimum=Fraction(objective[m], denom),
-        multipliers=tuple(multipliers),
-    )
+    return (1 + objective[m] // denom).bit_length() - 1, objective, denom, nonbasic

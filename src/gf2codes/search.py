@@ -49,7 +49,7 @@ from typing import Iterable
 
 from .codes import LinearCode
 from .gf2core import Gf2Matrix
-from .moments import lp_dimension_bound
+from .moments import _lp_max
 
 __all__ = [
     "DEFAULT_NODE_CAP",
@@ -86,11 +86,12 @@ class _Stopped(Exception):
 
 
 @lru_cache(maxsize=None)  # one entry per length, at most MAX_SEARCH_LENGTH + 1
-def _word_tables(n: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+def _word_tables(n: int) -> tuple[dict[int, int], dict[int, int], tuple[int, ...]]:
     """Bit sets over the 2^n words of F_2^n, bit v standing for word v.
 
-    Returns ``keep`` (keep[j]: the words with bit j clear), ``lowest``
-    (lowest[q]: the words whose lowest set bit is q) and ``by_weight``
+    Returns ``keep`` (keep[2^j]: the words with bit j clear), ``lowest``
+    (lowest[2^q]: the words whose lowest set bit is q), keyed by the bit,
+    which is also the shift that translates a set by it, and ``by_weight``
     (by_weight[w]: the words of weight w), each built by doubling.
     """
     size = 1 << n
@@ -101,8 +102,8 @@ def _word_tables(n: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, .
             period <<= 1
         return pattern
 
-    keep = tuple([tile((1 << (1 << j)) - 1, 2 << j) for j in range(n)])
-    lowest = tuple([tile(1 << (1 << q), 2 << q) for q in range(n)])
+    keep = {1 << j: tile((1 << (1 << j)) - 1, 2 << j) for j in range(n)}
+    lowest = {1 << q: tile(1 << (1 << q), 2 << q) for q in range(n)}
     by_weight = [1]
     for m in range(n):
         # Words below 2^m keep their weight; 2^m + u has weight |u| + 1.
@@ -136,12 +137,9 @@ def max_dimension_exhaustive(
     if n > MAX_SEARCH_LENGTH:
         raise ValueError(f"search supports lengths up to {MAX_SEARCH_LENGTH}, got {n}")
     wset = frozenset(weights)
-    lp_bound = lp_dimension_bound(n, wset).dimension  # also checks the weights
+    lp_bound = _lp_max(n, wset)[0]  # also checks the weights
 
-    # Keyed by the bit 2^q, which is also the shift that translates a set by it.
-    keep_at, lowest_at, by_weight = _word_tables(n)
-    keep = {1 << q: words for q, words in enumerate(keep_at)}
-    lowest = {1 << q: words for q, words in enumerate(lowest_at)}
+    keep, lowest, by_weight = _word_tables(n)
     full = (1 << n) - 1
     best_rows: list[int] = []
     rows: list[int] = []
@@ -180,17 +178,17 @@ def max_dimension_exhaustive(
         nodes += 1
         if nodes > node_cap:
             raise _Stopped("node-cap")
+        rows.append(row)
+        if len(rows) > len(best_rows):
+            best_rows = list(rows)
+            if len(best_rows) == goal:
+                raise _Stopped("lp-bound")
         shifted = admissible
         bits = row
         while bits:
             b = bits & -bits
             bits ^= b
             shifted = ((shifted & keep[b]) << b) | ((shifted >> b) & keep[b])
-        rows.append(row)
-        if len(rows) > len(best_rows):
-            best_rows = list(rows)
-            if len(best_rows) == goal:
-                raise _Stopped("lp-bound")
         extend(pivot, union, admissible & shifted)
         rows.pop()
 

@@ -282,7 +282,7 @@ def single_phase_search(n: int, weights, node_cap: int = DEFAULT_NODE_CAP) -> Se
     def extend(last_pivot: int, union: int, admissible: int) -> None:
         nonlocal nodes, best_rows
         free = [q for q in range(last_pivot + 1, n) if not (union >> q) & 1]
-        buckets = [admissible & lowest[q] for q in free]
+        buckets = [admissible & lowest[1 << q] for q in free]
         counts = [bucket.bit_count() for bucket in buckets]
         words_left = sum(counts)
         buckets_left = sum(1 for count in counts if count)
@@ -303,7 +303,7 @@ def single_phase_search(n: int, weights, node_cap: int = DEFAULT_NODE_CAP) -> Se
                 for j in range(pivot, n):
                     if (row >> j) & 1:
                         step = 1 << j
-                        shifted = ((shifted & keep[j]) << step) | ((shifted >> step) & keep[j])
+                        shifted = ((shifted & keep[step]) << step) | ((shifted >> step) & keep[step])
                 rows.append(row)
                 if len(rows) > len(best_rows):
                     best_rows = list(rows)

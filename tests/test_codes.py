@@ -280,6 +280,27 @@ def test_krawtchouk_rows_match_direct_sum():
             assert _krawtchouk_lanes(markers, size, m) == expected, (n, ws)
 
 
+def test_krawtchouk_lanes_read_back_as_per_lane_ints():
+    # Lanes of 1, 2, 4 and 8 bytes are read by one struct.unpack, others one
+    # int.from_bytes at a time.  Against a per-lane int.from_bytes of the
+    # biased sum, every lane must come back exactly: at 0, at +-1 and at the
+    # extremes +-(X/2 - 1), where a borrow between lanes would show.
+    rng = random.Random(30)
+    for size in (1, 2, 3, 4, 5, 8, 9):
+        half = 1 << 8 * size - 1
+        for extra in (0, 1, 7):
+            lanes = [0, 1, -1, half - 1, 1 - half, half - 1, 0, 1 - half, -1, 1, 0]
+            lanes += [rng.randrange(1 - half, half) for _ in range(extra)]
+            packed = sum(v << 8 * size * i for i, v in enumerate(lanes))
+            raw = (packed + sum(half << 8 * size * i for i in range(len(lanes)))).to_bytes(
+                len(lanes) * size, "little")
+            reference = [int.from_bytes(raw[i : i + size], "little") - half
+                         for i in range(0, len(raw), size)]
+            assert reference == lanes
+            # At n = 0 the sum is the constant coeffs[0], read as one group.
+            assert _krawtchouk_lanes([packed], size, len(lanes)) == reference, (size, extra)
+
+
 def test_macwilliams_matches_krawtchouk_sums():
     """Random codes' distributions, and every point mass a_i = 2^d, whose
     coefficients 2^d K_j(i) reach 2^d C(n, j) and go negative for i > 0."""

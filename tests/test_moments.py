@@ -32,7 +32,7 @@ from gf2codes import (
     spanning_form,
 )
 from gf2codes import codes
-from gf2codes.moments import _count_numerators, _integral_class
+from gf2codes.moments import _count_numerators, _integral_class, _lp_max
 
 
 def rhs_oracle(n, d, a2_star, a3_star):
@@ -578,6 +578,25 @@ def test_lp_known_values():
     # Far from the paper's bounds (Theorem A: 12, the {24,32,56} lemma: 10).
     assert lp_dimension_bound(66, {24, 32, 40, 56}).dimension == 15
     assert lp_dimension_bound(66, {24, 32, 56}).dimension == 14
+
+
+def test_integer_lp_core_matches_lp_dimension_bound():
+    # The search reads ``_lp_max``'s integers and never the ``LpBound``: its
+    # dimension, and its optimum objective[m] / denom, must be the bound's.
+    rng = random.Random(30)
+    random_cases = []
+    for _ in range(300):
+        n = rng.randint(1, 20)
+        random_cases.append((n, tuple(rng.sample(range(1, n + 1), rng.randint(1, min(5, n))))))
+    wide = [(n, (24, 32, 40, 56)) for n in (62, 66, 128)]
+    for n, ws in LP_CASES + random_cases + wide:
+        dimension, objective, denom, nonbasic = _lp_max(n, ws)
+        lp = lp_dimension_bound(n, ws)
+        m = len(set(ws))
+        assert len(objective) == m + 1 and len(nonbasic) == m and denom > 0, (n, ws)
+        optimum = Fraction(objective[m], denom)
+        assert (dimension, optimum) == (lp.dimension, lp.optimum), (n, ws)
+        assert 2**dimension <= 1 + optimum < 2 ** (dimension + 1), (n, ws)
 
 
 def test_lp_edge_cases():

@@ -223,11 +223,16 @@ def test_lp_bound_covers_every_search_result():
 
 
 def _remove_lp_stop(monkeypatch):
-    real = lp_dimension_bound
-    # A bound of n is never below the result, so the stop cannot end the search early.
-    monkeypatch.setattr(search, "lp_dimension_bound",
-                        lambda length, weights: dataclasses.replace(real(length, weights),
-                                                                    dimension=length))
+    """Patch the search's LP core to a bound of n, which is never below the
+    result, so the stop cannot end the search early; returns the calls."""
+    real, calls = search._lp_max, []
+
+    def bound_n(length, weights):
+        calls.append(length)
+        return (length,) + real(length, weights)[1:]
+
+    monkeypatch.setattr(search, "_lp_max", bound_n)
+    return calls
 
 
 @pytest.mark.parametrize(
@@ -237,8 +242,9 @@ def _remove_lp_stop(monkeypatch):
 )
 def test_lp_stop_changes_only_the_node_count(monkeypatch, n, ws):
     stopped = max_dimension_exhaustive(n, ws)
-    _remove_lp_stop(monkeypatch)
+    calls = _remove_lp_stop(monkeypatch)
     unstopped = max_dimension_exhaustive(n, ws)
+    assert calls == [n]
     assert unstopped.bound == n and unstopped.stop == "exhausted"
     assert unstopped == dataclasses.replace(stopped, nodes_explored=unstopped.nodes_explored)
     assert unstopped.nodes_explored >= stopped.nodes_explored
@@ -369,3 +375,25 @@ def test_node_counts_are_pinned():
               (15, (8,), 6231))
     for n, ws, nodes in larger:
         assert max_dimension_exhaustive(n, ws).nodes_explored == nodes, (n, ws)
+
+
+def test_search_builds_no_fraction(monkeypatch):
+    # The stop dimension comes from the LP core's integers: with ``Fraction``
+    # unusable in ``moments`` every grid result, and every refusal of bad
+    # weights, is unchanged.
+    cases = [(n, ws) for n in (8, 9) for r in range(1, 4) for ws in combinations(range(1, n + 1), r)]
+
+    def results():
+        return [(r, r.stop, r.bound) for r in (max_dimension_exhaustive(n, ws) for n, ws in cases)]
+
+    expected = results()
+
+    def no_fraction(*args, **kwargs):
+        raise AssertionError("the search built a Fraction")
+
+    monkeypatch.setattr("gf2codes.moments.Fraction", no_fraction)
+    assert results() == expected
+    for n, ws, message in ((3, {2, 4}, r"weights must lie in \[1, 3\], got \[2, 4\]"),
+                           (3, {0}, r"weights must lie in \[1, 3\], got \[0\]")):
+        with pytest.raises(ValueError, match=message):
+            max_dimension_exhaustive(n, ws)
