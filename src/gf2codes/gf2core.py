@@ -29,16 +29,6 @@ __all__ = [
 ]
 
 
-def _pack(coords: Sequence[int]) -> int:
-    """The int of an explicit 0/1 sequence, entry i giving bit i."""
-    bits = 0
-    for i, c in enumerate(coords):
-        if c not in (0, 1):
-            raise ValueError(f"coordinate {i} is {c!r}, expected 0 or 1")
-        bits |= c << i
-    return bits
-
-
 @dataclass(frozen=True)
 class Gf2Vector:
     """A vector in F_2^length; coordinate i is bit i of ``bits``."""
@@ -51,19 +41,6 @@ class Gf2Vector:
             raise ValueError(f"negative vector length {self.length}")
         if self.bits < 0 or self.bits >> self.length:
             raise ValueError(f"bits 0x{self.bits:x} do not fit in length {self.length}")
-
-    @classmethod
-    def zero(cls, length: int) -> Gf2Vector:
-        return cls(length, 0)
-
-    @classmethod
-    def ones(cls, length: int) -> Gf2Vector:
-        return cls(length, (1 << length) - 1)
-
-    @classmethod
-    def from_coords(cls, coords: Sequence[int]) -> Gf2Vector:
-        """Build from an explicit 0/1 sequence, entry i giving coordinate i."""
-        return cls(len(coords), _pack(coords))
 
     @classmethod
     def from_support(cls, length: int, support: Iterable[int]) -> Gf2Vector:
@@ -130,17 +107,6 @@ class Gf2Matrix:
     @classmethod
     def from_ints(cls, rows: Sequence[int], n_cols: int) -> Gf2Matrix:
         return cls(tuple(rows), n_cols)
-
-    @classmethod
-    def from_lists(cls, rows: Sequence[Sequence[int]]) -> Gf2Matrix:
-        """Build from 0/1 row lists; rows must all have the same length."""
-        if not rows:
-            raise ValueError("cannot infer column count from an empty row list")
-        width = len(rows[0])
-        for i, row in enumerate(rows):
-            if len(row) != width:
-                raise ValueError(f"row {i} has length {len(row)}, expected {width}")
-        return cls(tuple([_pack(row) for row in rows]), width)
 
     @property
     def n_rows(self) -> int:

@@ -12,9 +12,9 @@ weight-3 words in the dual (a2_star, a3_star):
 Given a prescribed set of nonzero weights this pins the counts as affine
 functions of (a2_star, a3_star); leftover moment equations become residual
 constraints.  Everything here is exact.  The count solve yields integer
-numerators over a positive denominator; ``solve_weight_counts`` turns each
-into an ``AffineForm`` once, and the feasibility scan reads the numerators
-themselves, so it builds no ``AffineForm`` and a ``Fraction`` only to print.
+numerators over a positive denominator, which the feasibility scan and the
+Theorem A replay read, building ``AffineForm``s and ``Fraction``s only to
+print; ``solve_weight_counts`` is their public ``Fraction`` view.
 
 ``lp_dimension_bound`` is Delsarte's linear-programming bound: the dual
 distribution of any code with weights in W is nonnegative, which caps the
@@ -266,9 +266,9 @@ def solve_weight_counts(n: int, d: int, weights: Iterable[int]) -> LinearCountSo
     Returns each count as an affine form in (a2_star, a3_star) plus the
     residual forms of the unused equations.  The Vandermonde system on
     distinct positive weights is always nonsingular, so failure can only be
-    a nonzero constant residual (flagged via ``consistent``).  Each form is
-    built once from the integer numerators of ``_count_numerators``, which
-    ``feasibility_check`` reads directly, building no ``AffineForm``.
+    a nonzero constant residual (flagged via ``consistent``).  This is the
+    public ``Fraction`` view of ``_count_numerators``, whose integers the
+    feasibility scan and the Theorem A replay read directly.
     """
     ws, counts, residuals, note = _count_numerators(n, d, weights)
     return LinearCountSolution(

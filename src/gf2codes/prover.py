@@ -16,15 +16,12 @@ Reports serialize to stable-ordered JSON so replays are diffable.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping
 
 from .codes import LinearCode
 from .gf2core import Gf2Matrix
-from .moments import (AffineForm, _count_numerators, _integral_class, _nonnegative_part, _v2,
-                      solve_weight_counts)
+from .moments import _count_numerators, _form, _integral_class, _nonnegative_part, _v2
 from .transforms import projected_weight
 
 __all__ = [
@@ -51,13 +48,12 @@ _LEMMA_2_6_MAX_LENGTHS = 4096
 _LEMMA_WEIGHTS = (*_LEMMA_2_6_WEIGHTS, 56)
 _LEMMA_BOUND = 10
 # The paper's a_56 at spanning lengths 65 and 66, keyed by how far the
-# projection's length exceeds twice its dimension: the form, as printed, and
+# projection's length exceeds twice its dimension: the form as numerators
+# (c, p, q, den), worth (c + p*a2_star + q*a3_star)/den, as printed, and
 # rearranged for a2_star.  These are the claims the Theorem A replay checks.
 _STATED_A56 = {
-    1: (AffineForm(Fraction(-5, 2), Fraction(1, 2), Fraction(-1, 2)),
-        "(a2_star - a3_star - 5)/2", "2*a_56 + a3_star + 5"),
-    2: (AffineForm(Fraction(-13, 2), Fraction(1), Fraction(-1, 2)),
-        "a2_star - (a3_star + 13)/2", "a_56 + (a3_star + 13)/2"),
+    1: ((-5, 1, -1, 2), "(a2_star - a3_star - 5)/2", "2*a_56 + a3_star + 5"),
+    2: ((-13, 2, -1, 2), "a2_star - (a3_star + 13)/2", "a_56 + (a3_star + 13)/2"),
 }
 
 
@@ -471,28 +467,32 @@ def verify_theorem_a() -> ProofReport:
         return ProofReport(theorem=theorem, steps=tuple(steps))
     w = outside[0]
 
-    def count_solve(n: int, deficit: int) -> tuple[bool, str, Fraction, int]:
+    def count_solve(n: int, deficit: int) -> tuple[bool, str, str, int]:
         """Solve the moment equations at length n; check the stated a_56 form.
 
-        Returns whether it matched, the stated rearrangement for a2_star, the
-        least a2_star that a_56 >= 0 and a3_star >= 0 allow, and its ceiling.
+        Returns whether it matched (the numerators agree cross-multiplied by each
+        other's denominators), the stated rearrangement for a2_star, and the least
+        a2_star that a_56 >= 0 and a3_star >= 0 allow, printed and as its ceiling.
         """
         want, printed, rearranged = _STATED_A56[deficit]
-        sol = solve_weight_counts(n, dim, weights) if len(set(weights)) <= 4 else None
-        form = sol.expressions[top] if sol else None
-        counts = {f"a{x}": str(f) for x, f in sol.expressions.items()} if sol else {}
+        counts, note = {}, ""
+        if len(set(weights)) <= 4:  # more weights than moment equations: no count solve
+            _, counts, _, note = _count_numerators(n, dim, weights)
+        c, p, q, den = counts.get(top, (0, 0, 0, 1))
+        matched = bool(counts) and all(x * want[3] == y * den for x, y in zip((c, p, q), want))
         step(
             f"n{n}-count-solve", "arithmetic",
             f"at spanning length {n} and dimension {dim} the four moment equations "
             f"give a_{top} = {printed}",
             f"n={n} / four-weight count solve",
-            form == want and sol.consistent,
-            {"n": n, "dimension": dim, **counts, "expected_a56": str(want)},
+            matched and not note,
+            {"n": n, "dimension": dim, **{f"a{x}": str(_form(f)) for x, f in counts.items()},
+             "expected_a56": str(_form(want))},
         )
-        floor = Fraction(0)
-        if form and form.a2_coeff > 0 >= form.a3_coeff:
-            floor = -form.const / form.a2_coeff
-        return form == want, rearranged, floor, math.ceil(floor)
+        # a_56 >= 0 and a3_star >= 0 give a2_star >= -c/p when p > 0 >= q.
+        if not p > 0 >= q:
+            c, p = 0, 1
+        return matched, rearranged, str(_form((-c, 0, 0, p))), -(c // p)
 
     step(
         f"weight-{w}-exists", "cited-lemma",

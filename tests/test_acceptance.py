@@ -73,7 +73,7 @@ def test_criterion_2_golay_fixture():
         profile = code.predicate_profile()
         assert profile.is_doubly_even and profile.is_isotropic
         assert profile.is_self_dual and profile.is_spanning
-        assert code.contains(Gf2Vector.ones(24))
+        assert code.contains(Gf2Vector(24, (1 << 24) - 1))
 
 
 def test_criterion_3_moment_identities():

@@ -37,22 +37,22 @@ def brute_dual_words(code: LinearCode) -> set[int]:
 
 
 def test_from_rows_examples():
-    c = LinearCode.from_rows(Gf2Matrix.from_lists([[1, 0, 1], [0, 1, 1]]))
+    c = LinearCode.from_rows(Gf2Matrix.from_ints([0b101, 0b110], 3))
     assert (c.n, c.dimension) == (3, 2)
-    dup = LinearCode.from_rows(Gf2Matrix.from_lists([[1, 1], [1, 1]]))
+    dup = LinearCode.from_rows(Gf2Matrix.from_ints([0b11, 0b11], 2))
     assert dup.dimension == 1
-    dep = LinearCode.from_rows(Gf2Matrix.from_lists([[1, 0, 1], [0, 1, 1], [1, 1, 0]]))
+    dep = LinearCode.from_rows(Gf2Matrix.from_ints([0b101, 0b110, 0b011], 3))
     assert dep.dimension == 2
 
 
 def test_direct_construction_requires_canonical_rows():
     with pytest.raises(ValueError, match="from_rows"):
-        LinearCode(Gf2Matrix.from_lists([[1, 1, 0], [0, 1, 1]]))
+        LinearCode(Gf2Matrix.from_ints([0b011, 0b110], 3))
     with pytest.raises(ValueError, match="from_rows"):
         LinearCode(Gf2Matrix.from_ints([0], 3))
     # The second bit in row 0's pivot column sits in a later row.
     with pytest.raises(ValueError, match="not fully reduced"):
-        LinearCode(Gf2Matrix.from_lists([[1, 0, 0], [1, 1, 0]]))
+        LinearCode(Gf2Matrix.from_ints([0b001, 0b011], 3))
     # Row 1's pivot, coordinate 0, comes before row 0's, coordinate 1.
     with pytest.raises(ValueError, match="not in echelon order"):
         LinearCode(Gf2Matrix.from_ints([0b10, 0b01], 2))
@@ -492,11 +492,11 @@ def test_doubly_even_implies_isotropic(golay, hamming_8_4):
 
 
 def test_contains(golay, repetition_5):
-    assert golay.contains(Gf2Vector.ones(24))
-    assert golay.contains(Gf2Vector.zero(24))
+    assert golay.contains(Gf2Vector(24, (1 << 24) - 1))
+    assert golay.contains(Gf2Vector(24, 0))
     assert not repetition_5.contains(Gf2Vector.from_string("10000"))
     with pytest.raises(ValueError, match="length"):
-        golay.contains(Gf2Vector.zero(23))
+        golay.contains(Gf2Vector(23, 0))
     rng = random.Random(53)
     for _ in range(20):
         code = random_code(rng, 9, 4)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import re
@@ -284,8 +285,7 @@ def test_two_weight_scan_builds_no_fraction(monkeypatch):
     def no_fraction(*args, **kwargs):
         raise AssertionError("the Lemma 2.6 replay built a Fraction or an AffineForm")
 
-    for name in ("gf2codes.prover.Fraction", "gf2codes.prover.AffineForm",
-                 "gf2codes.moments.AffineForm"):
+    for name in ("gf2codes.moments.Fraction", "gf2codes.moments.AffineForm"):
         monkeypatch.setattr(name, no_fraction)
     assert reports() == expected
 
@@ -556,3 +556,60 @@ def test_theorem_a_step_ids_follow_the_claim(monkeypatch):
     pairs = [s for s in steps if "dual-pairs-at-least" in s.id]
     assert [s.id for s in pairs] == [f"n64-dual-pairs-at-least-{pairs[0].data['a2_star_min']}"]
     assert "n64-weight22-from-56" in [s.id for s in steps]
+
+
+# Every claim the tests above patch in, besides the stated one.
+PATCHED_CLAIMS = [
+    *[(n, 13, (24, 32, 40, 56)) for n in (60, 65, 67, 70)],
+    *[(n, 12, (24, 32, 40, 56)) for n in (62, *range(65, 100))],
+    (66, 14, (24, 32, 40, 56)),
+    (66, 13, (24, 32, 48, 56)), (66, 13, (24, 32, 41, 56)), (66, 13, (24, 32, 50, 56)),
+    (66, 13, (11, 24, 32, 56)), (66, 13, (24, 32, 56)), (56, 14, (24, 28, 32, 56)),
+    (66, 13, (24, 32, 40, 48, 56)),
+]
+
+
+def test_theorem_a_decides_on_integers(monkeypatch):
+    # The replay reads the count solve's integer numerators and builds text
+    # only to print: with no Fraction view of the counts and every printed
+    # form replaced, each step keeps its id and its status.
+    stated = prover._THEOREM_A
+
+    def decisions():
+        out = []
+        for claim in [stated, *PATCHED_CLAIMS]:
+            monkeypatch.setattr(prover, "_THEOREM_A", claim)
+            out.append([(s.id, s.status) for s in verify_theorem_a().steps])
+        return out
+
+    expected = decisions()
+
+    def no_fraction(*args, **kwargs):
+        raise AssertionError("the Theorem A replay built a Fraction view of the counts")
+
+    monkeypatch.setattr("gf2codes.moments.solve_weight_counts", no_fraction)
+    monkeypatch.setattr("gf2codes.moments.AffineForm", no_fraction)
+    monkeypatch.setattr("gf2codes.prover._form", lambda numerators: "printed")
+    assert decisions() == expected
+    # The stub reached the printed forms, so the statuses came from integers.
+    monkeypatch.setattr(prover, "_THEOREM_A", stated)
+    by_id = {s.id: s for s in verify_theorem_a().steps}
+    assert by_id["n66-count-solve"].data["a56"] == "printed"
+    assert by_id["n66-count-solve"].status
+
+
+def test_theorem_a_sweep_of_patched_claims_is_pinned(monkeypatch):
+    # 612 claims: lengths 56-67, dimensions 12-14 and weights {24, 32, 56, w},
+    # w = 26, 28, ..., 58, with and without 48.  They reach every deficit,
+    # the count solve on three to five weights, and unrealizable pairs; the
+    # digest pins every report's bytes against later refactors of the replay.
+    digest = hashlib.sha256()
+    for n in (56, 62, 64, 65, 66, 67):
+        for d in (12, 13, 14):
+            for w in range(26, 59, 2):
+                for extra in (set(), {48}):
+                    claim = (n, d, tuple(sorted({24, 32, 56, w} | extra)))
+                    monkeypatch.setattr(prover, "_THEOREM_A", claim)
+                    report = verify_theorem_a().to_json_dict()
+                    digest.update(json.dumps(report, indent=2).encode())
+    assert digest.hexdigest() == "c4ee1f1e9df199ade943fdf4b64aedb276541c4672fc07635c7e47ba0ca31e65"

@@ -57,7 +57,7 @@ def test_first_witness_is_deterministic():
     assert result.complete
     assert result.witness == Gf2Matrix.from_ints([5, 6], 3)
     code = LinearCode.from_rows(result.witness)
-    assert code == LinearCode.from_rows(Gf2Matrix.from_lists([[1, 0, 1], [0, 1, 1]]))
+    assert code == LinearCode.from_rows(Gf2Matrix.from_ints([0b101, 0b110], 3))
     again = max_dimension_exhaustive(3, {2})
     assert again == result
 

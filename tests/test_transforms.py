@@ -89,7 +89,7 @@ def test_project_golay_along_weight_8_word(golay):
 
 def test_project_along_full_support_word():
     rep4 = LinearCode.from_rows(Gf2Matrix.from_ints([0b1111], 4))
-    image = project(rep4, Gf2Vector.ones(4))
+    image = project(rep4, Gf2Vector(4, 0b1111))
     assert (image.n, image.dimension) == (0, 0)
 
 
@@ -103,7 +103,7 @@ def test_project_along_disjoint_sum_kills_dimension():
 
 def test_project_errors(golay):
     with pytest.raises(ValueError, match="zero word"):
-        project(golay, Gf2Vector.zero(24))
+        project(golay, Gf2Vector(24, 0))
     with pytest.raises(ValueError, match="not a codeword"):
         project(golay, Gf2Vector.from_support(24, (0,)))
 
@@ -187,7 +187,7 @@ def test_shorten_on_duplicated_column_pair_costs_one_dimension(hamming_7_4):
 
 
 def test_subcode_avoiding(golay):
-    ones = Gf2Vector.ones(24)
+    ones = Gf2Vector(24, (1 << 24) - 1)
     sub = subcode_avoiding(golay, ones)
     assert sub.dimension == 11
     assert not sub.contains(ones)
@@ -201,13 +201,13 @@ def test_subcode_avoiding(golay):
 
 def test_subcode_avoiding_repetition_gives_zero_code():
     rep3 = LinearCode.from_rows(Gf2Matrix.from_ints([0b111], 3))
-    sub = subcode_avoiding(rep3, Gf2Vector.ones(3))
+    sub = subcode_avoiding(rep3, Gf2Vector(3, 0b111))
     assert (sub.n, sub.dimension) == (3, 0)
 
 
 def test_subcode_avoiding_errors(golay):
     with pytest.raises(ValueError, match="zero word"):
-        subcode_avoiding(golay, Gf2Vector.zero(24))
+        subcode_avoiding(golay, Gf2Vector(24, 0))
     with pytest.raises(ValueError, match="not a codeword"):
         subcode_avoiding(golay, Gf2Vector.from_support(24, (0, 1)))
 
@@ -242,7 +242,7 @@ def test_extend_span(hamming_7_4, even_weight_4):
     full = extend_span(even_weight_4, Gf2Vector.from_support(4, (0,)))
     assert full.dimension == 4
     with pytest.raises(ValueError, match="length"):
-        extend_span(hamming_7_4, Gf2Vector.zero(8))
+        extend_span(hamming_7_4, Gf2Vector(8, 0))
 
 
 def test_spanning_form_strips_dead_coordinates(hamming_7_4):
