@@ -22,7 +22,8 @@ import struct
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .gf2core import _FIELD, Gf2Matrix, Gf2Vector, nullspace_basis, rref_ints, transpose_ints
+from .gf2core import (_DROP_BITS, _FIELD, Gf2Matrix, Gf2Vector, nullspace_basis, rref_ints,
+                      transpose_ints)
 
 __all__ = [
     "DEFAULT_ENUMERATION_CAP",
@@ -48,8 +49,6 @@ _SLICE_BITS = 14
 # A slice column is the XOR of one set from each table of 2^_TABLE_BITS sets.
 _TABLE_BITS = 5
 _TABLE_MASK = (1 << _TABLE_BITS) - 1
-
-_DROP_BITS = str.maketrans("", "", "01")
 
 
 @dataclass(frozen=True)
@@ -388,7 +387,6 @@ def parse_generator_text(text: str) -> Gf2Matrix:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        # int() would also take '_', signs, spaces and non-ASCII digits.
         bad = line.translate(_DROP_BITS)
         if bad:
             raise ValueError(f"line {lineno}: unexpected character {bad[0]!r}")

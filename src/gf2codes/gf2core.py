@@ -2,7 +2,8 @@
 
 Coordinate i of a vector or of a matrix row (a plain int) is bit i, so weight
 is a popcount, addition is XOR, and an inner product is a popcount parity.
-All types are immutable; operations return fresh values.
+A vector is a length-checked word with no operations: callers use these on its
+``bits``.  Both types are immutable.
 
 Tuples in this package are built from lists, ``tuple([...])``, never from a
 generator expression.  CPython starts a tuple from a generator at 10 slots
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 import struct
-from typing import Iterable, Sequence
+from typing import Sequence
 
 __all__ = [
     "Gf2Vector",
@@ -27,6 +28,9 @@ __all__ = [
     "rref",
     "nullspace_basis",
 ]
+
+# What a 0/1 row keeps under this is bad; int() takes '_', signs, spaces, other digits.
+_DROP_BITS = str.maketrans("", "", "01")
 
 
 @dataclass(frozen=True)
@@ -43,47 +47,12 @@ class Gf2Vector:
             raise ValueError(f"bits 0x{self.bits:x} do not fit in length {self.length}")
 
     @classmethod
-    def from_support(cls, length: int, support: Iterable[int]) -> Gf2Vector:
-        bits = 0
-        for i in support:
-            if not 0 <= i < length:
-                raise ValueError(f"support index {i} outside [0, {length})")
-            bits |= 1 << i
-        return cls(length, bits)
-
-    @classmethod
     def from_string(cls, text: str) -> Gf2Vector:
         """Parse a '0'/'1' string; character i gives coordinate i."""
-        bits = 0
-        for i, ch in enumerate(text):
-            if ch == "1":
-                bits |= 1 << i
-            elif ch != "0":
-                raise ValueError(f"character {i} is {ch!r}, expected '0' or '1'")
-        return cls(len(text), bits)
-
-    def weight(self) -> int:
-        """Hamming weight (number of set coordinates)."""
-        return self.bits.bit_count()
-
-    def support(self) -> tuple[int, ...]:
-        """Indices of nonzero coordinates, ascending."""
-        return tuple([i for i in range(self.length) if (self.bits >> i) & 1])
-
-    def dot(self, other: Gf2Vector) -> int:
-        """Inner product in GF(2)."""
-        self._check_length(other)
-        return (self.bits & other.bits).bit_count() & 1
-
-    def __add__(self, other: Gf2Vector) -> Gf2Vector:
-        self._check_length(other)
-        return Gf2Vector(self.length, self.bits ^ other.bits)
-
-    __xor__ = __add__
-
-    def _check_length(self, other: Gf2Vector) -> None:
-        if self.length != other.length:
-            raise ValueError(f"length mismatch: {self.length} vs {other.length}")
+        bad = text.translate(_DROP_BITS)
+        if bad:
+            raise ValueError(f"character {text.index(bad[0])} is {bad[0]!r}, expected '0' or '1'")
+        return cls(len(text), int("0" + text[::-1], 2))
 
     def __str__(self) -> str:
         # Coordinate 0 first; a leading 1 keeps length digits, then is cut.

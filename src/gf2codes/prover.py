@@ -268,6 +268,7 @@ def verify_lemma_2_6(d: int, n_range: tuple[int, int] = (1, 128)) -> ProofReport
     valuations, zero_lhs_lengths, no_contradiction, admissible, admissible_no_contradiction = (
         _affine_scan(lo, hi, (lhs, lhs_slope), list(zip(counts, slopes)), 4, required)
     )
+    uniform = valuations[0] if d >= 7 and len(valuations) == 1 else None
 
     steps = (
         ProofStep(
@@ -317,12 +318,12 @@ def verify_lemma_2_6(d: int, n_range: tuple[int, int] = (1, 128)) -> ProofReport
                 "valuation exactly 8"
             ),
             anchor="lemma-2-6 / inner term is odd",
-            status=d >= 7,
+            status=uniform == 8,
             data={
                 "inner_term": _INNER_TERM,
                 "even_summands_from_dimension": 7,
                 "dimension": d,
-                "valuation_for_all_lengths": 8 if d >= 7 else None,
+                "valuation_for_all_lengths": uniform,
             },
         ),
     )

@@ -55,6 +55,21 @@ def test_readme_examples_match_real_output(capsys, monkeypatch):
     assert len(examples) == 4
 
 
+def test_readme_library_example_and_exports_table():
+    section = README.read_text().split("## Library\n\n```python\n")[1]
+    block, table = section.split("```", 1)
+    namespace = {}
+    exec(block, namespace)
+    assert repr(namespace["we"]) == "WeightEnumerator(n=4, counts=(1, 0, 6, 0, 1))"
+    assert f"we = code.weight_distribution()        # {namespace['we']!r}\n" in block
+    rows = re.findall(r"^\| `(\w+)` \| (.*) \|$", table.split("\n\n## ")[0], re.MULTILINE)
+    assert [module for module, _ in rows] == [
+        "gf2core", "codes", "transforms", "moments", "prover", "search"]
+    for module, exports in rows:
+        names = re.findall(r"`(\w+)`", exports)
+        assert names and set(names) <= set(getattr(gf2codes, module).__all__), module
+
+
 def test_analyze_human_output(capsys):
     assert run(["analyze", GOLAY]) == 0
     out = capsys.readouterr().out.splitlines()

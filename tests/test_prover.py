@@ -305,6 +305,21 @@ def test_two_weight_scan_rejects_mutated_closed_form(monkeypatch):
     assert report.steps[0].data["all_lengths_match"] is False
 
 
+def test_parity_argument_checks_the_scanned_valuation(monkeypatch):
+    # a_24 one higher adds 24^2 = 2^6 * 9 to the left side at every length,
+    # so its valuation is 6, not the 8 the parity step states.
+    def raised(n, d):
+        a24, a32 = closed(n, d)
+        return a24 + 16, a32  # the helper returns 16 times each count
+
+    closed = prover._closed_form_counts
+    monkeypatch.setattr(prover, "_closed_form_counts", raised)
+    parity = verify_lemma_2_6(10, (1, 128)).steps[2]
+    assert parity.id == "parity-argument"
+    assert not parity.status
+    assert parity.data["valuation_for_all_lengths"] == 6
+
+
 def test_two_weight_scan_rejects_mutated_factored_form(monkeypatch):
     # The inner term's constant 5 in place of 3: still affine, wrong at both ends.
     factored = prover._factored_lhs
