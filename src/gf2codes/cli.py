@@ -135,12 +135,11 @@ def _resolve_word(code: LinearCode, word: str) -> Gf2Vector:
     otherwise a generator row index."""
     if word and set(word) <= {"0", "1"} and len(word) == code.n:
         return Gf2Vector.from_string(word)
-    try:
-        index = int(word)
-    except ValueError:
+    if not (word.isascii() and word.isdigit()):  # int() also takes '_', signs, spaces
         raise ValueError(
             f"--word must be a row index or a {code.n}-character bit string, got {word!r}"
-        ) from None
+        )
+    index = int(word)
     if not 0 <= index < code.dimension:
         raise ValueError(f"row index {index} outside [0, {code.dimension})")
     return Gf2Vector(code.n, code.generator.rows[index])
@@ -230,11 +229,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         given = [flag for flag, value in (("--d", args.d), ("--n-range", args.n_range))
                  if value is not None]
         raise ValueError(f"only lemma-2-6 takes {' and '.join(given)}, not {args.claim}")
-    elif args.claim == "lemma-24-32-56":
-        report = verify_lemma_24_32_56()
-        inputs = {"claim": args.claim}
     else:
-        report = verify_theorem_a()
+        replay = {"lemma-24-32-56": verify_lemma_24_32_56, "theorem-a": verify_theorem_a}
+        report = replay[args.claim]()
         inputs = {"claim": args.claim}
     payload = report.to_json_dict()
     _emit(args, "verify", inputs, payload, lambda: [

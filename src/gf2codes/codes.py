@@ -147,10 +147,10 @@ class LinearCode:
     def weight_distribution(self, cap: int = DEFAULT_ENUMERATION_CAP) -> WeightEnumerator:
         """Exact weight distribution, counting 2^min(k, n-k) words.
 
-        A code with 2k <= n counts its own 2^k words; otherwise its dual's
-        2^(n-k) words are counted and ``macwilliams_transform`` gives this
-        code's distribution back.  Raises if the dimension k exceeds ``cap``,
-        whichever side is counted.
+        A code with 2k <= n counts its own 2^k words; otherwise
+        ``_weight_distributions`` counts its dual's 2^(n-k) words and
+        ``macwilliams_transform`` gives this code's distribution back.
+        Raises if the dimension k exceeds ``cap``, whichever side is counted.
         """
         d = self.dimension
         if d > cap:
@@ -158,7 +158,7 @@ class LinearCode:
                 f"dimension {d} exceeds enumeration cap {cap}; raise the cap to proceed"
             )
         if 2 * d > self.n:
-            return macwilliams_transform(self.dual()._sliced_count(), self.n - d)
+            return self._weight_distributions(cap)[0]
         return self._sliced_count()
 
     def _weight_distributions(self, cap: int) -> tuple[WeightEnumerator, WeightEnumerator]:

@@ -86,9 +86,6 @@ class Gf2Matrix:
         top = 1 << self.n_cols  # a leading 1 keeps n_cols digits, then is cut
         return [format(row | top, "b")[:0:-1] for row in self.rows]
 
-    def __str__(self) -> str:
-        return "\n".join(self.row_strings())
-
 
 @dataclass(frozen=True)
 class RrefResult:

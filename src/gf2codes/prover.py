@@ -11,12 +11,15 @@ records the result as a sequence of typed proof steps.  A step is one of:
   shortening, hyperplane subcodes) are implemented and tested in
   :mod:`gf2codes.transforms`.
 
-Reports serialize to stable-ordered JSON so replays are diffable.
+Every step of every replay is built by ``_step``, which forms its anchor
+as "<claim> / <what>" and its status as a bool.  Reports serialize to
+stable-ordered JSON so replays are diffable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Mapping
 
 from .codes import LinearCode
@@ -91,6 +94,12 @@ class ProofReport:
         }
 
 
+def _step(claim: str, step_id: str, kind: str, statement: str, anchor: str, status: object,
+          data: dict[str, object]) -> ProofStep:
+    """A step of ``claim``'s replay, anchored "<claim> / <anchor>"."""
+    return ProofStep(step_id, kind, statement, f"{claim} / {anchor}", bool(status), data)
+
+
 def min_union_length(weight_a: int, weight_b: int, sum_weight: int) -> int:
     """Minimal ambient length carrying v, w with |v|, |w|, |v+w| as given.
 
@@ -113,17 +122,14 @@ def verify_remark_a56(ambient: int) -> ProofStep:
     low, top = min(_LEMMA_WEIGHTS), max(_LEMMA_WEIGHTS)
     union = _a56_union()
     overlap = 2 * top - union
-    return ProofStep(
-        id=f"a56-at-most-one-n{ambient}",
-        kind="arithmetic",
-        statement=(
-            f"two distinct weight-{top} words whose sum has weight at least {low} "
-            f"span at least {union} coordinates, more than the ambient {ambient}, "
-            f"so a_{top} <= 1 there"
-        ),
-        anchor="remark-a56 / minimum union length",
-        status=union > ambient,
-        data={
+    return _step(
+        "remark-a56", f"a56-at-most-one-n{ambient}", "arithmetic",
+        f"two distinct weight-{top} words whose sum has weight at least {low} "
+        f"span at least {union} coordinates, more than the ambient {ambient}, "
+        f"so a_{top} <= 1 there",
+        "minimum union length",
+        union > ambient,
+        {
             "ambient": ambient,
             "pair_weights": [top, top],
             "min_sum_weight": low,
@@ -270,34 +276,29 @@ def verify_lemma_2_6(d: int, n_range: tuple[int, int] = (1, 128)) -> ProofReport
     )
     uniform = valuations[0] if d >= 7 and len(valuations) == 1 else None
 
+    step = partial(_step, "lemma-2-6")
     steps = (
-        ProofStep(
-            id="closed-form-counts",
-            kind="arithmetic",
-            statement=(
-                f"the first two moment equations give a_{pair[0]} = {_COUNT_FORMS[0]} "
-                f"and a_{pair[1]} = {_COUNT_FORMS[1]} at every length in range"
-            ),
-            anchor="lemma-2-6 / two-weight count solve",
-            status=all_match,
-            data={
+        step(
+            "closed-form-counts", "arithmetic",
+            f"the first two moment equations give a_{pair[0]} = {_COUNT_FORMS[0]} "
+            f"and a_{pair[1]} = {_COUNT_FORMS[1]} at every length in range",
+            "two-weight count solve",
+            all_match,
+            {
                 "dimension": d,
                 "n_range": [lo, hi],
                 **{f"a{x}_formula": form for x, form in zip(pair, _COUNT_FORMS)},
                 "all_lengths_match": all_match,
             },
         ),
-        ProofStep(
-            id="divisibility-scan",
-            kind="arithmetic",
-            statement=(
-                "substituting the pinned counts into the second-moment identity, "
-                "the dual pair count is an integer only if the left side is "
-                f"divisible by 2^{required}; the scan records where that fails"
-            ),
-            anchor="lemma-2-6 / 2-adic valuation of the second moment",
-            status=factored_ok and not admissible_no_contradiction,
-            data={
+        step(
+            "divisibility-scan", "arithmetic",
+            "substituting the pinned counts into the second-moment identity, "
+            "the dual pair count is an integer only if the left side is "
+            f"divisible by 2^{required}; the scan records where that fails",
+            "2-adic valuation of the second moment",
+            factored_ok and not admissible_no_contradiction,
+            {
                 "dimension": d,
                 "required_valuation": required,
                 "lhs_factored": f"2^8 * ({_INNER_TERM})",
@@ -309,17 +310,14 @@ def verify_lemma_2_6(d: int, n_range: tuple[int, int] = (1, 128)) -> ProofReport
                 "admissible_without_contradiction": admissible_no_contradiction,
             },
         ),
-        ProofStep(
-            id="parity-argument",
-            kind="arithmetic",
-            statement=(
-                "for d >= 7 both scaled powers in the inner term are even, so the "
-                "inner term is odd for every length and the left side has 2-adic "
-                "valuation exactly 8"
-            ),
-            anchor="lemma-2-6 / inner term is odd",
-            status=uniform == 8,
-            data={
+        step(
+            "parity-argument", "arithmetic",
+            "for d >= 7 both scaled powers in the inner term are even, so the "
+            "inner term is odd for every length and the left side has 2-adic "
+            "valuation exactly 8",
+            "inner term is odd",
+            uniform == 8,
+            {
                 "inner_term": _INNER_TERM,
                 "even_summands_from_dimension": 7,
                 "dimension": d,
@@ -352,19 +350,17 @@ def verify_lemma_24_32_56() -> ProofReport:
     two_weight = verify_lemma_2_6(_LEMMA_BOUND)
     two_weight_bound = _LEMMA_BOUND - 1
     lo, hi = two_weight.steps[0].data["n_range"]
-    case_zero = ProofStep(
-        id="case-a56-zero",
-        kind="cited-lemma",
-        statement=(
-            f"with no weight-{top} word the weights lie in {_braces(pair_weights)}; "
-            f"dimension {_LEMMA_BOUND} is impossible at every length, and any "
-            f"higher-dimensional code has a {_LEMMA_BOUND}-dimensional subcode with "
-            "the same weight constraint, so the dimension is at most "
-            f"{two_weight_bound}"
-        ),
-        anchor=f"lemma-24-32-56 / case without a weight-{top} word",
-        status=two_weight.overall and lo <= 1 and cap <= hi,
-        data={
+    step = partial(_step, "lemma-24-32-56")
+    case_zero = step(
+        "case-a56-zero", "cited-lemma",
+        f"with no weight-{top} word the weights lie in {_braces(pair_weights)}; "
+        f"dimension {_LEMMA_BOUND} is impossible at every length, and any "
+        f"higher-dimensional code has a {_LEMMA_BOUND}-dimensional subcode with "
+        "the same weight constraint, so the dimension is at most "
+        f"{two_weight_bound}",
+        f"case without a weight-{top} word",
+        two_weight.overall and lo <= 1 and cap <= hi,
+        {
             "cited": "lemma-2-6",
             "dimension_replayed": _LEMMA_BOUND,
             "scan_overall": two_weight.overall,
@@ -373,18 +369,15 @@ def verify_lemma_24_32_56() -> ProofReport:
             "claimed_bound": _LEMMA_BOUND,
         },
     )
-    case_one = ProofStep(
-        id="case-a56-one",
-        kind="structural",
-        statement=(
-            f"with exactly one weight-{top} word, a hyperplane subcode avoiding it "
-            "has dimension exactly one less and weights in "
-            f"{_braces(pair_weights)}, so the dimension is at most "
-            f"1 + {two_weight_bound} = {1 + two_weight_bound}"
-        ),
-        anchor=f"lemma-24-32-56 / case with one weight-{top} word",
-        status=two_weight.overall,
-        data={
+    case_one = step(
+        "case-a56-one", "structural",
+        f"with exactly one weight-{top} word, a hyperplane subcode avoiding it "
+        "has dimension exactly one less and weights in "
+        f"{_braces(pair_weights)}, so the dimension is at most "
+        f"1 + {two_weight_bound} = {1 + two_weight_bound}",
+        f"case with one weight-{top} word",
+        two_weight.overall,
+        {
             "operation": "subcode_avoiding",
             "dimension_drop": 1,
             "subcode_weights": pair_weights,
@@ -446,11 +439,8 @@ def verify_theorem_a() -> ProofReport:
     pdim = dim - 1
     steps: list[ProofStep] = []
 
-    def step(step_id: str, kind: str, statement: str, anchor: str, status: object,
-             data: dict[str, object]) -> None:
-        steps.append(
-            ProofStep(step_id, kind, statement, f"theorem-a / {anchor}", bool(status), data)
-        )
+    def step(*args) -> None:
+        steps.append(_step("theorem-a", *args))
 
     theorem = (
         f"a binary linear code of length {n_max} whose nonzero weights lie in "

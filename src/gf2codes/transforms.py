@@ -1,4 +1,4 @@
-"""Code surgery: projections, shortenings, hyperplane subcodes, extensions.
+"""Code surgery: projections, shortenings, hyperplane subcodes, spanning forms.
 
 These are the moves used to pass from a code to smaller ones while tracking
 exactly how weights and dimension change.
@@ -16,7 +16,6 @@ __all__ = [
     "project",
     "shorten",
     "subcode_avoiding",
-    "extend_span",
     "spanning_form",
 ]
 
@@ -110,14 +109,6 @@ def subcode_avoiding(code: LinearCode, v: Gf2Vector) -> LinearCode:
     remaining = [r for i, r in enumerate(code.generator.rows) if i != pivot_row]
     # Deleting a row of a canonical generator leaves a canonical generator.
     return LinearCode(Gf2Matrix.from_ints(remaining, code.n))
-
-
-def extend_span(code: LinearCode, v: Gf2Vector) -> LinearCode:
-    """Span of the code and one more vector (same code if v already inside)."""
-    if v.length != code.n:
-        raise ValueError(f"vector length {v.length} does not match code length {code.n}")
-    rows = list(code.generator.rows) + [v.bits]
-    return LinearCode.from_rows(Gf2Matrix.from_ints(rows, code.n))
 
 
 def spanning_form(code: LinearCode) -> LinearCode:

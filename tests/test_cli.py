@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import gc
 import hashlib
@@ -68,6 +69,15 @@ def test_readme_library_example_and_exports_table():
     for module, exports in rows:
         names = re.findall(r"`(\w+)`", exports)
         assert names and set(names) <= set(getattr(gf2codes, module).__all__), module
+
+
+def test_readme_command_list_matches_the_parser():
+    block = README.read_text().split("## Command line\n")[1].split("```text\n")[1]
+    listed = [tuple(line.split(None, 1)) for line in block.split("```")[0].splitlines()]
+    parser, commands = cli._build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert listed == [(a.dest, a.help) for a in subparsers._choices_actions]
+    assert [name for name, _ in listed] == list(commands)
 
 
 def test_analyze_human_output(capsys):
@@ -154,6 +164,19 @@ def test_project_rejects_bad_words(capsys):
     assert "outside [0, 3)" in capsys.readouterr().err
     assert run(["project", EVEN4, "--word", "abc"]) == 2
     assert "row index or a 4-character bit string" in capsys.readouterr().err
+
+
+def test_project_takes_a_row_index_only_as_ascii_digits(capsys):
+    # int() would read each of these as a row index.
+    for word in ("1_0", " 3", "+3", "3 ", "\u0663"):
+        assert run(["project", GOLAY, "--word", word]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --word must be a row index or a 24-character bit string, got {word!r}\n")
+    assert run(["project", GOLAY, "--word", "10"]) == 0
+    by_index = capsys.readouterr().out
+    row = cli._load_code(GOLAY).generator.row_strings()[10]
+    assert run(["project", GOLAY, "--word", row]) == 0
+    assert capsys.readouterr().out == by_index
 
 
 def test_shorten(capsys):

@@ -68,7 +68,6 @@ def test_row_strings_list_columns_in_order():
         rows = [rng.getrandbits(n) for _ in range(3)]
         m = Gf2Matrix.from_ints(rows, n)
         assert m.row_strings() == [str(Gf2Vector(n, r)) for r in rows]
-        assert str(m) == "\n".join(m.row_strings())
     assert Gf2Matrix.from_ints([0, 0], 0).row_strings() == ["", ""]
     assert Gf2Matrix.from_ints([], 5).row_strings() == []
 

@@ -48,7 +48,6 @@ PUBLIC_NAMES = [
     "project",
     "shorten",
     "subcode_avoiding",
-    "extend_span",
     "spanning_form",
 ]
 

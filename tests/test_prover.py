@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -331,6 +332,28 @@ def test_two_weight_scan_rejects_mutated_factored_form(monkeypatch):
     assert scan.data["factored_matches_sum"] is False
 
 
+def _printed(text: str):
+    """A printed formula as code, ``^`` read as a power; names bind to Fractions."""
+    code = compile(text.replace("^", "**"), text, "eval")
+    return lambda **names: eval(code, {"__builtins__": {}},
+                                {k: Fraction(v) for k, v in names.items()})
+
+
+def test_two_weight_scan_prints_the_forms_it_checks():
+    # The replay checks 16 times each form through integer helpers; the
+    # report prints the forms themselves, so evaluate the printed text.
+    counts, scan = verify_lemma_2_6(10, (1, 128)).steps[:2]
+    texts = [counts.data[f"a{w}_formula"] for w in (24, 32)]
+    assert texts == list(prover._COUNT_FORMS)
+    assert all(text in counts.statement for text in texts)
+    assert scan.data["lhs_factored"] == f"2^8 * ({prover._INNER_TERM})"
+    forms, lhs = [_printed(text) for text in texts], _printed(scan.data["lhs_factored"])
+    for d in range(25):
+        for n in range(1, 200):
+            assert [16 * f(d=d, n=n) for f in forms] == list(prover._closed_form_counts(n, d))
+            assert 16 * lhs(d=d, n=n) == prover._factored_lhs(n, d), (n, d)
+
+
 def test_two_weight_scan_validation():
     with pytest.raises(ValueError, match="negative dimension"):
         verify_lemma_2_6(-1)
@@ -409,6 +432,23 @@ def test_dimension_bound_theorem_count_forms():
     pairs = by_id["projection-doubly-even"].data["pairs"]
     assert len(pairs) == 17  # all 16 ordered weight pairs plus the kernel case
     assert all(p[2] % 4 == 0 and 0 <= p[2] <= 36 for p in pairs)
+
+
+def test_theorem_a_prints_the_a56_forms_it_checks():
+    # The replay checks the numerators (c, p, q, den); the report prints the
+    # form and its rearrangement for a2_star, so evaluate both as printed.
+    steps = verify_theorem_a().steps
+    for deficit, ((c, p, q, den), printed, rearranged) in prover._STATED_A56.items():
+        n = 64 + deficit
+        solve, dual = [s for s in steps if s.id.startswith((f"n{n}-count", f"n{n}-dual-pair"))]
+        assert solve.statement.endswith(f"give a_56 = {printed}")
+        assert dual.data["a2_star_identity"] == f"a2_star = {rearranged}"
+        a56, a2 = _printed(printed), _printed(rearranged)
+        for a2_star in range(30):
+            for a3_star in range(30):
+                value = a56(a2_star=a2_star, a3_star=a3_star)
+                assert value == Fraction(c + p * a2_star + q * a3_star, den)
+                assert a2(a_56=value, a3_star=a3_star) == a2_star
 
 
 def test_reports_serialize_deterministically():

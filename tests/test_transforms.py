@@ -8,7 +8,6 @@ from gf2codes import (
     Gf2Matrix,
     Gf2Vector,
     LinearCode,
-    extend_span,
     project,
     projected_weight,
     shorten,
@@ -227,22 +226,6 @@ def test_subcode_avoiding_random():
         pivot_row = next(i for i, p in enumerate(code.pivots()) if (v.bits >> p) & 1)
         rows = [r for i, r in enumerate(code.generator.rows) if i != pivot_row]
         assert sub == LinearCode.from_rows(Gf2Matrix.from_ints(rows, code.n))
-
-
-def test_extend_span(hamming_7_4, even_weight_4):
-    same = extend_span(hamming_7_4, Gf2Vector(7, hamming_7_4.generator.rows[0]))
-    assert same == hamming_7_4
-    outside = Gf2Vector(7, 0b1)
-    assert not hamming_7_4.contains(outside)
-    bigger = extend_span(hamming_7_4, outside)
-    assert bigger.dimension == 5
-    assert bigger.contains(outside)
-    zero = LinearCode.from_rows(Gf2Matrix.from_ints([0], 3))
-    assert extend_span(zero, Gf2Vector(3, 0b10)).dimension == 1
-    full = extend_span(even_weight_4, Gf2Vector(4, 0b1))
-    assert full.dimension == 4
-    with pytest.raises(ValueError, match="length"):
-        extend_span(hamming_7_4, Gf2Vector(8, 0))
 
 
 def test_spanning_form_strips_dead_coordinates(hamming_7_4):
