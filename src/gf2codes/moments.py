@@ -14,7 +14,9 @@ functions of (a2_star, a3_star); leftover moment equations become residual
 constraints.  Everything here is exact.  The count solve yields integer
 numerators over a positive denominator, which the feasibility scan and the
 Theorem A replay read, building ``AffineForm``s and ``Fraction``s only to
-print; ``solve_weight_counts`` is their public ``Fraction`` view.
+print; ``solve_weight_counts`` is their public ``Fraction`` view.  It divides
+one master polynomial by each (t - w) and reads a2_star only in equations 3
+and 4, a3_star only in 4: nowhere else are their columns nonzero.
 
 ``lp_dimension_bound`` is Delsarte's linear-programming bound: the dual
 distribution of any code with weights in W is nonnegative, which caps the
@@ -224,7 +226,14 @@ def _count_numerators(
     n: int, d: int, weights: Iterable[int]
 ) -> tuple[tuple[int, ...], dict[int, Numerators], dict[int, Numerators], str]:
     """The count solve: the sorted weights, the counts and residuals (keyed as in
-    ``LinearCountSolution``) as ``Numerators``, and ``note`` ("" if consistent)."""
+    ``LinearCountSolution``) as ``Numerators``, and ``note`` ("" if consistent).
+
+    Count w's row of the inverse Vandermonde matrix is P/(t - w) over Q(w) =
+    prod_{v != w} (w - v), from one master polynomial P = prod_v (t - v); the
+    row is negated when Q(w) < 0, so den = 8*|Q(w)| > 0.  Of ``_scaled_rhs``'s
+    columns a2_star's is nonzero only in equations 3 and 4 and a3_star's only
+    in equation 4, so p and q take one or two products each.
+    """
     ws = tuple(sorted(set(weights)))
     if not 1 <= len(ws) <= 4:
         raise ValueError(f"need between 1 and 4 distinct weights, got {len(ws)}")
@@ -232,29 +241,31 @@ def _count_numerators(
         raise ValueError(f"weights must be positive, got {ws}")
     if n < 1 or d < 0:
         raise ValueError(f"need n >= 1 and d >= 0, got n={n}, d={d}")
-    rhs = _scaled_rhs(n, d)
+    m, rhs = len(ws), _scaled_rhs(n, d)
+    (r1, _, _), (r2, _, _), (r3, p3, _), (r4, p4, q4) = rhs
+    full = [1]  # the master polynomial prod_v (t - v), highest degree first
+    for v in ws:
+        full = [a - v * b for a, b in zip(full + [0], [0] + full)]
     counts: dict[int, Numerators] = {}
     for w in ws:
-        # Row w of the inverse Vandermonde matrix: the coefficients, lowest
-        # degree first, of the product of (t - v) over v < w and (v - t) over
-        # v > w over its value at w (> 0): 1 at w, 0 at the other weights.
-        coeffs, at_w = [1], 1
-        for v in ws:
-            if v != w:
-                coeffs = [b - v * a if v < w else v * a - b
-                          for a, b in zip(coeffs + [0], [0] + coeffs)]
-                at_w *= abs(w - v)
-        counts[w] = tuple([sum(c * r[i] for c, r in zip(coeffs, rhs)) for i in range(3)]
-                          + [8 * at_w])
+        row, b, at_w = [], 0, 0  # P/(t - w) by synthetic division, Q(w) by Horner
+        for a in full[:m]:
+            b = a + w * b
+            row.append(b)
+            at_w = at_w * w + b
+        if at_w < 0:
+            row, at_w = [-x for x in row], -at_w
+        k0, k1, k2, k3 = row[::-1] + [0] * (4 - m)  # lowest degree first
+        counts[w] = (k0 * r1 + k1 * r2 + k2 * r3 + k3 * r4, k2 * p3 + k3 * p4, k3 * q4, 8 * at_w)
     den = lcm(*(count[3] for count in counts.values()))
     residuals: dict[int, Numerators] = {}
     note = ""
-    for k in range(len(ws), 4):
-        c, p, q, _ = residuals[k + 1] = tuple([
-            sum(w**k * count[i] * (den // count[3]) for w, count in counts.items())
-            - rhs[k][i] * (den // 8)
-            for i in range(3)
-        ] + [den])
+    for k in range(m, 4):
+        c, p, q = [-x * (den // 8) for x in rhs[k]]
+        for w, (cw, pw, qw, dw) in counts.items():
+            scale = w**k * (den // dw)
+            c, p, q = c + scale * cw, p + scale * pw, q + scale * qw
+        residuals[k + 1] = c, p, q, den
         if c and not p and not q:
             note = f"equation {k + 1} reduces to {Fraction(c, den)} = 0"
     return ws, counts, residuals, note

@@ -205,8 +205,12 @@ def _affine_scan(lo: int, hi: int, lhs: tuple[int, int], counts: list[tuple[int,
         valuations = [_v2(L) - shift]
     else:  # 2^v exactly divides L + S*t iff 2^(v+1) divides L - 2^v + S*t, and v >= v2(S)
         top = max(abs(L), abs(L + S * span)).bit_length()
-        valuations = [v - shift for v in range(_v2(S) if S else top, top)
-                      if (cls := _classes([(L - (1 << v), S, v + 1)])[0]) and cls[0] <= span]
+        low = _v2(S) if S else top
+        # L + S*t = 2^low*(L' + S'*t) with S' odd runs through every class mod
+        # 2^(j+1) in 2^(j+1) <= span + 1 lengths: valuation low + j occurs.
+        sure = low + (span + 1).bit_length() - 1
+        valuations = [v - shift for v in range(low, top) if v < sure or (
+            (cls := _classes([(L - (1 << v), S, v + 1)])[0]) and cls[0] <= span)]
     first, last = _nonnegative_part(*_nonnegative_part(0, span, L, S), -L, -S)
     zero = list(range(lo + first, lo + last + 1))
     first, last = 0, span

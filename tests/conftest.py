@@ -211,6 +211,39 @@ def gauss_jordan_counts(n: int, d: int, weights) -> LinearCountSolution:
     return LinearCountSolution(n, d, ws, expressions, residuals, consistent, note)
 
 
+def count_numerators_reference(n: int, d: int, weights):
+    """The O(m^3) integer count solve, kept as ``moments._count_numerators``'s
+    oracle (valid input only): each inverse Vandermonde row is multiplied out
+    factor by factor, and every count and residual numerator is a sum over
+    all four equations."""
+    ws = tuple(sorted(set(weights)))
+    rhs = _scaled_rhs(n, d)
+    counts = {}
+    for w in ws:
+        # Row w: the coefficients, lowest degree first, of the product of
+        # (t - v) over v < w and (v - t) over v > w over its value at w (> 0).
+        coeffs, at_w = [1], 1
+        for v in ws:
+            if v != w:
+                coeffs = [b - v * a if v < w else v * a - b
+                          for a, b in zip(coeffs + [0], [0] + coeffs)]
+                at_w *= abs(w - v)
+        counts[w] = tuple([sum(c * r[i] for c, r in zip(coeffs, rhs)) for i in range(3)]
+                          + [8 * at_w])
+    den = lcm(*(count[3] for count in counts.values()))
+    residuals = {}
+    note = ""
+    for k in range(len(ws), 4):
+        c, p, q, _ = residuals[k + 1] = tuple([
+            sum(w**k * count[i] * (den // count[3]) for w, count in counts.items())
+            - rhs[k][i] * (den // 8)
+            for i in range(3)
+        ] + [den])
+        if c and not p and not q:
+            note = f"equation {k + 1} reduces to {Fraction(c, den)} = 0"
+    return ws, counts, residuals, note
+
+
 def rref_dfs_reference(n: int, weights) -> SearchResult:
     """The unpruned RREF depth-first search, kept as the search's oracle.
 

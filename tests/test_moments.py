@@ -10,6 +10,7 @@ from math import comb, lcm, prod
 import pytest
 
 from conftest import (
+    count_numerators_reference,
     full_scan_reference,
     gauss_jordan_counts,
     krawtchouk,
@@ -200,6 +201,41 @@ def test_solve_weight_counts_matches_gauss_jordan():
                 assert den > 0, (n, d, ws, key)
                 assert [Fraction(x, den) for x in (c, p, q)] == [f.const, f.a2_coeff, f.a3_coeff]
     assert 0 < consistent < len(cases)
+
+
+def count_numerator_cases():
+    """The paper's fixed cases, then seeded (n, d, W): |W| = 1..4, n up to
+    2,000, d up to 40, weights up to 2n (so some exceed the length)."""
+    four = (24, 32, 40, 56)
+    cases = [(128, 10, four), (32, 4, (24, 32)), (24, 4, (12, 16, 20)), (7, 3, (2,)),
+             *((n, 13, four) for n in range(60, 67)),
+             *((n, d, (24, 32)) for d in range(15) for n in (1, 48, 64, 128, 4096)),
+             *((n, 10, (24, 32, 56)) for n in (56, 68, 88, 120))]
+    rng = random.Random(34)
+    for size in (1, 2, 3, 4) * 800:
+        n = rng.randrange(1, 2001)
+        cases.append((n, rng.randrange(0, 41), rng.sample(range(1, 2 * n + 1), min(size, 2 * n))))
+    return cases
+
+
+def test_count_numerators_match_reference():
+    # Callers read the raw integers, not only their values: the feasibility
+    # scan's ``% den``, Lemma 2.6's ``16*c == a*den`` and Theorem A's
+    # ``-(c // p)``; so the tuples must be equal, not just the fractions.
+    seen, notes = set(), 0
+    for n, d, ws in count_numerator_cases():
+        got = _count_numerators(n, d, ws)
+        assert got == count_numerators_reference(n, d, ws), (n, d, ws)
+        weights, counts, residuals, note = got
+        assert all(type(w) is int for w in weights) and type(note) is str
+        for numerators in (*counts.values(), *residuals.values()):
+            assert [type(x) for x in numerators] == [int] * 4, (n, d, ws)
+        seen.add((len(weights), weights[-1] > n))
+        notes += bool(note)
+    # Every size is drawn with and without a weight above n; some systems are
+    # inconsistent (one weight: equation 2 is a constant).
+    assert seen == {(m, above) for m in range(1, 5) for above in (False, True)}
+    assert notes > 0
 
 
 def test_solve_weight_counts_inconsistency_note():
