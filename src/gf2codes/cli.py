@@ -354,17 +354,66 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     return parser, sub.choices
 
 
+def _parse_plain(parser: argparse.ArgumentParser,
+                 argv: Sequence[str]) -> argparse.Namespace | None:
+    """``parser.parse_known_args(argv)``'s namespace, read straight from the
+    parser's actions, when ``argv`` is plain; otherwise None.
+
+    Plain: each option is spelt out in full and given once, a flag storing
+    its ``const`` and any other option taking the next token; the other
+    tokens fill the positionals; no value starts with "-" or fails its
+    ``type`` or ``choices``; every positional and required option is given.
+    """
+    values = {}
+    positionals = [action for action in parser._actions if not action.option_strings]
+    tokens = iter(argv)
+    for token in tokens:
+        if token[:1] != "-":
+            if not positionals:
+                return None
+            action = positionals.pop(0)
+        else:
+            action = parser._option_string_actions.get(token)
+            if action is None or action.dest in values:
+                return None
+            if action.nargs == 0 and isinstance(action, argparse._StoreConstAction):
+                values[action.dest] = action.const
+                continue
+            token = next(tokens, "-")  # a missing value declines like a dashed one
+            if token[:1] == "-":
+                return None
+        if type(action) is not argparse._StoreAction or action.nargs is not None:
+            return None
+        if action.type is not None:
+            try:
+                token = action.type(token)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+        if action.choices is not None and token not in action.choices:
+            return None
+        values[action.dest] = token
+    if positionals:
+        return None
+    for action in parser._actions:
+        if action.dest not in values and action.default is not argparse.SUPPRESS:
+            # argparse would convert a string default through the action's type.
+            if action.required or isinstance(action.default, str):
+                return None
+            values[action.dest] = action.default
+    return argparse.Namespace(**{**parser._defaults, **values})
+
+
 def run(argv: Sequence[str] | None = None) -> int:
     parser, commands = _build_parser()
     argv = sys.argv[1:] if argv is None else argv
     try:
-        # The top-level parser hands everything after the command name to
-        # that command's parser, so parse with it alone; the top-level one
-        # parses again only to print its own usage and errors.
-        args, extra = None, True
+        # A plain command line is read straight from its command's actions.
+        # The top-level parser parses every other line and is the only one
+        # that prints, so help, usage lines and errors are argparse's own.
+        args = None
         if argv and argv[0] in commands:
-            args, extra = commands[argv[0]].parse_known_args(argv[1:])
-        if extra:
+            args = _parse_plain(commands[argv[0]], argv[1:])
+        if args is None:
             args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)

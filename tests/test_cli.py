@@ -595,10 +595,11 @@ def test_help_and_usage_text_match_golden_digests(capsys, monkeypatch):
 
 
 # Cases that the top-level parser reports, with the stderr recorded on
-# Python 3.11 when it parsed every command line: a command is parsed by its
-# own parser, and the top-level one only when no command leads or arguments
-# are left over.  Later Pythons word argparse's usage and messages slightly
-# differently, so there the test compares with the top-level parser alone.
+# Python 3.11 when it parsed every command line: plain lines are read from
+# the command's actions, and the top-level parser handles every other line
+# and is the only one that prints.  Later Pythons word argparse's usage and
+# messages slightly differently, so there the test compares with the
+# top-level parser alone.
 TOP_LEVEL_USAGE = ("usage: gf2codes [-h]\n"
                    "                {analyze,dual,project,shorten,moments,feasibility,verify,search}\n"
                    "                ...\n")
@@ -624,6 +625,104 @@ def test_fallback_errors_match_golden_text(capsys, monkeypatch):
             assert captured.err == f"{TOP_LEVEL_USAGE}gf2codes: error: {message}\n", argv
 
 
+def _ci_json_loop() -> list[tuple[str, str]]:
+    # The arguments of each "code:arguments" entry of CI's installed-script
+    # loop, with the plain twin named after "|" ("" for none).
+    workflow = (README.parent / ".github" / "workflows" / "tier1.yml").read_text()
+    block = workflow.split("for entry in ")[1].split("; do")[0]
+    return [args.partition("|")[::2] for args in re.findall(r'"\d:([^"]+)"', block)]
+
+
+# The CI loop's spellings that only argparse reads, so that its path runs on
+# every Python CI covers.
+CI_ARGPARSE_SPELLINGS = [
+    "feasibility --n=32 --d=4 --weights=24,32",
+    "search --n 8 --wei 2,4",
+    "search --n 8 --weights 2,4 --node-cap -1",
+]
+
+# The benchmark's command shapes (perfbench/workloads.py), as the tuples it runs.
+BENCHMARK_SHAPES = [
+    ("analyze", GOLAY), ("dual", GOLAY), ("project", GOLAY, "--word", "0"),
+    ("shorten", GOLAY, "--coords", "0,1"),
+    ("feasibility", "--n", "64", "--d", "6", "--weights", "24,32,40"),
+    ("verify", "lemma-2-6", "--d", "10", "--n-range", "1..128"),
+    ("verify", "lemma-24-32-56"), ("verify", "theorem-a"),
+    ("search", "--n", "9", "--weights", "3,4,6", "--node-cap", "10000000"),
+]
+
+
+def _spellings(argv: list[str]) -> tuple[list[list[str]], list[list[str]]]:
+    # The same command line spelt other ways: (reorderings, which a plain
+    # line stays under, and spellings that argparse reads alike or rejects).
+    command, *rest = argv
+    options = [(flag, value) for flag, value in zip(rest, rest[1:]) if flag.startswith("--")]
+    positionals = [token for token in rest if token not in {t for pair in options for t in pair}]
+    reordered = [t for pair in reversed(options) for t in pair] + positionals
+    longest = max([flag for flag, _ in options if len(flag) > 3], key=len, default=None)
+    others = [
+        [*rest, "--json", "--json"], [f"{f}={v}" for f, v in options] + positionals,
+        [t[:-1] if t == longest else t for t in rest] if longest else [*rest, "--js"],
+        [*rest, "--", *positionals], ["--", *rest], [*rest, "-h"], [*rest, "--help"],
+        ["--bogus", *rest], [*rest, "--bogus", "1"], [*rest, "extra"],
+    ]
+    for flag, value in options:
+        others += [[*rest, flag, value],  # repeated
+                   [t for f, v in options if f != flag for t in (f, v)] + positionals,
+                   [t for f, v in options for t in (f, "-" + v if f == flag else v)]
+                   + positionals,
+                   [t for f, v in options for t in (f, "x1" if f == flag else v)]
+                   + positionals]
+    if command == "verify":
+        others.append(["lemma-2-7", *rest[1:]])
+    plain = [["--json", *rest], [*rest, "--json"], reordered, ["--json", *reordered]]
+    return ([[command, *line] for line in plain], [[command, *line] for line in others])
+
+
+def _argparse_namespace(argv: list[str]) -> argparse.Namespace:
+    # What the command's own parser reads, with nothing left over.
+    _, commands = cli._build_parser()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            args, extra = commands[argv[0]].parse_known_args(argv[1:])
+        except SystemExit:
+            raise AssertionError(f"argparse rejects {argv}") from None
+    assert extra == [], argv
+    return args
+
+
+def test_plain_parse_matches_argparse():
+    # cli._parse_plain either declines a line or returns the namespace that
+    # argparse builds for it, and it reads every line that the README, CI's
+    # loop and the benchmark run, in any order of their flags.
+    _, commands = cli._build_parser()
+
+    def plain(argv):
+        return cli._parse_plain(commands[argv[0]], argv[1:])
+
+    ci = _ci_json_loop()
+    assert [args for args, _ in ci if args in CI_ARGPARSE_SPELLINGS] == CI_ARGPARSE_SPELLINGS
+    lines = ([argv for argv, _, _ in _readme_examples()]
+             + [args.split() for args, _ in ci if args not in CI_ARGPARSE_SPELLINGS]
+             + [twin.split() for _, twin in ci if twin] + BENCHMARK_SHAPES)
+    accepted = declined = 0
+    for argv in lines:
+        reordered, others = _spellings(list(argv))
+        for line in [argv, *reordered]:
+            args = plain(line)
+            assert args is not None, line
+            assert vars(args) == vars(_argparse_namespace(list(line))), line
+        for line in others:
+            args = plain(line)
+            declined += args is None
+            if args is not None:
+                accepted += 1
+                assert vars(args) == vars(_argparse_namespace(line)), line
+    for spelling in CI_ARGPARSE_SPELLINGS:
+        assert plain(spelling.split()) is None, spelling
+    assert accepted and declined, (accepted, declined)
+
+
 def test_repeated_runs_keep_no_state(capsys, monkeypatch):
     # One process runs these calls with the same parser; each must print and
     # exit as the same command does alone in a fresh process.
@@ -633,6 +732,8 @@ def test_repeated_runs_keep_no_state(capsys, monkeypatch):
         # Options of one call must not reach the next call of that subcommand.
         (["verify", "lemma-2-6", "--d", "5", "--n-range", "1..8"], 1),
         (["verify", "theorem-a"], 0),
+        # Nor may a line argparse reads change its plain twin, read without it.
+        (["search", "--n", "8", "--wei", "2,4", "--node-cap", "5"], 0),
         (["search", "--n", "8", "--weights", "2,4", "--node-cap", "5"], 0),
         (["search", "--n", "8", "--weights", "2,4"], 0),
         (["analyze", GOLAY, "--cap", "3"], 2),
@@ -651,7 +752,7 @@ def test_repeated_runs_keep_no_state(capsys, monkeypatch):
         assert (alone.returncode, alone.stdout, alone.stderr) == (
             expected, captured.out, captured.err), argv
         outs.append(captured.out)
-    assert "INCOMPLETE" in outs[2] and "INCOMPLETE" not in outs[3]
+    assert outs[2] == outs[3] and "INCOMPLETE" in outs[3] and "INCOMPLETE" not in outs[4]
 
 
 @pytest.mark.skipif(platform.python_implementation() != "CPython",
