@@ -392,8 +392,6 @@ def _parse_plain(parser: argparse.ArgumentParser,
         if action.choices is not None and token not in action.choices:
             return None
         values[action.dest] = token
-    if positionals:
-        return None
     for action in parser._actions:
         if action.dest not in values and action.default is not argparse.SUPPRESS:
             # argparse would convert a string default through the action's type.

@@ -300,12 +300,24 @@ def _v2(x: int) -> int:
 
 def _nonnegative_part(lo: int, hi: int, u: int, v: int) -> tuple[int, int]:
     """The integers x in [lo, hi] with u + v*x >= 0 (empty when lo > hi): the
-    feasibility scan's a2_star and a3_star, ``prover._affine_scan``'s lengths."""
+    feasibility scan's a3_star, and ``_progression``'s interval."""
     if v > 0:
         return max(lo, -(u // v)), hi
     if v < 0:
         return lo, min(hi, u // -v)
     return (lo, hi) if u >= 0 else (lo, lo - 1)
+
+
+def _progression(lo: int, hi: int, signs: Iterable[tuple[int, int]],
+                 lattice: tuple[int, ...] | None) -> range:
+    """The t in [lo, hi] with u + v*t >= 0 for every (u, v) in signs and t = rem
+    (mod mod), a lattice's (rem, mod, ...); empty for None."""
+    if lattice is None:
+        return range(0)
+    for u, v in signs:
+        lo, hi = _nonnegative_part(lo, hi, u, v)
+    rem, mod, *_ = lattice
+    return range(lo + (rem - lo) % mod, hi + 1, mod)
 
 
 def feasibility_check(n: int, d: int, weights: Iterable[int]) -> FeasibilityVerdict:
@@ -408,10 +420,7 @@ def _a2_candidates(
             forms.append((c, p))
     forms += [(c_up * d_lo - c_lo * d_up, s_up * d_lo - s_lo * d_up)
               for c_lo, s_lo, _, d_lo in lower for c_up, s_up, _, d_up in upper]
-    lo, hi, (rem, mod, *_) = 0, a2_hi, lattices[-1]
-    for u, v in forms:
-        lo, hi = _nonnegative_part(lo, hi, u, v)
-    return lattices, range(lo + (rem - lo) % mod, hi + 1, mod)
+    return lattices, _progression(0, a2_hi, forms, lattices[-1])
 
 
 def _integral_class(forms: Iterable[Numerators]) -> Iterator[Lattice | None]:
@@ -423,9 +432,9 @@ def _integral_class(forms: Iterable[Numerators]) -> Iterator[Lattice | None]:
     it the form (c + p*a2 + q*a3)/den is (alpha + beta*t + gamma*u)/den: some
     u makes that an integer exactly when g = gcd(gamma, den) divides alpha +
     beta*t, so for t = t0 (mod step) or for no t, and u is then fixed mod
-    den/g, affine in t.  A form with q = 0 leaves a3 free.  The scan reads
-    each a3 class off these lattices and solves no other congruence; so does
-    ``prover._affine_scan``, whose forms (c, s, 0, 2^k) take a2 = n - lo.
+    den/g, affine in t.  A form with q = 0 leaves a3 free.  The scan reads each
+    a3 class and, through ``_progression``, each a2 class off these lattices and
+    solves no other congruence; so does ``prover._affine_scan`` (a2 = n - lo).
     """
     rem, mod, base, slope, period = 0, 1, 0, 0, 1
     for c, p, q, den in forms:

@@ -24,7 +24,7 @@ from typing import Mapping
 
 from .codes import LinearCode
 from .gf2core import Gf2Matrix
-from .moments import _count_numerators, _form, _integral_class, _nonnegative_part, _v2
+from .moments import _count_numerators, _form, _integral_class, _progression, _v2
 from .transforms import projected_weight
 
 __all__ = [
@@ -177,13 +177,6 @@ def _factored_lhs(n: int, d: int) -> int:
     return 9 * 2 ** (d + 6) * (64 - n) + 2 ** (d + 10) * (n - 48) + 3 * 2**12
 
 
-def _classes(forms: list[tuple[int, int, int]]) -> list[tuple[int, int] | None]:
-    """After each (c, s, k), ``_integral_class``'s (rem, mod): the t = rem
-    (mod mod) at which every (c + s*t)/2^k so far is an integer, or None."""
-    classes = [x and x[:2] for x in _integral_class([(c, s, 0, 1 << k) for c, s, k in forms])]
-    return classes + [None] * (len(forms) - len(classes))
-
-
 def _affine_scan(lo: int, hi: int, lhs: tuple[int, int], counts: list[tuple[int, int]],
                  shift: int, required: int) -> tuple[list[int], ...]:
     """Lemma 2.6's divisibility scan of the lengths [lo, hi], in closed form.
@@ -193,11 +186,10 @@ def _affine_scan(lo: int, hi: int, lhs: tuple[int, int], counts: list[tuple[int,
     left side's 2-adic valuations less shift, then the lengths where it is
     zero, where 2^(required + shift) divides it (no contradiction), where
     every count is a nonnegative multiple of 2^shift (admissible), and
-    where both of the last two hold.  Each list of lengths is the part of
-    an interval in one residue class modulo a power of two, which
-    ``moments._integral_class`` solves (through ``_classes``).  The counts'
-    sign interval comes from ``moments._nonnegative_part``, and so do the
-    zero lengths: those where the left side is both >= 0 and <= 0.
+    where both of the last two hold.  Each list of lengths is one residue
+    class of an interval, modulo a power of two: ``moments._progression``
+    reads it off a lattice of ``moments._integral_class`` and sign forms (for
+    the zero lengths, the left side and its negative), and lo shifts it.
     """
     span = hi - lo
     L, S = lhs
@@ -209,23 +201,22 @@ def _affine_scan(lo: int, hi: int, lhs: tuple[int, int], counts: list[tuple[int,
         # L + S*t = 2^low*(L' + S'*t) with S' odd runs through every class mod
         # 2^(j+1) in 2^(j+1) <= span + 1 lengths: valuation low + j occurs.
         sure = low + (span + 1).bit_length() - 1
-        valuations = [v - shift for v in range(low, top) if v < sure or (
-            (cls := _classes([(L - (1 << v), S, v + 1)])[0]) and cls[0] <= span)]
-    first, last = _nonnegative_part(*_nonnegative_part(0, span, L, S), -L, -S)
-    zero = list(range(lo + first, lo + last + 1))
-    first, last = 0, span
-    for c, s in counts:
-        first, last = _nonnegative_part(first, last, c, s)
-    divisible = (L, S, required + shift)
-    # One pass over the counts, then the left side; (0, 1) holds every t.
-    *_, integral, both = [(0, 1), *_classes([(c, s, shift) for c, s in counts] + [divisible])]
+        valuations = [v - shift for v in range(low, top) if v < sure or _progression(
+            0, span, (), next(_integral_class([(L - (1 << v), S, 0, 1 << v + 1)])))]
+    divisible = (L, S, 0, 1 << required + shift)
+    # One pass over the counts, then the left side; (0, 1) holds every t.  The
+    # pass ends at its first None, so a short one leaves no t for the counts.
+    forms = [(c, s, 0, 1 << shift) for c, s in counts] + [divisible]
+    lattices = [(0, 1), *_integral_class(forms)]
+    integral, both = lattices[-2:] if len(lattices) > len(forms) else (None, None)
 
-    def lengths(cls: tuple[int, int] | None, first: int = 0, last: int = span) -> list[int]:
-        return [] if cls is None else list(range(lo + first + (cls[0] - first) % cls[1],
-                                                 lo + last + 1, cls[1]))
+    def lengths(signs, lattice) -> list[int]:
+        ts = _progression(0, span, signs, lattice)
+        return list(range(lo + ts.start, lo + ts.stop, ts.step))
 
-    return (valuations, zero, lengths(_classes([divisible])[0]),
-            lengths(integral, first, last), lengths(both, first, last))
+    return (valuations, lengths((lhs, (-L, -S)), (0, 1)),
+            lengths((), next(_integral_class([divisible]))),
+            lengths(counts, integral), lengths(counts, both))
 
 
 def verify_lemma_2_6(d: int, n_range: tuple[int, int] = (1, 128)) -> ProofReport:
@@ -248,7 +239,7 @@ def verify_lemma_2_6(d: int, n_range: tuple[int, int] = (1, 128)) -> ProofReport
     ``moments._count_numerators`` matches a closed form a if 16*c == a*den.
     ``_affine_scan`` (shift 4) solves each condition of the scan as a residue
     class of lengths with the feasibility scan's ``_integral_class`` and
-    ``_nonnegative_part``, without visiting them one by one.  The report lists
+    ``_progression``, without visiting them one by one.  The report lists
     lengths, so a range of more than ``_LEMMA_2_6_MAX_LENGTHS`` raises.
     """
     lo, hi = n_range

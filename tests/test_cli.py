@@ -665,6 +665,8 @@ def _spellings(argv: list[str]) -> tuple[list[list[str]], list[list[str]]]:
         [t[:-1] if t == longest else t for t in rest] if longest else [*rest, "--js"],
         [*rest, "--", *positionals], ["--", *rest], [*rest, "-h"], [*rest, "--help"],
         ["--bogus", *rest], [*rest, "--bogus", "1"], [*rest, "extra"],
+        [*rest, "-h", "x"],  # a flag that stores no value, given one
+        [t for pair in options for t in pair],  # the positionals dropped
     ]
     for flag, value in options:
         others += [[*rest, flag, value],  # repeated

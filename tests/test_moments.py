@@ -299,6 +299,22 @@ def test_feasibility_forced_value_outside_box():
     )
 
 
+def test_one_weight_feasible_exactly_for_replicated_simplex_codes():
+    # Bonisoli (Ars Combin. 18, 1984): every equidistant linear code is a
+    # sequence of dual Hamming codes, so a spanning [n, d] code with the one
+    # weight w is the [2^d - 1, d] simplex code repeated n/(2^d - 1) times,
+    # and w = 2^(d-1) * n/(2^d - 1).  The moment system finds exactly those.
+    cases = feasible = 0
+    for n in range(1, 80):
+        for d in range(1, min(n, 8) + 1):
+            for w in range(1, n + 1):
+                simplex = n % (2**d - 1) == 0 and w == 2 ** (d - 1) * n // (2**d - 1)
+                assert feasibility_check(n, d, [w]).feasible == simplex, (n, d, w)
+                cases += 1
+                feasible += simplex
+    assert (cases, feasible) == (25196, 124)
+
+
 def test_feasibility_rejects_weights_above_length():
     with pytest.raises(ValueError, match=r"weights must lie in \[1, 10\], got \[1, 6, 7, 12\]"):
         feasibility_check(10, 4, (1, 6, 7, 12))

@@ -222,6 +222,23 @@ def test_lp_bound_covers_every_search_result():
         assert result.nodes_explored >= (1 if ws else 0), (n, ws)
 
 
+def test_two_weight_dimension_within_its_2_adic_cap():
+    # Two weights pin their counts: a + b = 2^d - 1, w1*a + w2*b = 2^(d-1)*n.
+    # The second moment w1^2*a + w2^2*b = (w1 + w2)*2^(d-1)*n - w1*w2*(a + b)
+    # is then L = 2^(d-1)*(n(w1 + w2) - 2*w1*w2) + w1*w2, which must equal
+    # 2^(d-1)*(a2* + n(n+1)/2).  So 2^(d-1) divides w1*w2, d <= v2(w1*w2) + 1
+    # at every length, and the search never goes above that cap.
+    pairs = at_cap = 0
+    for n in range(2, 14):
+        for w1, w2 in combinations(range(1, n + 1), 2):
+            result = max_dimension_exhaustive(n, (w1, w2))
+            cap = ((w1 * w2) & -(w1 * w2)).bit_length()  # v2(w1*w2) + 1
+            assert result.complete and result.max_dimension <= cap, (n, w1, w2)
+            pairs += 1
+            at_cap += result.max_dimension == cap
+    assert (pairs, at_cap) == (364, 230)
+
+
 def _remove_lp_stop(monkeypatch):
     """Patch the search's LP core to a bound of n, which is never below the
     result, so the stop cannot end the search early; returns the calls."""
