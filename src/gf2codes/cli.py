@@ -25,7 +25,8 @@ from .codes import (
 )
 from .gf2core import Gf2Vector
 from .moments import feasibility_check, moment_identities_check
-from .prover import verify_lemma_2_6, verify_lemma_24_32_56, verify_theorem_a
+from .prover import (_LEMMA_2_6_RANGE, _LEMMA_BOUND, verify_lemma_2_6, verify_lemma_24_32_56,
+                     verify_theorem_a)
 from .search import DEFAULT_NODE_CAP, MAX_SEARCH_LENGTH, max_dimension_exhaustive
 from .transforms import project, shorten
 
@@ -221,8 +222,8 @@ def _cmd_feasibility(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.claim == "lemma-2-6":
-        d = 10 if args.d is None else args.d
-        n_range = "1..128" if args.n_range is None else args.n_range
+        d = _LEMMA_BOUND if args.d is None else args.d
+        n_range = "{}..{}".format(*_LEMMA_2_6_RANGE) if args.n_range is None else args.n_range
         report = verify_lemma_2_6(d, _parse_range(n_range))
         inputs = {"claim": args.claim, "d": d, "n_range": n_range}
     elif args.d is not None or args.n_range is not None:
@@ -332,9 +333,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p = sub.add_parser("verify", parents=[common], help="replay a dimension-bound argument")
     p.add_argument("claim", choices=["lemma-2-6", "lemma-24-32-56", "theorem-a"])
     p.add_argument("--d", type=int,
-                   help="dimension to replay (lemma-2-6 only, default 10)")
-    p.add_argument("--n-range",
-                   help="length range A..B to scan (lemma-2-6 only, default 1..128)")
+                   help=f"dimension to replay (lemma-2-6 only, default {_LEMMA_BOUND})")
+    p.add_argument("--n-range", help="length range A..B to scan (lemma-2-6 only, default "
+                   "{}..{})".format(*_LEMMA_2_6_RANGE))
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("search", parents=[common],

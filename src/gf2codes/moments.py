@@ -298,24 +298,19 @@ def _v2(x: int) -> int:
     return (x & -x).bit_length() - 1
 
 
-def _nonnegative_part(lo: int, hi: int, u: int, v: int) -> tuple[int, int]:
-    """The integers x in [lo, hi] with u + v*x >= 0 (empty when lo > hi): the
-    feasibility scan's a3_star, and ``_progression``'s interval."""
-    if v > 0:
-        return max(lo, -(u // v)), hi
-    if v < 0:
-        return lo, min(hi, u // -v)
-    return (lo, hi) if u >= 0 else (lo, lo - 1)
-
-
 def _progression(lo: int, hi: int, signs: Iterable[tuple[int, int]],
                  lattice: tuple[int, ...] | None) -> range:
-    """The t in [lo, hi] with u + v*t >= 0 for every (u, v) in signs and t = rem
+    """The x in [lo, hi] with u + v*x >= 0 for every (u, v) in signs and x = rem
     (mod mod), a lattice's (rem, mod, ...); empty for None."""
     if lattice is None:
         return range(0)
     for u, v in signs:
-        lo, hi = _nonnegative_part(lo, hi, u, v)
+        if v > 0:
+            lo = max(lo, -(u // v))
+        elif v < 0:
+            hi = min(hi, u // -v)
+        elif u < 0:
+            return range(0)
     rem, mod, *_ = lattice
     return range(lo + (rem - lo) % mod, hi + 1, mod)
 
@@ -434,7 +429,7 @@ def _integral_class(forms: Iterable[Numerators]) -> Iterator[Lattice | None]:
     beta*t, so for t = t0 (mod step) or for no t, and u is then fixed mod
     den/g, affine in t.  A form with q = 0 leaves a3 free.  The scan reads each
     a3 class and, through ``_progression``, each a2 class off these lattices and
-    solves no other congruence; so does ``prover._affine_scan`` (a2 = n - lo).
+    solves no other congruence; so does ``prover._affine_scan`` (a2 = n).
     """
     rem, mod, base, slope, period = 0, 1, 0, 0, 1
     for c, p, q, den in forms:
@@ -505,13 +500,13 @@ def _admissible_a3(
     """Smallest a3 in [0, a3_hi] making every count a nonnegative integer.
 
     With four weights and a2 fixed each count is (alpha + q*a3)/den, q != 0,
-    nonnegative on an interval of a3.  The integer a3 are read off
-    ``lattices``, ``_integral_class``'s after each count: on the last, a2 =
-    rem + mod*t and they are (base + slope*t) mod period; off it, the first
-    lattice that misses a2 (each lies inside the one before) names the count
-    that fails.  Returns (a3, None) or (None, failure).
+    nonnegative on an interval of a3; ``_progression`` cuts it, then the class
+    of integer a3 in it.  That class is read off ``lattices``, ``_integral_class``'s
+    after each count: on the last, a2 = rem + mod*t and it is (base + slope*t)
+    mod period; off it, the first lattice that misses a2 (each lies inside the
+    one before) names the count that fails.  Returns (a3, None) or (None, failure).
     """
-    lo, hi = 0, a3_hi
+    signs = []
     for (w, (c, p, q, den)), lattice in zip(counts.items(), lattices):
         alpha = c + p * a2
         if lattice is None or (a2 - lattice[0]) % lattice[1]:
@@ -521,18 +516,19 @@ def _admissible_a3(
                 return None, (REASON_NON_INTEGER, never)
             conflict = f"integrality congruences on a3_star conflict at a2_star={a2}"
             return None, (REASON_NON_INTEGER, conflict)
-        lo, hi = _nonnegative_part(lo, hi, alpha, q)
-    if lo > hi:
+        signs.append((alpha, q))
+    interval = _progression(0, a3_hi, signs, (0, 1))
+    if not interval:
         empty = f"no a3_star in [0, {a3_hi}] keeps all counts nonnegative at a2_star={a2}"
         return None, (REASON_NEGATIVE, empty)
     rem, mod, base, slope, period = lattice
     a3 = (base + slope * ((a2 - rem) // mod)) % period
-    first = lo + (a3 - lo) % period
-    if first > hi:
-        missed = (f"no integer-valued a3_star in [{lo}, {hi}] at a2_star={a2} "
-                  f"(need a3_star = {a3} mod {period})")
+    admissible = _progression(interval.start, interval[-1], (), (a3, period))
+    if not admissible:
+        missed = (f"no integer-valued a3_star in [{interval.start}, {interval[-1]}] at "
+                  f"a2_star={a2} (need a3_star = {a3} mod {period})")
         return None, (REASON_NON_INTEGER, missed)
-    return first, None
+    return admissible.start, None
 
 
 def lp_dimension_bound(n: int, weights: Iterable[int]) -> LpBound:

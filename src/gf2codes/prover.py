@@ -46,10 +46,13 @@ _LEMMA_2_6_WEIGHTS = (24, 32)
 # The most lengths a Lemma 2.6 replay accepts: its scan is solved in closed
 # form, but its report can list every length, so its size grows with the range.
 _LEMMA_2_6_MAX_LENGTHS = 4096
+# The lengths a Lemma 2.6 replay scans by default: a_24 >= 0 needs n < 64.
+_LEMMA_2_6_RANGE = (1, 128)
 # The three-weight lemma: its weights, and the dimension bound it proves in
 # every ambient too short for two words of the largest weight.
 _LEMMA_WEIGHTS = (*_LEMMA_2_6_WEIGHTS, 56)
 _LEMMA_BOUND = 10
+_LEMMA_LOW, _LEMMA_TOP = min(_LEMMA_WEIGHTS), max(_LEMMA_WEIGHTS)
 # The paper's a_56 at spanning lengths 65 and 66, keyed by how far the
 # projection's length exceeds twice its dimension: the form as numerators
 # (c, p, q, den), worth (c + p*a2_star + q*a3_star)/den, as printed, and
@@ -111,6 +114,10 @@ def min_union_length(weight_a: int, weight_b: int, sum_weight: int) -> int:
     return weight_b + projected_weight(weight_a, sum_weight, weight_b)
 
 
+# Fewest coordinates two weight-56 words span if their sum weighs >= 24.
+_A56_UNION = min_union_length(_LEMMA_TOP, _LEMMA_TOP, _LEMMA_LOW)
+
+
 def verify_remark_a56(ambient: int) -> ProofStep:
     """Check that two weight-56 words cannot coexist in the given ambient.
 
@@ -119,8 +126,7 @@ def verify_remark_a56(ambient: int) -> ProofStep:
     the smallest sum weight; min_union_length(56, 56, 24) = 68 coordinates
     are then needed, so any ambient below 68 admits at most one such word.
     """
-    low, top = min(_LEMMA_WEIGHTS), max(_LEMMA_WEIGHTS)
-    union = _a56_union()
+    low, top, union = _LEMMA_LOW, _LEMMA_TOP, _A56_UNION
     overlap = 2 * top - union
     return _step(
         "remark-a56", f"a56-at-most-one-n{ambient}", "arithmetic",
@@ -145,12 +151,6 @@ def verify_remark_a56(ambient: int) -> ProofStep:
     )
 
 
-def _a56_union() -> int:
-    """Fewest coordinates two weight-56 words span if their sum weighs >= 24."""
-    low, top = min(_LEMMA_WEIGHTS), max(_LEMMA_WEIGHTS)
-    return min_union_length(top, top, low)
-
-
 def a56_sharpness_construction() -> LinearCode:
     """A length-68 code with two weight-56 words (the union bound is sharp).
 
@@ -158,7 +158,7 @@ def a56_sharpness_construction() -> LinearCode:
     coordinates, so their sum has weight 24 and all nonzero weights are
     >= 24 while a_56 = 2.  Every number follows from ``_LEMMA_WEIGHTS``.
     """
-    top, length = max(_LEMMA_WEIGHTS), _a56_union()
+    top, length = _LEMMA_TOP, _A56_UNION
     v = (1 << top) - 1
     return LinearCode.from_rows(Gf2Matrix.from_ints([v, v << (length - top)], length))
 
@@ -181,45 +181,39 @@ def _affine_scan(lo: int, hi: int, lhs: tuple[int, int], counts: list[tuple[int,
                  shift: int, required: int) -> tuple[list[int], ...]:
     """Lemma 2.6's divisibility scan of the lengths [lo, hi], in closed form.
 
-    At t = n - lo the left side is L + S*t for lhs = (L, S), and each count
-    is c + s*t for (c, s) in counts, all scaled by 2^shift.  Returns the
-    left side's 2-adic valuations less shift, then the lengths where it is
-    zero, where 2^(required + shift) divides it (no contradiction), where
-    every count is a nonnegative multiple of 2^shift (admissible), and
-    where both of the last two hold.  Each list of lengths is one residue
-    class of an interval, modulo a power of two: ``moments._progression``
-    reads it off a lattice of ``moments._integral_class`` and sign forms (for
-    the zero lengths, the left side and its negative), and lo shifts it.
+    At length n the left side is L + S*n for lhs = (L, S), and each count is
+    c + s*n for (c, s) in counts, all scaled by 2^shift.  Returns the left
+    side's 2-adic valuations less shift, then the lengths where it is zero,
+    where 2^(required + shift) divides it (no contradiction), where every
+    count is a nonnegative multiple of 2^shift (admissible), and where both
+    of the last two hold.  Each list of lengths is one residue class of
+    [lo, hi], modulo a power of two: ``moments._progression`` cuts it with a
+    lattice of ``moments._integral_class`` and sign forms (for the zero
+    lengths, the left side and its negative).
     """
-    span = hi - lo
     L, S = lhs
     if L and (not S or _v2(L) < _v2(S)):  # every length has L's valuation
         valuations = [_v2(L) - shift]
-    else:  # 2^v exactly divides L + S*t iff 2^(v+1) divides L - 2^v + S*t, and v >= v2(S)
-        top = max(abs(L), abs(L + S * span)).bit_length()
+    else:  # 2^v exactly divides L + S*n iff 2^(v+1) divides L - 2^v + S*n, and v >= v2(S)
+        top = max(abs(L + S * lo), abs(L + S * hi)).bit_length()
         low = _v2(S) if S else top
-        # L + S*t = 2^low*(L' + S'*t) with S' odd runs through every class mod
-        # 2^(j+1) in 2^(j+1) <= span + 1 lengths: valuation low + j occurs.
-        sure = low + (span + 1).bit_length() - 1
+        # L + S*n = 2^low*(L' + S'*n) with S' odd runs through every class mod
+        # 2^(j+1) in 2^(j+1) <= hi - lo + 1 lengths: valuation low + j occurs.
+        sure = low + (hi - lo + 1).bit_length() - 1
         valuations = [v - shift for v in range(low, top) if v < sure or _progression(
-            0, span, (), next(_integral_class([(L - (1 << v), S, 0, 1 << v + 1)])))]
+            lo, hi, (), next(_integral_class([(L - (1 << v), S, 0, 1 << v + 1)])))]
     divisible = (L, S, 0, 1 << required + shift)
-    # One pass over the counts, then the left side; (0, 1) holds every t.  The
-    # pass ends at its first None, so a short one leaves no t for the counts.
+    # One pass over the counts, then the left side; (0, 1) holds every n.  The
+    # pass ends at its first None, so a short one leaves no n for the counts.
     forms = [(c, s, 0, 1 << shift) for c, s in counts] + [divisible]
     lattices = [(0, 1), *_integral_class(forms)]
     integral, both = lattices[-2:] if len(lattices) > len(forms) else (None, None)
-
-    def lengths(signs, lattice) -> list[int]:
-        ts = _progression(0, span, signs, lattice)
-        return list(range(lo + ts.start, lo + ts.stop, ts.step))
-
-    return (valuations, lengths((lhs, (-L, -S)), (0, 1)),
-            lengths((), next(_integral_class([divisible]))),
-            lengths(counts, integral), lengths(counts, both))
+    return (valuations, *(list(_progression(lo, hi, signs, lattice)) for signs, lattice in (
+        ((lhs, (-L, -S)), (0, 1)), ((), next(_integral_class([divisible]))),
+        (counts, integral), (counts, both))))
 
 
-def verify_lemma_2_6(d: int, n_range: tuple[int, int] = (1, 128)) -> ProofReport:
+def verify_lemma_2_6(d: int, n_range: tuple[int, int] = _LEMMA_2_6_RANGE) -> ProofReport:
     """Replay the two-weight {24, 32} divisibility contradiction at dimension d.
 
     For every length in ``n_range`` the first two moment equations pin the
@@ -237,9 +231,10 @@ def verify_lemma_2_6(d: int, n_range: tuple[int, int] = (1, 128)) -> ProofReport
     every length, so agreement at both ends proves it for the whole range.
     Every number is an integer, 16 times its value: a solved count c/den of
     ``moments._count_numerators`` matches a closed form a if 16*c == a*den.
-    ``_affine_scan`` (shift 4) solves each condition of the scan as a residue
-    class of lengths with the feasibility scan's ``_integral_class`` and
-    ``_progression``, without visiting them one by one.  The report lists
+    With the closed forms at n = 0 and 1 as affine forms in n, ``_affine_scan``
+    (shift 4) solves each condition of the scan as a residue class of lengths
+    with the feasibility scan's ``_integral_class`` and ``_progression``,
+    visiting none.  The report lists
     lengths, so a range of more than ``_LEMMA_2_6_MAX_LENGTHS`` raises.
     """
     lo, hi = n_range
@@ -263,8 +258,8 @@ def verify_lemma_2_6(d: int, n_range: tuple[int, int] = (1, 128)) -> ProofReport
         factored_ok &= sum(w * w * c for w, c in zip(pair, counts)) == _factored_lhs(n, d)
 
     required = d - 1
-    counts = _closed_form_counts(lo, d)
-    slopes = [c - a for a, c in zip(counts, _closed_form_counts(lo + 1, d))]
+    counts = _closed_form_counts(0, d)
+    slopes = [c - a for a, c in zip(counts, _closed_form_counts(1, d))]
     lhs, lhs_slope = (sum(w * w * c for w, c in zip(pair, cs)) for cs in (counts, slopes))
     valuations, zero_lhs_lengths, no_contradiction, admissible, admissible_no_contradiction = (
         _affine_scan(lo, hi, (lhs, lhs_slope), list(zip(counts, slopes)), 4, required)
@@ -337,9 +332,7 @@ def verify_lemma_24_32_56() -> ProofReport:
     ``_LEMMA_BOUND``; the cited Lemma 2.6 replay runs at the bound itself, so
     a stricter bound such as 9 fails both cases.
     """
-    top = max(_LEMMA_WEIGHTS)
-    pair_weights = [x for x in _LEMMA_WEIGHTS if x != top]
-    cap = _a56_union() - 1
+    top, pair_weights, cap = _LEMMA_TOP, _LEMMA_2_6_WEIGHTS, _A56_UNION - 1
     # Lemma 2.6 rules out two-weight codes of dimension _LEMMA_BOUND at every
     # length it scans, so they have dimension at most one less.
     two_weight = verify_lemma_2_6(_LEMMA_BOUND)
@@ -375,7 +368,7 @@ def verify_lemma_24_32_56() -> ProofReport:
         {
             "operation": "subcode_avoiding",
             "dimension_drop": 1,
-            "subcode_weights": pair_weights,
+            "subcode_weights": list(pair_weights),
             "resulting_bound": 1 + two_weight_bound,
             "claimed_bound": _LEMMA_BOUND,
         },
@@ -429,7 +422,7 @@ def verify_theorem_a() -> ProofReport:
     outside = sorted(set(weights) - set(_LEMMA_WEIGHTS))
     lemma_weights = _braces(_LEMMA_WEIGHTS)
     bound = _LEMMA_BOUND
-    cap = _a56_union() - 1
+    cap = _A56_UNION - 1
     lemma = verify_lemma_24_32_56()
     pdim = dim - 1
     steps: list[ProofStep] = []

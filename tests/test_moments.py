@@ -431,6 +431,11 @@ def test_feasibility_scans_only_kept_a2_values():
     # 1,776, 3,104, 631, 271, 225 and 2,495.
     for case, scanned in LATTICE_CASES.items():
         assert feasibility_check(*case).scanned == scanned, case
+    # A sign form with no a2_star term keeps every a2_star or none: here a_2 =
+    # -12 - a3_star is negative at every a3_star >= 0, so none is checked.
+    verdict = feasibility_check(8, 3, (1, 2, 3, 8))
+    assert verdict.scanned == 0
+    assert verdict.certificate == "no a3_star in [0, 56] keeps all counts nonnegative at a2_star=0"
 
 
 def test_integral_class_matches_brute_force():

@@ -214,8 +214,8 @@ def test_two_weight_scan_matches_per_length_reference(n_range):
 def _affine_scan_per_length(lo, hi, lhs, counts, shift, required):
     """``prover._affine_scan`` by evaluating every length."""
     valuations, zero, no_contradiction, admissible, both = set(), [], [], [], []
-    for t, n in enumerate(range(lo, hi + 1)):
-        value = lhs[0] + lhs[1] * t
+    for n in range(lo, hi + 1):
+        value = lhs[0] + lhs[1] * n
         if value:
             valuations.add((value & -value).bit_length() - 1 - shift)
         else:
@@ -223,7 +223,7 @@ def _affine_scan_per_length(lo, hi, lhs, counts, shift, required):
         ok = value % (1 << required + shift) == 0
         if ok:
             no_contradiction.append(n)
-        if all(c + s * t >= 0 and (c + s * t) % (1 << shift) == 0 for c, s in counts):
+        if all(c + s * n >= 0 and (c + s * n) % (1 << shift) == 0 for c, s in counts):
             admissible.append(n)
             if ok:
                 both.append(n)
@@ -246,9 +246,11 @@ def test_affine_scan_matches_per_length_loop():
         counts = [(rng.randint(-600, 600), rng.choice([0, rng.randint(-64, 64)]))
                   for _ in range(rng.randint(1, 3))]
         required = rng.randint(0, 8)
-        got = prover._affine_scan(lo, hi, lhs, counts, shift, required)
-        want = _affine_scan_per_length(lo, hi, lhs, counts, shift, required)
-        assert got == want, (lo, hi, lhs, counts, shift, required)
+        # The draws are at t = n - lo; the scan takes forms in n itself.
+        at_n = (lhs[0] - slope * lo, slope), [(c - s * lo, s) for c, s in counts]
+        got = prover._affine_scan(lo, hi, *at_n, shift, required)
+        want = _affine_scan_per_length(lo, hi, *at_n, shift, required)
+        assert got == want, (lo, hi, *at_n, shift, required)
         seen["flat lhs"] += slope == 0
         seen["flat count"] += any(s == 0 for _, s in counts)
         seen["zero inside"] += bool(want[1]) and slope != 0
